@@ -38,21 +38,17 @@ pub enum Workload {
     PaperLattice,
     /// Disorder averaging on a 48^3 Anderson lattice, in-process.
     Anderson48,
-    /// DoS jobs through KPNT, serve and the fleet.
-    ServiceMix,
 }
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 3] =
-        [Workload::PaperLattice, Workload::Anderson48, Workload::ServiceMix];
+    pub const ALL: [Workload; 2] = [Workload::PaperLattice, Workload::Anderson48];
 
     /// The workload's name.
     pub fn name(self) -> &'static str {
         match self {
             Workload::PaperLattice => "paper-lattice",
             Workload::Anderson48 => "anderson-48",
-            Workload::ServiceMix => "service-mix",
         }
     }
 }
@@ -62,7 +58,7 @@ impl FromStr for Workload {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Workload::ALL.into_iter().find(|w| w.name() == s).ok_or_else(|| {
-            format!("unknown workload '{s}' (expected paper-lattice, anderson-48 or service-mix)")
+            format!("unknown workload '{s}' (expected paper-lattice or anderson-48)")
         })
     }
 }
@@ -82,13 +78,9 @@ pub enum Class {
 pub enum Kind {
     /// A new spec: stochastic (and disorder) seeds not used before.
     Fresh,
-    /// A new spec, submitted as a refine ladder of [`LADDER_STEPS`].
-    Ladder,
     /// The exact spec of an earlier fresh job.
     RepeatExact,
-    /// An earlier fresh spec at a quarter of its moments.
-    RepeatLowerN,
-    /// An earlier fresh spec at half its realization sets.
+    /// An earlier fresh spec at a quarter of its realization sets.
     RepeatFewerSets,
 }
 
@@ -96,8 +88,8 @@ impl Kind {
     /// The latency class this kind counts in.
     pub fn class(self) -> Class {
         match self {
-            Kind::Fresh | Kind::Ladder => Class::Fresh,
-            Kind::RepeatExact | Kind::RepeatLowerN | Kind::RepeatFewerSets => Class::Repeat,
+            Kind::Fresh => Class::Fresh,
+            Kind::RepeatExact | Kind::RepeatFewerSets => Class::Repeat,
         }
     }
 }
@@ -109,12 +101,11 @@ pub struct Job {
     pub line: String,
     /// What the generator made it.
     pub kind: Kind,
-    /// Refine-ladder steps; 1 asks for a single result.
-    pub steps: u32,
 }
 
-/// Steps of a [`Kind::Ladder`] submission.
-pub const LADDER_STEPS: u32 = 3;
+/// Realization sets of the service probe's fresh job; its
+/// [`Kind::RepeatFewerSets`] repeat keeps one.
+pub const PROBE_SETS: usize = 4;
 
 /// A fresh-job template.
 #[derive(Debug, Clone, Copy)]
@@ -151,20 +142,10 @@ const ANDERSON: [Template; 1] = [Template {
     disordered: true,
 }];
 
-/// `service-mix`: small DoS jobs on dense H_SIZE = 128 (Fig. 7) and on
-/// cubic lattices of 10 to 16 sites a side.
-const SERVICE: [Template; 4] = [
-    clean("dense:128", 256, 14, 2),
-    clean("cubic:10,10,10", 512, 14, 2),
-    clean("cubic:12,12,12", 256, 8, 2),
-    clean("cubic:16,16,16", 256, 8, 2),
-];
-
 fn templates(workload: Workload) -> &'static [Template] {
     match workload {
         Workload::PaperLattice => &PAPER,
         Workload::Anderson48 => &ANDERSON,
-        Workload::ServiceMix => &SERVICE,
     }
 }
 
@@ -182,7 +163,7 @@ enum Slot {
 /// names a template whose fresh job comes earlier in the block, so the job
 /// it repeats is always that block's, never repeated before.
 fn block(workload: Workload) -> &'static [Slot] {
-    use Kind::{RepeatExact as Exact, RepeatFewerSets as FewerSets, RepeatLowerN as LowerN};
+    use Kind::RepeatExact as Exact;
     use Slot::{Fresh, Repeat};
     match workload {
         // 6/8 fresh (N = 256, 512, 1024 twice), 2/8 exact repeats at N = 512.
@@ -198,18 +179,6 @@ fn block(workload: Workload) -> &'static [Slot] {
         ],
         // 3/4 new realizations, 1/4 exact repeats.
         Workload::Anderson48 => &[Fresh(0), Fresh(0), Fresh(0), Repeat(Exact, 0)],
-        // 4/8 fresh (2 of them ladders), 2/8 exact, 1/8 lower-N and 1/8
-        // fewer-sets repeats.
-        Workload::ServiceMix => &[
-            Fresh(0),
-            Fresh(1),
-            Repeat(Exact, 0),
-            Fresh(2),
-            Repeat(LowerN, 2),
-            Fresh(3),
-            Repeat(Exact, 3),
-            Repeat(FewerSets, 1),
-        ],
     }
 }
 
@@ -246,7 +215,6 @@ pub struct JobStream {
     seed_base: u64,
     session: u64,
     fresh_made: u64,
-    blocks_made: usize,
     /// The latest fresh job of each template.
     latest: Vec<Option<FreshJob>>,
     pending: VecDeque<Job>,
@@ -260,20 +228,49 @@ impl JobStream {
             seed_base: Rng::new(seed).next_u64(),
             session: session as u64,
             fresh_made: 0,
-            blocks_made: 0,
             latest: vec![None; templates(workload).len()],
             pending: VecDeque::new(),
         }
     }
 
-    /// The line the per-layer probes run: the workload's costliest template
-    /// (moments x vectors) with the stream's first seeds.
-    pub fn representative(workload: Workload, seed: u64) -> String {
+    /// Jobs per block: a phase that runs whole blocks runs every seed's
+    /// job mix exactly.
+    pub fn block_len(workload: Workload) -> usize {
+        block(workload).len()
+    }
+
+    /// The workload's costliest template (moments x vectors) with the
+    /// stream's first seeds.
+    fn representative_job(workload: Workload, seed: u64) -> FreshJob {
         let t = *templates(workload)
             .iter()
             .max_by_key(|t| t.moments * t.random * t.sets)
             .expect("every workload has a template");
-        JobStream::new(workload, seed, 0).fresh(t).line(t.moments, t.sets)
+        JobStream::new(workload, seed, 0).fresh(t)
+    }
+
+    /// The line the per-layer probes run: the representative job.
+    pub fn representative(workload: Workload, seed: u64) -> String {
+        let job = JobStream::representative_job(workload, seed);
+        job.line(job.template.moments, job.template.sets)
+    }
+
+    /// The jobs the service-layer probe submits in order: the
+    /// representative job at [`PROBE_SETS`] sets, an exact repeat of it (a
+    /// serve cache hit) and a repeat at one set (a serve cache miss whose
+    /// rows the fleet holds warm, all on the worker that computed the
+    /// fresh job's first shard).
+    pub fn service_probe(workload: Workload, seed: u64) -> [Job; 3] {
+        let job = JobStream::representative_job(workload, seed);
+        let line = job.line(job.template.moments, PROBE_SETS);
+        [
+            Job { line: line.clone(), kind: Kind::Fresh },
+            Job { line, kind: Kind::RepeatExact },
+            Job {
+                line: job.line(job.template.moments, PROBE_SETS / 4),
+                kind: Kind::RepeatFewerSets,
+            },
+        ]
     }
 
     /// The next fresh job. Its seeds are the run's base plus a
@@ -303,32 +300,16 @@ impl JobStream {
                     self.fresh_made += 1;
                     self.latest[i] = Some(fresh);
                     let line = fresh.line(fresh.template.moments, fresh.template.sets);
-                    if self.is_ladder(i) {
-                        Job { line, kind: Kind::Ladder, steps: LADDER_STEPS }
-                    } else {
-                        Job { line, kind: Kind::Fresh, steps: 1 }
-                    }
+                    Job { line, kind: Kind::Fresh }
                 }
                 Slot::Repeat(kind, i) => {
                     let target = self.latest[i].expect("a block repeats only earlier templates");
                     let t = target.template;
-                    let (moments, sets) = match kind {
-                        Kind::RepeatLowerN => (t.moments / 4, t.sets),
-                        Kind::RepeatFewerSets => (t.moments, t.sets / 2),
-                        _ => (t.moments, t.sets),
-                    };
-                    Job { line: target.line(moments, sets), kind, steps: 1 }
+                    Job { line: target.line(t.moments, t.sets), kind }
                 }
             };
             self.pending.push_back(job);
         }
-        self.blocks_made += 1;
-    }
-
-    /// `service-mix` submits two of each block's four fresh jobs as
-    /// ladders: templates 0 and 2 in even blocks, 1 and 3 in odd ones.
-    fn is_ladder(&self, template: usize) -> bool {
-        self.workload == Workload::ServiceMix && template % 2 == self.blocks_made % 2
     }
 }
 
@@ -360,20 +341,11 @@ mod tests {
 
     #[test]
     fn every_block_has_the_documented_mix() {
-        // Per block: fresh, ladders, exact, lower-N and fewer-sets repeats.
-        let mixes = [
-            (Workload::PaperLattice, 8, [6, 0, 2, 0, 0]),
-            (Workload::Anderson48, 4, [3, 0, 1, 0, 0]),
-            (Workload::ServiceMix, 8, [2, 2, 2, 1, 1]),
-        ];
-        let kinds = [
-            Kind::Fresh,
-            Kind::Ladder,
-            Kind::RepeatExact,
-            Kind::RepeatLowerN,
-            Kind::RepeatFewerSets,
-        ];
+        // Per block: fresh jobs and exact repeats.
+        let mixes = [(Workload::PaperLattice, 8, [6, 2]), (Workload::Anderson48, 4, [3, 1])];
+        let kinds = [Kind::Fresh, Kind::RepeatExact];
         for (w, size, mix) in mixes {
+            assert_eq!(JobStream::block_len(w), size, "{}", w.name());
             for chunk in take(w, 4, 0, size * 12).chunks(size) {
                 let counts = kinds.map(|k| chunk.iter().filter(|j| j.kind == k).count());
                 assert_eq!(counts, mix, "{}", w.name());
@@ -389,16 +361,8 @@ mod tests {
                 let spec =
                     JobSpec::parse(&job.line).unwrap_or_else(|e| panic!("{}: {e}", job.line));
                 let derives = |f: &JobSpec| match job.kind {
-                    Kind::Fresh | Kind::Ladder => f.cache_key() == spec.cache_key(),
-                    Kind::RepeatExact => f.canonical() == spec.canonical(),
-                    Kind::RepeatLowerN => {
-                        f.cache_key() == spec.cache_key() && f.num_moments == 4 * spec.num_moments
-                    }
-                    Kind::RepeatFewerSets => {
-                        let mut doubled = spec.clone();
-                        doubled.num_realizations *= 2;
-                        f.canonical() == doubled.canonical()
-                    }
+                    Kind::Fresh => f.cache_key() == spec.cache_key(),
+                    Kind::RepeatExact | Kind::RepeatFewerSets => f.canonical() == spec.canonical(),
                 };
                 let earlier = fresh.iter().any(derives);
                 match job.kind.class() {
@@ -409,6 +373,24 @@ mod tests {
                     Class::Repeat => assert!(earlier, "a repeat of nothing: {}", job.line),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_service_probe_repeats_its_fresh_job() {
+        for w in Workload::ALL {
+            let [fresh, exact, fewer] = JobStream::service_probe(w, 5);
+            let kinds = [fresh.kind, exact.kind, fewer.kind];
+            assert_eq!(kinds, [Kind::Fresh, Kind::RepeatExact, Kind::RepeatFewerSets]);
+            assert_eq!(exact.line, fresh.line);
+            let (fresh, fewer) =
+                (JobSpec::parse(&fresh.line).unwrap(), JobSpec::parse(&fewer.line).unwrap());
+            assert_eq!(fresh.num_realizations, PROBE_SETS);
+            assert_eq!(fewer.num_realizations, PROBE_SETS / 4);
+            assert_eq!(
+                JobSpec { num_realizations: PROBE_SETS, ..fewer }.canonical(),
+                fresh.canonical()
+            );
         }
     }
 }

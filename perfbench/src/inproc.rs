@@ -8,7 +8,8 @@
 
 use crate::gen::{Job, JobStream, Workload};
 use crate::host;
-use crate::run::{fresh_state, same_stats, JobResult, PhaseResult, INTEGRAL_TOL};
+use crate::run::{fresh_state, same_stats, BlockTime, JobResult, PhaseResult, INTEGRAL_TOL};
+use kpm::obs::TraceReport;
 use kpm::prelude::*;
 use kpm::tune::ProfileOrigin;
 use kpm_linalg::SparseMatrix;
@@ -18,11 +19,17 @@ use kpm_serve::JobSpec;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// Blocks a timed phase runs at least.
+const MIN_BLOCKS: usize = 4;
+
 /// An in-process workload after set-up.
 pub struct InProcess {
     workload: Workload,
-    /// The operator set-up assembled; `paper-lattice` jobs all run on it.
-    op: SparseMatrix,
+    /// The operator set-up assembled, kept for `paper-lattice`, whose jobs
+    /// all run on it. `anderson-48` jobs assemble their own, so holding it
+    /// would only add to the phase's peak RSS.
+    op: Option<SparseMatrix>,
+    dim: usize,
     op_key: u64,
 }
 
@@ -45,28 +52,30 @@ impl InProcess {
         if op.dim() >= kpm::exec::ROW_MIN_DIM && profile.origin != ProfileOrigin::Measured {
             return Err(format!("set-up ran no tune probe for D = {}", op.dim()));
         }
-        Ok(InProcess { workload, op_key: spec.op_key(), op })
+        let dim = op.dim();
+        let op = (workload == Workload::PaperLattice).then_some(op);
+        Ok(InProcess { workload, op, dim, op_key: spec.op_key() })
     }
 
     /// Dimension of the set-up operator.
     pub fn dim(&self) -> usize {
-        self.op.dim()
+        self.dim
     }
 
     /// Runs one job: its raw moments and the integral of its DoS.
     fn run_job(&self, line: &str) -> Result<(MomentStats, f64), String> {
         let spec = JobSpec::parse(line).map_err(|e| e.to_string())?;
         let estimator = DosEstimator::new(spec.kpm_params());
-        match self.workload {
-            Workload::PaperLattice => {
+        match &self.op {
+            Some(op) => {
                 if spec.op_key() != self.op_key {
                     return Err("the job names another operator than set-up assembled".into());
                 }
-                let dos = estimator.compute(&self.op).map_err(|e| e.to_string())?;
+                let dos = estimator.compute(op).map_err(|e| e.to_string())?;
                 let integral = dos.integrate();
                 Ok((dos.moments, integral))
             }
-            Workload::Anderson48 | Workload::ServiceMix => {
+            None => {
                 let (stats, a_plus, a_minus) =
                     compute_raw_moments(&spec, 0).map_err(|e| e.to_string())?;
                 let dos = estimator
@@ -77,66 +86,106 @@ impl InProcess {
         }
     }
 
-    /// The timed phase: a closed loop over `stream` for `seconds`, one job
-    /// at a time; then, untimed, the first fresh job again at one thread,
-    /// which must reproduce its bits. `trace`, if given, is finished as
-    /// soon as the timed loop ends.
+    /// The timed phase: a closed loop over `stream`, one job at a time, in
+    /// whole generator blocks, until `seconds` have passed and at least
+    /// `MIN_BLOCKS` ran; then, untimed, the first fresh job again at one
+    /// thread, which must reproduce its bits. With `interleave_trace`, every
+    /// second block is traced (the phase then ends on an even block count)
+    /// and the phase's trace holds the traced blocks' counters.
     pub fn run_phase(
         &self,
         stream: &mut JobStream,
         seconds: f64,
-        trace: Option<TraceHandle>,
+        interleave_trace: bool,
     ) -> PhaseResult {
         let mut phase = PhaseResult::default();
+        let mut trace = interleave_trace.then(TraceReport::default);
         let mut seen: HashMap<String, MomentStats> = HashMap::new();
-        let mut first: Option<(usize, String)> = None;
+        let mut first: Option<(usize, String, MomentStats)> = None;
+        let block = JobStream::block_len(self.workload);
         let limit = Duration::from_secs_f64(seconds);
-        let cpu0 = host::cpu_seconds();
         let start = Instant::now();
-        while start.elapsed() < limit || !phase.has_every_class() {
-            let job = stream.next_job();
-            let t = Instant::now();
-            let outcome = self.run_job(&job.line);
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            let ok = match outcome {
-                Err(e) => phase.fail(format!("{}: {e}", job.line)),
-                Ok((stats, integral)) => {
-                    let mut ok = true;
-                    if (integral - 1.0).abs() > INTEGRAL_TOL {
-                        ok = phase.fail(format!("{}: DoS integral {integral}", job.line));
-                    }
-                    match seen.get(&job.line) {
-                        Some(earlier) => {
-                            if !same_stats(earlier, &stats) {
-                                ok = phase.fail(format!("{}: the repeat changed bits", job.line));
-                            }
-                        }
-                        None => {
-                            first.get_or_insert_with(|| (phase.jobs.len(), job.line.clone()));
-                            seen.insert(job.line.clone(), stats);
-                        }
-                    }
-                    ok
+        loop {
+            let blocks = phase.blocks.len();
+            if start.elapsed() >= limit
+                && blocks >= MIN_BLOCKS
+                && (!interleave_trace || blocks % 2 == 0)
+            {
+                break;
+            }
+            // A repeat names a fresh job of its own block. Keeping earlier
+            // blocks' moments would grow the phase's peak RSS with its job
+            // count.
+            seen.clear();
+            let traced = interleave_trace && blocks % 2 == 1;
+            let handle = traced.then(TraceHandle::begin);
+            let block_start = Instant::now();
+            for _ in 0..block {
+                self.timed_job(stream.next_job(), traced, &mut phase, &mut seen, &mut first);
+            }
+            let secs = block_start.elapsed().as_secs_f64();
+            if let (Some(handle), Some(trace)) = (handle, trace.as_mut()) {
+                for (name, n) in handle.finish().counters {
+                    *trace.counters.entry(name).or_insert(0) += n;
                 }
-            };
-            let class = job.kind.class();
-            phase.jobs.push(JobResult { class, ladder: false, latency_ms: ms, first_ms: ms, ok });
+            }
+            phase.blocks.push(BlockTime { traced, secs });
         }
-        phase.wall_s = start.elapsed().as_secs_f64();
-        phase.trace = trace.map(TraceHandle::finish);
-        phase.cpu_s = host::cpu_seconds() - cpu0;
+        phase.trace = trace;
         phase.peak_rss_mib = host::peak_rss_mib();
 
-        if let Some((index, line)) = first {
+        if let Some((index, line, parallel)) = first {
             let budget = kpm::exec::effective_threads();
             kpm::exec::set_thread_budget(1);
             let single = self.run_job(&line);
             kpm::exec::set_thread_budget(budget);
-            if !matches!(&single, Ok((stats, _)) if same_stats(stats, &seen[&line])) {
+            if !matches!(&single, Ok((stats, _)) if same_stats(stats, &parallel)) {
                 let why = format!("{line}: the one-thread run gave other bits");
                 phase.jobs[index].ok = phase.fail(why);
             }
         }
         phase
+    }
+
+    /// Runs and checks one job of a timed phase, recording it in `phase`.
+    /// A repeat must reproduce the bits of the first run of its line.
+    fn timed_job(
+        &self,
+        job: Job,
+        traced: bool,
+        phase: &mut PhaseResult,
+        seen: &mut HashMap<String, MomentStats>,
+        first: &mut Option<(usize, String, MomentStats)>,
+    ) {
+        let cpu0 = host::cpu_seconds();
+        let t = Instant::now();
+        let outcome = self.run_job(&job.line);
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        let cpu_s = host::cpu_seconds() - cpu0;
+        let ok = match outcome {
+            Err(e) => phase.fail(format!("{}: {e}", job.line)),
+            Ok((stats, integral)) => {
+                let mut ok = true;
+                if (integral - 1.0).abs() > INTEGRAL_TOL {
+                    ok = phase.fail(format!("{}: DoS integral {integral}", job.line));
+                }
+                match seen.get(&job.line) {
+                    Some(earlier) => {
+                        if !same_stats(earlier, &stats) {
+                            ok = phase.fail(format!("{}: the repeat changed bits", job.line));
+                        }
+                    }
+                    None => {
+                        first.get_or_insert_with(|| {
+                            (phase.jobs.len(), job.line.clone(), stats.clone())
+                        });
+                        seen.insert(job.line.clone(), stats);
+                    }
+                }
+                ok
+            }
+        };
+        let class = job.kind.class();
+        phase.jobs.push(JobResult { class, latency_ms: ms, cpu_s, ok, traced });
     }
 }

@@ -2,28 +2,30 @@
 //!
 //! Each layer's figures come from the benchmark timing its own calls into
 //! that layer's public functions on the workload's representative job,
-//! plus the program's obs counters of the traced phase. The serve, fleet
-//! and net figures of `service-mix` come from its traced phase itself; the
-//! in-process workloads bypass those layers, so there the timings come from
-//! one-job probes and the traffic counts read 0.
+//! plus the program's obs counters of the traced blocks of the timed phase.
+//! The timed jobs bypass the serve, shard, fleet and net layers, so their
+//! figures come from probes: the workload's service probe jobs through a
+//! `BatchService` on a `FleetEngine` (the serve and fleet counters are
+//! that stack's own), a sharded run, a journal, and an idle KPNT server.
 
-use crate::gen::{Rng, LADDER_STEPS};
+use crate::gen::{JobStream, Rng, Workload};
 use crate::host::{self, Triad};
-use crate::run::{same_stats, PhaseResult};
-use crate::service::{self, ServiceFinal, ServiceObs};
+use crate::probe::ServiceStack;
+use crate::run::{same_bits, same_stats, PhaseResult};
 use crate::stats;
 use kpm::obs::TraceReport;
 use kpm::prelude::*;
-use kpm_fleet::{FleetPolicy, Journal};
+use kpm_fleet::{FleetPolicy, FleetStats, Journal};
 use kpm_linalg::SparseMatrix;
 use kpm_net::{protocol, Completion, NetClient, NetConfig, NetFrame, NetServer};
 use kpm_serve::job::JobMatrix;
-use kpm_serve::{BatchConfig, BatchReport, BatchService, CompletionHook, JobOutcome, JobSpec};
+use kpm_serve::worker::compute_raw_moments;
+use kpm_serve::{BatchConfig, JobOutcome, JobRecord, JobSpec};
 use kpm_shard::wire::{self, Frame, ShardResult};
 use kpm_shard::{ShardJob, ShardedEngine};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::sync::{mpsc, Arc, Mutex};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Per-layer metric values by name.
@@ -31,47 +33,57 @@ pub type Values = BTreeMap<&'static str, f64>;
 
 /// What the per-layer measurement works from.
 pub struct Inputs<'a> {
-    /// The workload's representative job line.
-    pub line: String,
-    /// The untraced phase, the trace-overhead baseline.
-    pub untraced: &'a PhaseResult,
-    /// The traced phase; its trace holds the obs counters.
-    pub traced: &'a PhaseResult,
-    /// The service stack's final state (`service-mix` only).
-    pub service: Option<&'a ServiceFinal>,
-    /// `Stats` round trip on a live `service-mix` session, ms.
-    pub stats_rtt_ms: Option<f64>,
+    /// The run's workload.
+    pub workload: Workload,
+    /// The run's generator seed.
+    pub seed: u64,
+    /// The timed phase; its trace holds the traced blocks' obs counters.
+    pub phase: &'a PhaseResult,
     /// The run's triad measurement.
     pub triad: &'a Triad,
+}
+
+/// The per-layer metrics and the probe jobs whose outputs were checked.
+pub struct Probed {
+    /// Every per-layer metric.
+    pub values: Values,
+    /// Service probe jobs run.
+    pub jobs: usize,
+    /// Service probe jobs that failed or gave wrong bits.
+    pub failed: usize,
 }
 
 /// A cheap call is repeated while its calls so far took less than this.
 const QUICK: Duration = Duration::from_millis(200);
 /// Passes over one job's shards in the journal probe.
 const JOURNAL_PASSES: usize = 3;
+/// `Stats` round trips per RTT measurement.
+const RTT_REPS: usize = 20;
 
 /// Measures every per-layer metric; what each figure is made of goes to
 /// `notes`.
 ///
 /// # Errors
-/// A layer call failing, or the traced phase carrying no trace.
-pub fn measure(inp: &Inputs, notes: &mut Vec<String>) -> Result<Values, String> {
-    let spec = JobSpec::parse(&inp.line).map_err(|e| e.to_string())?;
+/// A layer call failing, or the timed phase carrying no trace.
+pub fn measure(inp: &Inputs, notes: &mut Vec<String>) -> Result<Probed, String> {
+    let line = JobStream::representative(inp.workload, inp.seed);
+    let spec = JobSpec::parse(&line).map_err(|e| e.to_string())?;
     let JobMatrix::Sparse(h) = spec.build_matrix() else {
-        return Err(format!("{}: the probes need a lattice operator", inp.line));
+        return Err(format!("{line}: the probes need a lattice operator"));
     };
-    let trace = inp.traced.trace.as_ref().ok_or("the traced phase recorded no trace")?;
-    notes.push(format!("layer probes run: {}", inp.line));
+    let trace = inp.phase.trace.as_ref().ok_or("the timed phase recorded no trace")?;
+    notes.push(format!("layer probes run: {line}"));
     let mut v = Values::new();
     lattice(&spec, &h, &mut v);
     linalg(&spec, &h, inp.triad, &mut v, notes);
-    let moments = kpm_layers(&spec, &h, trace, inp.traced, &mut v, notes)?;
-    serve(inp, &spec, &mut v)?;
+    let moments = kpm_layers(&spec, &h, trace, inp.phase, &mut v, notes)?;
+    drop(h);
+    let (jobs, failed) = service_layers(inp, &mut v, notes)?;
     let rows = shard(&spec, &mut v)?;
-    fleet(inp, &spec, &rows, &mut v)?;
-    net(inp, &moments, &mut v)?;
-    v.insert("obs.trace_overhead_frac", 1.0 - inp.traced.jobs_per_s() / inp.untraced.jobs_per_s());
-    Ok(v)
+    journal(&spec, &rows, &mut v)?;
+    net(&line, &moments, &mut v)?;
+    trace_overhead(inp.phase, &mut v, notes)?;
+    Ok(Probed { values: v, jobs, failed })
 }
 
 /// Calls `f` at least `min` times, and again while the calls so far took
@@ -145,7 +157,7 @@ fn kpm_layers(
     spec: &JobSpec,
     h: &SparseMatrix,
     trace: &TraceReport,
-    traced: &PhaseResult,
+    phase: &PhaseResult,
     v: &mut Values,
     notes: &mut Vec<String>,
 ) -> Result<MomentStats, String> {
@@ -156,7 +168,7 @@ fn kpm_layers(
     let (bounds, bounds_ms) = sample(1, QUICK, || kpm::bounds::resolve(h, params.bounds));
     let bounds = bounds.map_err(err)?;
     v.insert("kpm.bounds_ms", bounds_ms);
-    let jobs = traced.jobs.len().max(1) as f64;
+    let jobs = phase.jobs.iter().filter(|j| j.traced).count().max(1) as f64;
     v.insert("kpm.bounds_probes_per_job", counter(trace, "kpm.bounds.probe") / jobs);
 
     // Moments at the full thread budget, then at one thread.
@@ -180,7 +192,7 @@ fn kpm_layers(
     v.insert("kpm.exec_steals_per_sweep", if sweeps > 0.0 { steals / sweeps } else { 0.0 });
     notes.push(format!(
         "kpm.moments_ms at thread budget {nproc}, kpm.moments_1t_ms at 1; traced phase: \
-         {sweeps} sweeps, {steals} steals, {} bounds probes over {jobs} jobs",
+         {sweeps} sweeps, {steals} steals, {} bounds probes over {jobs} traced jobs",
         counter(trace, "kpm.bounds.probe")
     ));
 
@@ -198,69 +210,99 @@ fn kpm_layers(
     Ok(moments)
 }
 
-fn serve(inp: &Inputs, spec: &JobSpec, v: &mut Values) -> Result<(), String> {
-    let (waits, execs, hit_ratio) = match (inp.service, &inp.traced.service) {
-        (Some(fin), Some(obs)) => {
-            let (waits, execs) = match_waits(&fin.report, obs);
-            let lookups = (obs.cache_hits + obs.cache_misses).max(1);
-            (waits, execs, obs.cache_hits as f64 / lookups as f64)
-        }
-        _ => {
-            let (wait, exec) = serve_probe(spec)?;
-            (vec![wait], vec![exec], 0.0)
-        }
-    };
-    v.insert("serve.queue_wait_ms_p50", stats::median(&waits).ok_or("no queue-wait samples")?);
-    v.insert("serve.exec_ms_p50", stats::median(&execs).ok_or("no serve exec samples")?);
-    v.insert("serve.cache_hit_ratio", hit_ratio);
-    Ok(())
-}
+/// The serve and fleet figures: the workload's service probe jobs, one at
+/// a time, through a fresh probe stack at thread budget 1, its journal in
+/// a fresh directory. Each result must equal `compute_raw_moments` on its
+/// spec bit for bit, computed after the stack stops. Returns the probe
+/// jobs run and how many failed.
+fn service_layers(
+    inp: &Inputs,
+    v: &mut Values,
+    notes: &mut Vec<String>,
+) -> Result<(usize, usize), String> {
+    let jobs = JobStream::service_probe(inp.workload, inp.seed);
+    let specs = jobs
+        .iter()
+        .map(|j| JobSpec::parse(&j.line).map_err(|e| format!("{}: {e}", j.line)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let dir = host::scratch_dir("probe-fleet-journal")?;
+    let budget = kpm::exec::effective_threads();
+    kpm::exec::set_thread_budget(1);
+    kpm::bounds::clear_bounds_cache();
+    let outcome = run_service_probe(&specs, &dir);
+    kpm::exec::set_thread_budget(budget);
+    std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
+    let ServiceRun { runs, cache: (hits, misses), fleet } = outcome?;
 
-/// Pairs each completed service job with the client latency of the same
-/// canonical spec line, in submission order; its queue wait is that
-/// latency minus the job's own duration (dequeue to completion).
-fn match_waits(report: &BatchReport, obs: &ServiceObs) -> (Vec<f64>, Vec<f64>) {
-    let mut used: HashMap<&str, usize> = HashMap::new();
-    let (mut waits, mut execs) = (Vec::new(), Vec::new());
-    for record in &report.records {
-        let JobOutcome::Completed(done) = &record.outcome else { continue };
+    let (mut waits, mut execs, mut failed) = (Vec::new(), Vec::new(), 0);
+    for ((job, spec), (record, latency_ms)) in jobs.iter().zip(&specs).zip(&runs) {
+        let JobOutcome::Completed(done) = &record.outcome else {
+            failed += 1;
+            notes.push(format!("service probe {}: {:?}", job.line, record.outcome));
+            continue;
+        };
         let exec = done.duration.as_secs_f64() * 1e3;
         execs.push(exec);
-        let line = record.spec_line.as_str();
-        let next = used.entry(line).or_insert(0);
-        if let Some(latency) = obs.step_ms.get(line).and_then(|l| l.get(*next)) {
-            waits.push(latency - exec);
-            *next += 1;
+        waits.push(latency_ms - exec);
+        notes.push(format!(
+            "service probe {:?} {}: {:?}, {latency_ms} ms from submit, {exec} ms executing",
+            job.kind, job.line, done.cache
+        ));
+        let matches = match compute_raw_moments(spec, 0) {
+            Ok((stats, a_plus, a_minus)) => {
+                same_stats(&stats, &done.moments)
+                    && same_bits(&[a_plus, a_minus], &[done.a_plus, done.a_minus])
+            }
+            Err(e) => return Err(format!("{}: the reference failed: {e}", job.line)),
+        };
+        if !matches {
+            failed += 1;
+            notes.push(format!("service probe {}: bits differ from compute_raw_moments", job.line));
         }
     }
-    (waits, execs)
+    v.insert("serve.queue_wait_ms_p50", stats::median(&waits).ok_or("no service probe completed")?);
+    v.insert("serve.exec_ms_p50", stats::median(&execs).ok_or("no service probe completed")?);
+    v.insert("serve.cache_hit_ratio", hits as f64 / (hits + misses).max(1) as f64);
+    let placed =
+        fleet.place_warm_rows + fleet.place_warm_op + fleet.place_warm_profile + fleet.place_cold;
+    v.insert("fleet.warm_place_ratio", fleet.place_warm_rows as f64 / placed.max(1) as f64);
+    v.insert("fleet.steals", fleet.steals as f64);
+    v.insert(
+        "fleet.journal_bytes_per_job",
+        fleet.journal_bytes as f64 / fleet.jobs_completed.max(1) as f64,
+    );
+    notes.push(format!(
+        "service probe: serve cache {hits} hits, {misses} misses; fleet {}",
+        fleet.render_json()
+    ));
+    Ok((jobs.len(), failed))
 }
 
-/// One job through a fresh one-worker `BatchService`: its queue wait and
-/// execution time, ms.
-fn serve_probe(spec: &JobSpec) -> Result<(f64, f64), String> {
-    let (tx, rx) = mpsc::channel();
-    let tx = Mutex::new(tx);
-    let hook: CompletionHook = Arc::new(move |_| {
-        if let Ok(tx) = tx.lock() {
-            let _ = tx.send(Instant::now());
-        }
-    });
-    let config = BatchConfig { workers: 1, cache_dir: None, ..BatchConfig::default() };
-    let service = BatchService::start_full(config, None, Some(hook));
-    // A fresh job, as the workload's are: no bounds memoized for it yet.
-    kpm::bounds::clear_bounds_cache();
-    let submitted = Instant::now();
-    service
-        .submit(spec.clone())
-        .map_err(|full| format!("the serve probe was refused ({:?})", full.retry_after))?;
-    let done = rx.recv().map_err(|_| "the serve probe never completed")?;
-    let report = service.finish();
-    let Some(JobOutcome::Completed(job)) = report.records.first().map(|r| &r.outcome) else {
-        return Err("the serve probe failed".into());
-    };
-    let exec = job.duration.as_secs_f64() * 1e3;
-    Ok((done.duration_since(submitted).as_secs_f64() * 1e3 - exec, exec))
+/// What the service probe stack saw.
+struct ServiceRun {
+    /// Each job's record and its latency from submit, ms.
+    runs: Vec<(JobRecord, f64)>,
+    /// Serve cache hits and misses.
+    cache: (u64, u64),
+    /// Fleet counters at shutdown.
+    fleet: FleetStats,
+}
+
+/// Runs `specs` one at a time through a probe stack journaling into
+/// `journal`, which must start cold: no replayed rows, no cache traffic.
+fn run_service_probe(specs: &[JobSpec], journal: &Path) -> Result<ServiceRun, String> {
+    let stack = ServiceStack::start(Some(journal))?;
+    let replayed = stack.fleet_stats()?.replayed_rows;
+    if replayed != 0 {
+        return Err(format!("the fresh journal replayed {replayed} rows"));
+    }
+    if stack.cache_counters()? != (0, 0) {
+        return Err("the serve cache served before the first job".into());
+    }
+    let runs = specs.iter().map(|s| stack.run(s.clone())).collect::<Result<Vec<_>, _>>()?;
+    let cache = stack.cache_counters()?;
+    let (_, fleet) = stack.finish()?;
+    Ok(ServiceRun { runs, cache, fleet })
 }
 
 fn shard(spec: &JobSpec, v: &mut Values) -> Result<Vec<Vec<f64>>, String> {
@@ -296,10 +338,11 @@ fn shard(spec: &JobSpec, v: &mut Values) -> Result<Vec<Vec<f64>>, String> {
     Ok(rows)
 }
 
-fn fleet(inp: &Inputs, spec: &JobSpec, rows: &[Vec<f64>], v: &mut Values) -> Result<(), String> {
+/// `Journal::record_rows` with fsync on a scratch journal: one job's
+/// identity, then its rows shard by shard, as the fleet journals an
+/// accepted job.
+fn journal(spec: &JobSpec, rows: &[Vec<f64>], v: &mut Values) -> Result<(), String> {
     let err = |e: kpm_fleet::FleetError| e.to_string();
-    // The journal probe: one job's identity, then its rows shard by shard,
-    // each append fsync'd, as the fleet journals an accepted job.
     let dir = host::scratch_dir("probe-journal")?;
     let (mut journal, _) = Journal::open(&dir).map_err(err)?;
     let line = ShardJob::Dos(spec.clone()).canonical();
@@ -307,47 +350,23 @@ fn fleet(inp: &Inputs, spec: &JobSpec, rows: &[Vec<f64>], v: &mut Values) -> Res
     journal.record_job(hash, &line).map_err(err)?;
     let plan = kpm::shard_plan(rows.len(), FleetPolicy::default().shards_per_job);
     let mut appends = Vec::new();
-    let mut one_job_bytes = 0;
-    for pass in 0..JOURNAL_PASSES {
+    for _ in 0..JOURNAL_PASSES {
         for range in &plan {
             let t = Instant::now();
             journal.record_rows(hash, range.start as u64, &rows[range.clone()]).map_err(err)?;
             appends.push(t.elapsed().as_secs_f64() * 1e3);
         }
-        if pass == 0 {
-            one_job_bytes = journal.bytes_written();
-        }
     }
     drop(journal);
     std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
     v.insert("fleet.journal_append_ms", stats::median(&appends).unwrap_or(0.0));
-
-    let (warm_ratio, steals, bytes_per_job) = match inp.service {
-        Some(fin) => {
-            let f = &fin.fleet;
-            let placed = f.place_warm_rows + f.place_warm_op + f.place_warm_profile + f.place_cold;
-            (
-                f.place_warm_rows as f64 / placed.max(1) as f64,
-                f.steals as f64,
-                f.journal_bytes as f64 / f.jobs_completed.max(1) as f64,
-            )
-        }
-        None => (0.0, 0.0, one_job_bytes as f64),
-    };
-    v.insert("fleet.warm_place_ratio", warm_ratio);
-    v.insert("fleet.steals", steals);
-    v.insert("fleet.journal_bytes_per_job", bytes_per_job);
     Ok(())
 }
 
-fn net(inp: &Inputs, moments: &MomentStats, v: &mut Values) -> Result<(), String> {
+fn net(line: &str, moments: &MomentStats, v: &mut Values) -> Result<(), String> {
     let err = |e: kpm_net::NetError| e.to_string();
-    let submit = NetFrame::Submit {
-        stream: "s0".into(),
-        tag: 1,
-        spec: inp.line.clone(),
-        refine_steps: LADDER_STEPS,
-    };
+    let submit =
+        NetFrame::Submit { stream: "s0".into(), tag: 1, spec: line.to_string(), refine_steps: 3 };
     let completion = NetFrame::Completion(Completion {
         stream: "s0".into(),
         seq: 0,
@@ -372,25 +391,70 @@ fn net(inp: &Inputs, moments: &MomentStats, v: &mut Values) -> Result<(), String
         return Err("a KPNT frame did not round-trip".into());
     }
     v.insert("net.codec_us", codec_ms * 1e3);
-    let rtt = match inp.stats_rtt_ms {
-        Some(ms) => ms,
-        None => stats_rtt_probe()?,
-    };
-    v.insert("net.stats_rtt_ms", rtt);
-    v.insert("net.rejected", inp.traced.service.as_ref().map_or(0.0, |o| o.rejected as f64));
+    v.insert("net.stats_rtt_ms", stats_rtt_probe()?);
     Ok(())
 }
 
-/// A `Stats` round trip on a live session of an idle server, ms.
+/// The median `Stats` round trip on a live session of an idle server, ms:
+/// framing and the session threads, no compute.
 fn stats_rtt_probe() -> Result<f64, String> {
     let config = BatchConfig { workers: 1, cache_dir: None, ..BatchConfig::default() };
     let server = NetServer::start("127.0.0.1:0", config, None, NetConfig::default())
         .map_err(|e| e.to_string())?;
     let mut client =
         NetClient::connect(&server.local_addr().to_string()).map_err(|e| e.to_string())?;
-    let rtt = service::stats_rtt_ms(&mut client, service::RTT_REPS);
-    let closed = service::close(&mut client);
+    let rtt = stats_round_trips(&mut client);
+    // Goodbye, then drain to the server's `Bye`.
+    let closed = client.goodbye().map_err(|e| format!("goodbye: {e}")).and_then(|()| loop {
+        match client.recv() {
+            Ok(NetFrame::Bye) => break Ok(()),
+            Ok(_) => {}
+            Err(e) => break Err(format!("drain: {e}")),
+        }
+    });
     server.finish();
     closed?;
     rtt
+}
+
+fn stats_round_trips(client: &mut NetClient) -> Result<f64, String> {
+    let mut times = Vec::with_capacity(RTT_REPS);
+    for tag in 0..RTT_REPS as u64 {
+        let t = Instant::now();
+        client.stats(tag).map_err(|e| format!("stats: {e}"))?;
+        loop {
+            match client.recv().map_err(|e| format!("stats reply: {e}"))? {
+                NetFrame::StatsReply { tag: got, .. } if got == tag => break,
+                _ => {}
+            }
+        }
+        times.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    stats::median(&times).ok_or_else(|| "no stats round trips".into())
+}
+
+/// Traced against untraced blocks of the same timed phase: blocks hold
+/// the same job mix, so the ratio of their median wall times is the cost
+/// of tracing, free of drift between runs.
+fn trace_overhead(
+    phase: &PhaseResult,
+    v: &mut Values,
+    notes: &mut Vec<String>,
+) -> Result<(), String> {
+    let secs = |traced: bool| -> Vec<f64> {
+        phase.blocks.iter().filter(|b| b.traced == traced).map(|b| b.secs).collect()
+    };
+    let (on, off) = (secs(true), secs(false));
+    let median = |s: &[f64]| stats::median(s).ok_or("the phase has no traced or untraced block");
+    let (on_s, off_s) = (median(&on)?, median(&off)?);
+    v.insert("obs.trace_overhead_frac", on_s / off_s - 1.0);
+    let jobs = phase.jobs.len() as f64 / phase.blocks.len() as f64;
+    notes.push(format!(
+        "obs.trace_overhead_frac: median block {on_s} s traced vs {off_s} s untraced over {} \
+         blocks each; jobs_per_s {} traced, {} untraced",
+        on.len(),
+        jobs * on.len() as f64 / on.iter().sum::<f64>(),
+        jobs * off.len() as f64 / off.iter().sum::<f64>(),
+    ));
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! The KPM suite's benchmark: three workloads, end-to-end metrics from
+//! The KPM suite's benchmark: two workloads, end-to-end metrics from
 //! untraced runs and per-layer metrics from a traced run.
 //!
 //! The benchmark drives the system through public APIs only. Per-layer
@@ -12,7 +12,7 @@ pub mod gen;
 pub mod host;
 pub mod inproc;
 pub mod layers;
+pub mod probe;
 pub mod report;
 pub mod run;
-pub mod service;
 pub mod stats;

@@ -21,20 +21,19 @@ const fn m(name: &'static str, unit: &'static str) -> MetricSpec {
 }
 
 /// End-to-end metrics, reported by untraced runs (`--trace 0`).
-pub const END_TO_END: [MetricSpec; 9] = [
+pub const END_TO_END: [MetricSpec; 8] = [
     m("setup_s", "s"),
     m("jobs_per_s", "1/s"),
     m("job_ms_p50", "ms"),
     m("job_ms_tail", "ms"),
     m("fresh_ms_p50", "ms"),
     m("repeat_ms_p50", "ms"),
-    m("first_result_ms_p50", "ms"),
     m("cpu_s_per_job", "s"),
     m("peak_rss_mb", "MiB"),
 ];
 
 /// Per-layer metrics, reported by traced runs (`--trace 1`).
-pub const PER_LAYER: [MetricSpec; 33] = [
+pub const PER_LAYER: [MetricSpec; 32] = [
     m("linalg.spmm_ms", "ms"),
     m("linalg.spmm_gflops", "GFLOP/s"),
     m("linalg.spmm_gbps", "GB/s"),
@@ -66,7 +65,6 @@ pub const PER_LAYER: [MetricSpec; 33] = [
     m("fleet.journal_bytes_per_job", "B"),
     m("net.codec_us", "us"),
     m("net.stats_rtt_ms", "ms"),
-    m("net.rejected", "count"),
     m("obs.trace_overhead_frac", "ratio"),
 ];
 

@@ -1,24 +1,31 @@
-//! One benchmark run: set-up, timed phases, and the metrics they yield.
+//! One benchmark run: set-up, a timed phase, and the metrics they yield.
 //!
-//! An untraced run sets the workload up `SETUP_REPS` times (their median is
-//! `setup_s`), runs one timed phase and reports the end-to-end metrics. A
-//! traced run runs an untraced phase and then a traced one, each from a
-//! cold set-up, and reports the per-layer metrics.
+//! An untraced run sets the workload up several times before and after one
+//! timed phase (the median of the quiet set-ups is `setup_s`) and reports
+//! the end-to-end metrics. A
+//! traced run sets up once, runs one timed phase whose blocks alternate
+//! between untraced and traced, and reports the per-layer metrics.
 
 use crate::gen::{Class, JobStream, Workload};
 use crate::host::{self, Triad};
 use crate::inproc::InProcess;
 use crate::layers;
+use crate::probe;
 use crate::report::{Report, END_TO_END, PER_LAYER};
-use crate::service::{self, Service, ServiceFinal, ServiceObs};
 use crate::stats;
 use kpm::obs::{TraceHandle, TraceReport};
 use kpm::MomentStats;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Set-ups per untraced run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 9;
+/// Set-ups before, and again after, the timed phase of an untraced run:
+/// at least `SETUP_REPS`, then more while they took less than
+/// `SETUP_BUDGET`, at most `SETUP_MAX_REPS`. Sampling both ends of the
+/// phase gives the quiet set-ups (`stats::quiet`), whose median is
+/// `setup_s`, two chances to miss a spell of host contention.
+pub const SETUP_REPS: usize = 5;
+const SETUP_BUDGET: Duration = Duration::from_secs(1);
+const SETUP_MAX_REPS: usize = 200;
 /// DoS integrals must lie this close to 1.
 pub const INTEGRAL_TOL: f64 = 1e-3;
 /// Samples the tail percentile leaves above it.
@@ -32,8 +39,8 @@ const TRIAD_REPS: usize = 5;
 const RUN_LIMIT: Duration = Duration::from_secs(170);
 
 /// Command-line usage.
-pub const USAGE: &str = "usage: perfbench --workload paper-lattice|anderson-48|service-mix \
-                         --seed N [--seconds S] [--trace 0|1]";
+pub const USAGE: &str =
+    "usage: perfbench --workload paper-lattice|anderson-48 --seed N [--seconds S] [--trace 0|1]";
 
 /// One run's configuration, from the command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,14 +106,23 @@ impl Config {
 pub struct JobResult {
     /// The class the generator gave it.
     pub class: Class,
-    /// Whether it was a refine ladder (several results).
-    pub ladder: bool,
-    /// Submit to final result, ms.
+    /// Start to result, ms.
     pub latency_ms: f64,
-    /// Submit to first result, ms.
-    pub first_ms: f64,
+    /// Process CPU time (user + system) spent meanwhile, s.
+    pub cpu_s: f64,
     /// It completed and every check on its outputs passed.
     pub ok: bool,
+    /// It ran in a traced block.
+    pub traced: bool,
+}
+
+/// Wall time of one generator block of a timed phase.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockTime {
+    /// The block ran traced.
+    pub traced: bool,
+    /// Its wall time, s.
+    pub secs: f64,
 }
 
 /// What one timed phase measured.
@@ -114,18 +130,14 @@ pub struct JobResult {
 pub struct PhaseResult {
     /// Every job attempted, in order.
     pub jobs: Vec<JobResult>,
-    /// Wall time of the timed phase, s.
-    pub wall_s: f64,
-    /// Process CPU time (user + system) spent in it, s.
-    pub cpu_s: f64,
+    /// Every block, in order.
+    pub blocks: Vec<BlockTime>,
     /// Process peak RSS right after it, MiB.
     pub peak_rss_mib: f64,
     /// Why jobs failed (at most `MAX_NOTES`).
     pub notes: Vec<String>,
-    /// The obs trace of the timed phase, when it was traced.
+    /// The obs counters of the traced blocks, when blocks were traced.
     pub trace: Option<TraceReport>,
-    /// The service layers' view (`service-mix` only).
-    pub service: Option<ServiceObs>,
 }
 
 impl PhaseResult {
@@ -137,16 +149,6 @@ impl PhaseResult {
     /// Jobs that did not.
     pub fn failed(&self) -> usize {
         self.jobs.len() - self.completed()
-    }
-
-    /// Completed jobs per second of the timed phase.
-    pub fn jobs_per_s(&self) -> f64 {
-        self.completed() as f64 / self.wall_s
-    }
-
-    /// Whether the phase has a job of each class yet.
-    pub fn has_every_class(&self) -> bool {
-        [Class::Fresh, Class::Repeat].iter().all(|c| self.jobs.iter().any(|j| j.class == *c))
     }
 
     /// Records why a job failed; returns `false`, the job's verdict.
@@ -201,147 +203,138 @@ pub fn arm_watchdog() {
 /// A set-up or layer failure, or warm state where a run must start cold.
 /// Wrong results are not errors: they count as failed jobs.
 pub fn run(cfg: &Config) -> Result<Report, String> {
-    let budget = match cfg.workload {
-        Workload::ServiceMix => service::THREAD_BUDGET,
-        Workload::PaperLattice | Workload::Anderson48 => host::nproc(),
-    };
-    kpm::exec::set_thread_budget(budget);
+    kpm::exec::set_thread_budget(host::nproc());
     let report = if cfg.trace { traced(cfg) } else { untraced(cfg) };
     host::remove_scratch_root();
     report
 }
 
-/// A workload after set-up.
-enum Ready {
-    InProcess(InProcess),
-    Service(Service),
+fn setup(cfg: &Config) -> Result<InProcess, String> {
+    InProcess::setup(cfg.workload, &stream(cfg).next_job())
 }
 
-impl Ready {
-    fn setup(cfg: &Config, index: usize) -> Result<Ready, String> {
-        match cfg.workload {
-            Workload::ServiceMix => Service::setup(host::nproc(), index).map(Ready::Service),
-            w => InProcess::setup(w, &JobStream::new(w, cfg.seed, 0).next_job())
-                .map(Ready::InProcess),
-        }
-    }
+fn stream(cfg: &Config) -> JobStream {
+    JobStream::new(cfg.workload, cfg.seed, 0)
+}
 
-    fn run_phase(
-        &mut self,
-        cfg: &Config,
-        trace: Option<TraceHandle>,
-    ) -> Result<PhaseResult, String> {
-        match self {
-            Ready::InProcess(p) => {
-                Ok(p.run_phase(&mut JobStream::new(cfg.workload, cfg.seed, 0), cfg.seconds, trace))
-            }
-            Ready::Service(s) => s.run_phase(cfg.seed, cfg.seconds, trace),
-        }
+/// Sets the workload up repeatedly (see `SETUP_REPS`); returns each
+/// set-up's time, s, and the last set-up.
+fn setups(cfg: &Config) -> Result<(Vec<f64>, InProcess), String> {
+    let mut setup_s = Vec::new();
+    let mut ready = None;
+    let start = Instant::now();
+    while setup_s.len() < SETUP_REPS
+        || (start.elapsed() < SETUP_BUDGET && setup_s.len() < SETUP_MAX_REPS)
+    {
+        drop(ready.take());
+        let t = Instant::now();
+        ready = Some(setup(cfg)?);
+        setup_s.push(t.elapsed().as_secs_f64());
     }
-
-    fn finish(self) -> Result<Option<ServiceFinal>, String> {
-        match self {
-            Ready::InProcess(_) => Ok(None),
-            Ready::Service(s) => s.finish().map(Some),
-        }
-    }
+    Ok((setup_s, ready.expect("SETUP_REPS is positive")))
 }
 
 fn untraced(cfg: &Config) -> Result<Report, String> {
-    let mut setup_s = Vec::with_capacity(SETUP_REPS);
-    let mut ready = None;
-    for index in 0..SETUP_REPS {
-        if let Some(previous) = ready.take() {
-            Ready::finish(previous)?;
-        }
-        let t = Instant::now();
-        ready = Some(Ready::setup(cfg, index)?);
-        setup_s.push(t.elapsed().as_secs_f64());
-    }
-    let mut ready = ready.expect("SETUP_REPS is positive");
-    let phase = ready.run_phase(cfg, None)?;
-    ready.finish()?;
+    let (mut setup_s, ready) = setups(cfg)?;
+    let phase = ready.run_phase(&mut stream(cfg), cfg.seconds, false);
+    drop(ready);
+    // Attribution first: the set-ups after the phase replace its profiles.
     let mut notes = attribution(cfg, &measure_triad());
-    notes.push(format!("setup_s samples: {setup_s:?}"));
-    let values = end_to_end(stats::median(&setup_s).unwrap_or(0.0), &phase, &mut notes);
+    setup_s.extend(setups(cfg)?.0);
+    let quiet = stats::quiet(&setup_s);
+    let kept: Vec<f64> = setup_s.iter().zip(&quiet).filter(|(_, k)| **k).map(|(s, _)| *s).collect();
+    notes.push(format!(
+        "setup_s is the median of the fastest {} of {} set-ups before and after the phase; \
+         median of all {}",
+        kept.len(),
+        setup_s.len(),
+        stats::median(&setup_s).unwrap_or(0.0)
+    ));
+    let values = end_to_end(stats::median(&kept).unwrap_or(0.0), &phase, &mut notes);
     notes.extend(phase.notes.iter().cloned());
     Report::new(&END_TO_END, values, phase.jobs.len() as u64, phase.failed() as u64, notes)
 }
 
 fn traced(cfg: &Config) -> Result<Report, String> {
-    // An untraced phase first: the baseline of obs.trace_overhead_frac.
-    let mut ready = Ready::setup(cfg, 0)?;
-    let untraced = ready.run_phase(cfg, None)?;
-    ready.finish()?;
-
-    // The traced phase starts cold too. Its set-up is traced on its own,
-    // so the first-contact tune probe shows in the counters.
+    // The set-up is traced on its own, so the first-contact tune probe
+    // shows in the counters.
     let handle = TraceHandle::begin();
-    let setup = Ready::setup(cfg, 1);
+    let ready = setup(cfg);
     let probes = handle.finish().counter("kpm.tune.probe").unwrap_or(0);
-    let mut ready = setup?;
-    if let Ready::InProcess(p) = &ready {
-        if p.dim() >= kpm::exec::ROW_MIN_DIM && probes == 0 {
-            return Err("the traced set-up recorded no kpm.tune.probe".into());
-        }
+    let ready = ready?;
+    if ready.dim() >= kpm::exec::ROW_MIN_DIM && probes == 0 {
+        return Err("the traced set-up recorded no kpm.tune.probe".into());
     }
-    let traced = ready.run_phase(cfg, Some(TraceHandle::begin()))?;
-    let stats_rtt_ms = match &mut ready {
-        Ready::Service(s) => Some(s.stats_rtt_ms()?),
-        Ready::InProcess(_) => None,
-    };
-    let service = ready.finish()?;
+    let phase = ready.run_phase(&mut stream(cfg), cfg.seconds, true);
+    drop(ready);
     let triad = measure_triad();
     let mut notes = attribution(cfg, &triad);
-    let inputs = layers::Inputs {
-        line: JobStream::representative(cfg.workload, cfg.seed),
-        untraced: &untraced,
-        traced: &traced,
-        service: service.as_ref(),
-        stats_rtt_ms,
-        triad: &triad,
-    };
-    let values = layers::measure(&inputs, &mut notes)?;
-    notes.extend(untraced.notes.iter().chain(&traced.notes).cloned());
-    let attempted = untraced.jobs.len() + traced.jobs.len();
-    let failed = untraced.failed() + traced.failed();
-    Report::new(&PER_LAYER, values, attempted as u64, failed as u64, notes)
+    let inputs =
+        layers::Inputs { workload: cfg.workload, seed: cfg.seed, phase: &phase, triad: &triad };
+    let probed = layers::measure(&inputs, &mut notes)?;
+    notes.extend(phase.notes.iter().cloned());
+    let attempted = phase.jobs.len() + probed.jobs;
+    let failed = phase.failed() + probed.failed;
+    Report::new(&PER_LAYER, probed.values, attempted as u64, failed as u64, notes)
 }
 
 /// The end-to-end metrics of an untraced phase; sample counts go to
-/// `notes`.
+/// `notes`. The job at one position of every block has the same cost, so
+/// its timings there differ only by host noise: the timings cover the
+/// quiet jobs of each position (`stats::quiet`), and the notes give the
+/// figures over every job beside them. Jobs run back to back, so
+/// `jobs_per_s` is the covered jobs over the time they took.
 fn end_to_end(
     setup_s: f64,
     phase: &PhaseResult,
     notes: &mut Vec<String>,
 ) -> BTreeMap<&'static str, f64> {
-    let ok: Vec<&JobResult> = phase.jobs.iter().filter(|j| j.ok).collect();
+    let slots = phase.jobs.len() / phase.blocks.len().max(1);
+    let mut quiet = vec![false; phase.jobs.len()];
+    for slot in 0..slots {
+        let at: Vec<usize> = (slot..phase.jobs.len()).step_by(slots).collect();
+        let ms: Vec<f64> = at.iter().map(|&i| phase.jobs[i].latency_ms).collect();
+        for (&i, keep) in at.iter().zip(stats::quiet(&ms)) {
+            quiet[i] = keep;
+        }
+    }
+    let ok: Vec<&JobResult> =
+        phase.jobs.iter().zip(&quiet).filter(|(j, q)| j.ok && **q).map(|(j, _)| j).collect();
     let latencies = |keep: &dyn Fn(&JobResult) -> bool| -> Vec<f64> {
         ok.iter().filter(|j| keep(j)).map(|j| j.latency_ms).collect()
     };
     let all = latencies(&|_| true);
     let fresh = latencies(&|j| j.class == Class::Fresh);
     let repeat = latencies(&|j| j.class == Class::Repeat);
-    // First results of refine ladders where the workload has them;
-    // elsewhere a job's only result is its first.
-    let ladders: Vec<f64> = ok.iter().filter(|j| j.ladder).map(|j| j.first_ms).collect();
-    let first = if ladders.is_empty() { ok.iter().map(|j| j.first_ms).collect() } else { ladders };
+    let per_s = |jobs: &[&JobResult]| {
+        jobs.len() as f64 * 1e3 / jobs.iter().map(|j| j.latency_ms).sum::<f64>()
+    };
+    let cpu_per_job =
+        |jobs: &[&JobResult]| jobs.iter().map(|j| j.cpu_s).sum::<f64>() / jobs.len().max(1) as f64;
 
     let mut v = BTreeMap::new();
     v.insert("setup_s", setup_s);
-    v.insert("jobs_per_s", phase.jobs_per_s());
-    for (name, sample) in [
-        ("job_ms_p50", &all),
-        ("fresh_ms_p50", &fresh),
-        ("repeat_ms_p50", &repeat),
-        ("first_result_ms_p50", &first),
-    ] {
+    v.insert("jobs_per_s", per_s(&ok));
+    for (name, sample) in
+        [("job_ms_p50", &all), ("fresh_ms_p50", &fresh), ("repeat_ms_p50", &repeat)]
+    {
         v.insert(name, stats::median(sample).unwrap_or(0.0));
     }
     let tail = stats::tail(&all, TAIL_BEYOND);
     v.insert("job_ms_tail", tail.map_or(0.0, |t| t.value));
-    v.insert("cpu_s_per_job", phase.cpu_s / ok.len().max(1) as f64);
+    v.insert("cpu_s_per_job", cpu_per_job(&ok));
     v.insert("peak_rss_mb", phase.peak_rss_mib);
+    let every: Vec<&JobResult> = phase.jobs.iter().filter(|j| j.ok).collect();
+    let every_ms: Vec<f64> = every.iter().map(|j| j.latency_ms).collect();
+    notes.push(format!(
+        "timings cover the quiet jobs of each of the {slots} block positions: {} of {} completed \
+         jobs; over every job: jobs_per_s {}, job_ms_p50 {}, cpu_s_per_job {}",
+        ok.len(),
+        every.len(),
+        per_s(&every),
+        stats::median(&every_ms).unwrap_or(0.0),
+        cpu_per_job(&every),
+    ));
     if let Some(t) = tail {
         notes.push(format!(
             "job_ms_tail is p{:.1} of {} samples, {} beyond it",
@@ -350,14 +343,14 @@ fn end_to_end(
     }
     let failed = phase.failed();
     notes.push(format!(
-        "jobs: {} attempted, {} completed ({} fresh, {} repeat, {} first results), {failed} failed; \
-         failed_frac = {}",
+        "jobs: {} attempted in {} blocks, {} completed, {failed} failed; failed_frac = {}; \
+         quiet: {} fresh, {} repeat",
         phase.jobs.len(),
-        ok.len(),
+        phase.blocks.len(),
+        phase.completed(),
+        failed as f64 / phase.jobs.len().max(1) as f64,
         fresh.len(),
         repeat.len(),
-        first.len(),
-        failed as f64 / phase.jobs.len().max(1) as f64
     ));
     v
 }
@@ -370,21 +363,16 @@ fn measure_triad() -> Triad {
 /// measured in this run, the profiles the tuner chose, and the threads.
 fn attribution(cfg: &Config, triad: &Triad) -> Vec<String> {
     let llc = host::llc_bytes().map_or_else(|| "unknown".to_string(), |b| b.to_string());
-    let threads = match cfg.workload {
-        Workload::ServiceMix => format!(
-            "{n} client sessions, {} serve workers, {} fleet workers at kpm thread budget {} \
-             (busy compute threads <= {}), {} shards per job, journal fsync on, serve cache in memory",
-            service::batch_config().workers,
-            service::FLEET_WORKERS,
-            service::THREAD_BUDGET,
-            service::FLEET_WORKERS * service::THREAD_BUDGET,
+    let mut threads =
+        format!("timed jobs one at a time in-process, kpm thread budget {}", host::nproc());
+    if cfg.trace {
+        threads += &format!(
+            "; service probe: 1 serve worker, {} loopback fleet workers at kpm thread budget 1, \
+             {} shards per job, journal fsync on, serve cache in memory",
+            probe::FLEET_WORKERS,
             kpm_fleet::FleetPolicy::default().shards_per_job,
-            n = host::nproc(),
-        ),
-        Workload::PaperLattice | Workload::Anderson48 => {
-            format!("one job at a time in-process, kpm thread budget {}", host::nproc())
-        }
-    };
+        );
+    }
     let store = kpm::tune::store();
     let mut profiles: Vec<String> = store
         .keys()

@@ -18,6 +18,25 @@ pub fn median(values: &[f64]) -> Option<f64> {
     }
 }
 
+/// Share of the samples of one kind that the quiet statistics keep.
+pub const QUIET_SHARE: f64 = 0.15;
+
+/// Which samples are quiet: the `ceil(n * QUIET_SHARE)` smallest, ties
+/// broken by position. Contention from other tenants of a shared host only
+/// ever slows a sample, in spells of seconds to minutes that can cover most
+/// of a run; the fastest samples of a kind are what the code costs when no
+/// spell hits it.
+pub fn quiet(values: &[f64]) -> Vec<bool> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+    let keep_n = (values.len() as f64 * QUIET_SHARE).ceil() as usize;
+    let mut keep = vec![false; values.len()];
+    for &i in &order[..keep_n] {
+        keep[i] = true;
+    }
+    keep
+}
+
 /// A tail latency and where it sits in its sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tail {
@@ -77,6 +96,17 @@ mod tests {
         let t = tail(&ramp(15), 10).unwrap();
         assert_eq!((t.value, t.beyond, t.samples), (8.0, 7, 15));
         assert!(tail(&[], 10).is_none());
+    }
+
+    #[test]
+    fn quiet_keeps_the_smallest_share_and_at_least_one() {
+        let ramp: Vec<f64> = ramp(20);
+        let kept: Vec<f64> =
+            ramp.iter().zip(quiet(&ramp)).filter(|(_, q)| *q).map(|(v, _)| *v).collect();
+        assert_eq!(kept, [3.0, 2.0, 1.0]);
+        assert_eq!(quiet(&[3.0, 1.0, 4.0, 1.0, 5.0]), [false, true, false, false, false]);
+        assert_eq!(quiet(&[7.0]), [true]);
+        assert!(quiet(&[]).is_empty());
     }
 
     #[test]

@@ -1,81 +1,38 @@
-//! The generator's job classes do at this commit what `BENCHMARK.json`
-//! says: fresh jobs miss the serve cache, exact and lower-N repeats hit it,
-//! and fewer-sets repeats miss it but are served from the fleet's warm
-//! rows. Jobs run one at a time through the `service-mix` stack below the
-//! network front end, so every cache outcome is deterministic.
+//! The service probe's job classes do at this commit what the per-layer
+//! metrics assume: the fresh job misses the serve cache, its exact repeat
+//! hits it, and the fewer-sets repeat misses it but is served from the
+//! fleet's warm rows, all of them on one worker, so the fleet steals a
+//! shard for the idle one.
 
 use kpm::obs::TraceHandle;
-use kpm_fleet::{Fleet, FleetEngine, FleetPolicy};
-use kpm_serve::{
-    BatchConfig, BatchService, CacheStatus, CompletionHook, JobOutcome, JobRecord, JobSpec,
-    MomentEngine,
-};
-use kpm_shard::transport::loopback_pair;
-use kpm_shard::worker::serve_endpoint;
+use kpm_serve::{CacheStatus, JobOutcome, JobSpec};
 use perfbench::gen::{JobStream, Kind, Workload};
-use std::sync::{mpsc, Arc, Mutex};
+use perfbench::probe::ServiceStack;
 
 #[test]
-fn service_mix_classes_hit_the_serve_cache_and_the_fleet_warm_rows() {
+fn service_probe_classes_hit_the_serve_cache_and_the_fleet_warm_rows() {
     kpm::exec::set_thread_budget(1);
-    let mut workers = Vec::new();
-    let mut endpoints = Vec::new();
-    for i in 0..2 {
-        let (coordinator, worker) = loopback_pair(&format!("classes-{i}"));
-        workers.push(std::thread::spawn(move || serve_endpoint(worker)));
-        endpoints.push(coordinator);
-    }
-    let fleet = Fleet::start(endpoints, FleetPolicy::default(), None).unwrap();
-    let engine: Arc<dyn MomentEngine> = Arc::new(FleetEngine::new(fleet.client()));
-    let (tx, rx) = mpsc::channel::<JobRecord>();
-    let tx = Mutex::new(tx);
-    let hook: CompletionHook = Arc::new(move |record| {
-        tx.lock().unwrap().send(record.clone()).unwrap();
-    });
-    // One serve worker runs the jobs in submission order.
-    let config = BatchConfig { workers: 1, cache_dir: None, ..BatchConfig::default() };
-    let service = BatchService::start_full(config, Some(engine), Some(hook));
-
-    let mut kinds_seen = Vec::new();
-    for job in JobStream::new(Workload::ServiceMix, 11, 0).take(24) {
-        let spec = JobSpec::parse(&job.line).unwrap();
-        let ladder = kpm_net::refine_ladder(spec.num_moments, job.steps);
+    let stack = ServiceStack::start(None).unwrap();
+    assert_eq!(stack.cache_counters().unwrap(), (0, 0));
+    for job in JobStream::service_probe(Workload::PaperLattice, 11) {
         let trace = TraceHandle::begin();
-        for &n in &ladder {
-            service.submit(JobSpec { num_moments: n, ..spec.clone() }).unwrap();
-        }
-        let statuses: Vec<CacheStatus> = ladder
-            .iter()
-            .map(|_| match rx.recv().unwrap().outcome {
-                JobOutcome::Completed(done) => done.cache,
-                other => panic!("{}: {other:?}", job.line),
-            })
-            .collect();
+        let (record, _) = stack.run(JobSpec::parse(&job.line).unwrap()).unwrap();
         let warm_rows = trace.finish().counter("shard.inventory.row_hits").unwrap_or(0);
+        let status = match record.outcome {
+            JobOutcome::Completed(done) => done.cache,
+            other => panic!("{}: {other:?}", job.line),
+        };
         match job.kind {
-            Kind::Fresh => assert_eq!(statuses, [CacheStatus::Miss], "{}", job.line),
-            Kind::Ladder => assert_eq!(
-                statuses,
-                [CacheStatus::Miss, CacheStatus::Upgrade, CacheStatus::Upgrade],
-                "{}",
-                job.line
-            ),
-            Kind::RepeatExact | Kind::RepeatLowerN => {
-                assert_eq!(statuses, [CacheStatus::Hit], "{}", job.line)
-            }
+            Kind::Fresh => assert_eq!(status, CacheStatus::Miss, "{}", job.line),
+            Kind::RepeatExact => assert_eq!(status, CacheStatus::Hit, "{}", job.line),
             Kind::RepeatFewerSets => {
-                assert_eq!(statuses, [CacheStatus::Miss], "{}", job.line);
+                assert_eq!(status, CacheStatus::Miss, "{}", job.line);
                 assert!(warm_rows > 0, "{}: no shard was served from warm rows", job.line);
             }
         }
-        if !kinds_seen.contains(&job.kind) {
-            kinds_seen.push(job.kind);
-        }
     }
-    assert_eq!(kinds_seen.len(), 5, "24 jobs cover every kind: {kinds_seen:?}");
-    service.finish();
-    fleet.shutdown();
-    for worker in workers {
-        worker.join().unwrap();
-    }
+    assert_eq!(stack.cache_counters().unwrap(), (1, 2));
+    let (_, fleet) = stack.finish().unwrap();
+    assert_eq!(fleet.jobs_completed, 2);
+    assert!(fleet.place_warm_rows > 0 && fleet.steals > 0, "{}", fleet.render_json());
 }
