@@ -45,18 +45,31 @@ fn parse_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok().map(|n| n * scale)
 }
 
-/// `/proc` reports CPU time in ticks of this fixed rate (`USER_HZ`).
-const USER_HZ: f64 = 100.0;
+/// `struct timespec` of the C library.
+#[repr(C)]
+struct Timespec {
+    tv_sec: std::ffi::c_long,
+    tv_nsec: std::ffi::c_long,
+}
 
-/// User plus system CPU seconds of this process, all threads included.
+extern "C" {
+    fn clock_gettime(clock: std::ffi::c_int, tp: *mut Timespec) -> std::ffi::c_int;
+}
+
+/// Linux's clock of the CPU time of the whole process.
+const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
+
+/// User plus system CPU seconds of this process, all threads included, to
+/// the nanosecond (`/proc/self/stat` counts 10 ms ticks, too coarse for a
+/// job of tens of milliseconds).
 pub fn cpu_seconds() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // Fields after the parenthesized command name start at field 3;
-    // utime and stime are fields 14 and 15.
-    let rest = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let ticks = |i: usize| fields.get(i).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-    (ticks(11) + ticks(12)) as f64 / USER_HZ
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` for the whole call.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    if rc != 0 {
+        return 0.0;
+    }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
 /// Peak resident set size of this process (`VmHWM`), MiB.
@@ -148,6 +161,18 @@ pub fn remove_scratch_root() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+
+    #[test]
+    fn cpu_time_counts_work_finely() {
+        let before = cpu_seconds();
+        let mut x = 1u64;
+        for i in 0..20_000_000u64 {
+            x = black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i));
+        }
+        let spent = cpu_seconds() - before;
+        assert!(before > 0.0 && spent > 0.0 && spent < 5.0, "{before} then {spent} s");
+    }
 
     #[test]
     fn sysfs_sizes_parse() {

@@ -4,11 +4,14 @@
 //! `kpm dos` path (`DosEstimator::compute`). `anderson-48` runs each job on
 //! its own disorder realization through the serve worker's compute path
 //! (`compute_raw_moments`), so every job pays assembly and its Lanczos
-//! bounds probe. Both run one job at a time at a thread budget of `nproc`.
+//! bounds probe. Both run one job at a time, at thread budget
+//! `run::JOB_THREADS`.
 
 use crate::gen::{Job, JobStream, Workload};
 use crate::host;
-use crate::run::{fresh_state, same_stats, BlockTime, JobResult, PhaseResult, INTEGRAL_TOL};
+use crate::run::{
+    fresh_state, same_stats, BlockTime, JobResult, PhaseResult, INTEGRAL_TOL, JOB_THREADS,
+};
 use kpm::obs::TraceReport;
 use kpm::prelude::*;
 use kpm::tune::ProfileOrigin;
@@ -24,13 +27,14 @@ const MIN_BLOCKS: usize = 4;
 
 /// An in-process workload after set-up.
 pub struct InProcess {
-    workload: Workload,
     /// The operator set-up assembled, kept for `paper-lattice`, whose jobs
     /// all run on it. `anderson-48` jobs assemble their own, so holding it
     /// would only add to the phase's peak RSS.
     op: Option<SparseMatrix>,
     dim: usize,
     op_key: u64,
+    /// The policy and tile height the tuner picked.
+    profile: String,
 }
 
 impl InProcess {
@@ -54,7 +58,8 @@ impl InProcess {
         }
         let dim = op.dim();
         let op = (workload == Workload::PaperLattice).then_some(op);
-        Ok(InProcess { workload, op, dim, op_key: spec.op_key() })
+        let profile = format!("policy={} tile_rows={}", profile.policy.as_str(), profile.tile_rows);
+        Ok(InProcess { op, dim, op_key: spec.op_key(), profile })
     }
 
     /// Dimension of the set-up operator.
@@ -88,21 +93,36 @@ impl InProcess {
 
     /// The timed phase: a closed loop over `stream`, one job at a time, in
     /// whole generator blocks, until `seconds` have passed and at least
-    /// `MIN_BLOCKS` ran; then, untimed, the first fresh job again at one
-    /// thread, which must reproduce its bits. With `interleave_trace`, every
-    /// second block is traced (the phase then ends on an even block count)
-    /// and the phase's trace holds the traced blocks' counters.
+    /// `MIN_BLOCKS` ran; then, untimed, the first fresh job again at thread
+    /// budget `nproc`, which must reproduce its bits. With
+    /// `interleave_trace`, every second block is traced (the phase then ends
+    /// on an even block count) and the phase's trace holds the traced
+    /// blocks' counters.
+    ///
+    /// Each block starts from its own cold `setup`, untimed: the tuner
+    /// picks a block's profile by timing, and on a shared host its pick
+    /// varies from one set-up to the next (on `paper-lattice`, 512-row
+    /// tiles run jobs 13% slower than 128 or 256, and won about a third
+    /// of the probes), so one set-up per phase made whole runs fast or
+    /// slow. With a pick per block, the quiet jobs of every run are those
+    /// of its well-tuned blocks. The phase records each block's set-up time
+    /// and pick.
+    ///
+    /// # Errors
+    /// A set-up failing.
     pub fn run_phase(
-        &self,
+        workload: Workload,
+        mut setup: impl FnMut() -> Result<InProcess, String>,
         stream: &mut JobStream,
         seconds: f64,
         interleave_trace: bool,
-    ) -> PhaseResult {
+    ) -> Result<PhaseResult, String> {
         let mut phase = PhaseResult::default();
         let mut trace = interleave_trace.then(TraceReport::default);
         let mut seen: HashMap<String, MomentStats> = HashMap::new();
         let mut first: Option<(usize, String, MomentStats)> = None;
-        let block = JobStream::block_len(self.workload);
+        let mut ready = None;
+        let block = JobStream::block_len(workload);
         let limit = Duration::from_secs_f64(seconds);
         let start = Instant::now();
         loop {
@@ -113,6 +133,11 @@ impl InProcess {
             {
                 break;
             }
+            drop(ready.take());
+            let t = Instant::now();
+            let this: &InProcess = ready.insert(setup()?);
+            phase.setup_s.push(t.elapsed().as_secs_f64());
+            *phase.profiles.entry(this.profile.clone()).or_insert(0) += 1;
             // A repeat names a fresh job of its own block. Keeping earlier
             // blocks' moments would grow the phase's peak RSS with its job
             // count.
@@ -121,7 +146,7 @@ impl InProcess {
             let handle = traced.then(TraceHandle::begin);
             let block_start = Instant::now();
             for _ in 0..block {
-                self.timed_job(stream.next_job(), traced, &mut phase, &mut seen, &mut first);
+                this.timed_job(stream.next_job(), traced, &mut phase, &mut seen, &mut first);
             }
             let secs = block_start.elapsed().as_secs_f64();
             if let (Some(handle), Some(trace)) = (handle, trace.as_mut()) {
@@ -134,17 +159,17 @@ impl InProcess {
         phase.trace = trace;
         phase.peak_rss_mib = host::peak_rss_mib();
 
-        if let Some((index, line, parallel)) = first {
-            let budget = kpm::exec::effective_threads();
-            kpm::exec::set_thread_budget(1);
-            let single = self.run_job(&line);
-            kpm::exec::set_thread_budget(budget);
-            if !matches!(&single, Ok((stats, _)) if same_stats(stats, &parallel)) {
-                let why = format!("{line}: the one-thread run gave other bits");
+        if let (Some((index, line, timed)), Some(ready)) = (first, ready) {
+            let nproc = host::nproc();
+            kpm::exec::set_thread_budget(nproc);
+            let rerun = ready.run_job(&line);
+            kpm::exec::set_thread_budget(JOB_THREADS);
+            if !matches!(&rerun, Ok((stats, _)) if same_stats(stats, &timed)) {
+                let why = format!("{line}: the run at {nproc} threads gave other bits");
                 phase.jobs[index].ok = phase.fail(why);
             }
         }
-        phase
+        Ok(phase)
     }
 
     /// Runs and checks one job of a timed phase, recording it in `phase`.

@@ -13,7 +13,7 @@ use crate::host::{self, Triad};
 use crate::probe::ServiceStack;
 use crate::run::{same_bits, same_stats, PhaseResult};
 use crate::stats;
-use kpm::obs::TraceReport;
+use kpm::obs::{TraceHandle, TraceReport};
 use kpm::prelude::*;
 use kpm_fleet::{FleetPolicy, FleetStats, Journal};
 use kpm_linalg::SparseMatrix;
@@ -171,13 +171,16 @@ fn kpm_layers(
     let jobs = phase.jobs.iter().filter(|j| j.traced).count().max(1) as f64;
     v.insert("kpm.bounds_probes_per_job", counter(trace, "kpm.bounds.probe") / jobs);
 
-    // Moments at the full thread budget, then at one thread.
+    // Moments at the full thread budget, traced for the executor's steals,
+    // then at one thread.
     let rescaled = kpm::rescale::rescale(h, bounds, params.padding).map_err(err)?;
     let estimator = DosEstimator::new(params.clone());
     let workload_budget = kpm::exec::effective_threads();
     let nproc = host::nproc();
     kpm::exec::set_thread_budget(nproc);
+    let handle = TraceHandle::begin();
     let (moments, moments_ms) = sample(1, QUICK, || estimator.moments(&rescaled));
+    let parallel = handle.finish();
     kpm::exec::set_thread_budget(1);
     let (single, moments_1t_ms) = sample(1, QUICK, || estimator.moments(&rescaled));
     kpm::exec::set_thread_budget(workload_budget);
@@ -188,11 +191,12 @@ fn kpm_layers(
     v.insert("kpm.moments_ms", moments_ms);
     v.insert("kpm.moments_1t_ms", moments_1t_ms);
     v.insert("kpm.parallel_eff", moments_1t_ms / (moments_ms * nproc as f64));
-    let (sweeps, steals) = (counter(trace, "kpm.spmm.sweeps"), counter(trace, "kpm.exec.steal"));
+    let (sweeps, steals) =
+        (counter(&parallel, "kpm.spmm.sweeps"), counter(&parallel, "kpm.exec.steal"));
     v.insert("kpm.exec_steals_per_sweep", if sweeps > 0.0 { steals / sweeps } else { 0.0 });
     notes.push(format!(
-        "kpm.moments_ms at thread budget {nproc}, kpm.moments_1t_ms at 1; traced phase: \
-         {sweeps} sweeps, {steals} steals, {} bounds probes over {jobs} traced jobs",
+        "kpm.moments_ms at thread budget {nproc} ({sweeps} sweeps, {steals} steals), \
+         kpm.moments_1t_ms at 1; traced phase: {} bounds probes over {jobs} traced jobs",
         counter(trace, "kpm.bounds.probe")
     ));
 

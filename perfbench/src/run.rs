@@ -1,10 +1,11 @@
 //! One benchmark run: set-up, a timed phase, and the metrics they yield.
 //!
-//! An untraced run sets the workload up several times before and after one
-//! timed phase (the median of the quiet set-ups is `setup_s`) and reports
-//! the end-to-end metrics. A
-//! traced run sets up once, runs one timed phase whose blocks alternate
-//! between untraced and traced, and reports the per-layer metrics.
+//! Every block of a timed phase starts from its own set-up. An untraced
+//! run also sets the workload up several times before and after its phase
+//! (the median of the quiet set-ups is `setup_s`) and reports the
+//! end-to-end metrics. A traced run sets up once on its own, to count the
+//! tune probe, runs one timed phase whose blocks alternate between
+//! untraced and traced, and reports the per-layer metrics.
 
 use crate::gen::{Class, JobStream, Workload};
 use crate::host::{self, Triad};
@@ -20,9 +21,10 @@ use std::time::{Duration, Instant};
 
 /// Set-ups before, and again after, the timed phase of an untraced run:
 /// at least `SETUP_REPS`, then more while they took less than
-/// `SETUP_BUDGET`, at most `SETUP_MAX_REPS`. Sampling both ends of the
-/// phase gives the quiet set-ups (`stats::quiet`), whose median is
-/// `setup_s`, two chances to miss a spell of host contention.
+/// `SETUP_BUDGET`, at most `SETUP_MAX_REPS`. With the set-ups of the
+/// phase's blocks, sampling both ends of the phase gives the quiet
+/// set-ups (`stats::quiet`), whose median is `setup_s`, more chances to
+/// miss a spell of host contention.
 pub const SETUP_REPS: usize = 5;
 const SETUP_BUDGET: Duration = Duration::from_secs(1);
 const SETUP_MAX_REPS: usize = 200;
@@ -132,6 +134,10 @@ pub struct PhaseResult {
     pub jobs: Vec<JobResult>,
     /// Every block, in order.
     pub blocks: Vec<BlockTime>,
+    /// Each block's set-up time, s.
+    pub setup_s: Vec<f64>,
+    /// Blocks by the profile their set-up's tuner picked.
+    pub profiles: BTreeMap<String, usize>,
     /// Process peak RSS right after it, MiB.
     pub peak_rss_mib: f64,
     /// Why jobs failed (at most `MAX_NOTES`).
@@ -186,6 +192,17 @@ pub fn fresh_state() -> Result<(), String> {
     Ok(())
 }
 
+/// Thread budget of set-up and the timed jobs. Threads of one job meet at
+/// a spin barrier every sweep (about every 50 us on `paper-lattice`, every
+/// few ms on `anderson-48`), so on a shared host a time slice lost on
+/// either core stalls the job: at 2 threads, `paper-lattice` figures spread
+/// past their bounds over ten runs, and in one trial a busy loop on one
+/// core slowed `anderson-48` jobs by 47% (5% at one thread). At one
+/// thread the scheduler moves the job to whichever core is free. Thread
+/// scaling is the traced run's `kpm.moments_ms` at `nproc` and
+/// `kpm.parallel_eff`.
+pub const JOB_THREADS: usize = 1;
+
 /// Ends the process if the run overstays `RUN_LIMIT`.
 pub fn arm_watchdog() {
     // Detached on purpose: it outlives every run that ends in time, and
@@ -203,7 +220,7 @@ pub fn arm_watchdog() {
 /// A set-up or layer failure, or warm state where a run must start cold.
 /// Wrong results are not errors: they count as failed jobs.
 pub fn run(cfg: &Config) -> Result<Report, String> {
-    kpm::exec::set_thread_budget(host::nproc());
+    kpm::exec::set_thread_budget(JOB_THREADS);
     let report = if cfg.trace { traced(cfg) } else { untraced(cfg) };
     host::remove_scratch_root();
     report
@@ -218,34 +235,42 @@ fn stream(cfg: &Config) -> JobStream {
 }
 
 /// Sets the workload up repeatedly (see `SETUP_REPS`); returns each
-/// set-up's time, s, and the last set-up.
-fn setups(cfg: &Config) -> Result<(Vec<f64>, InProcess), String> {
+/// set-up's time, s.
+fn setups(cfg: &Config) -> Result<Vec<f64>, String> {
     let mut setup_s = Vec::new();
-    let mut ready = None;
     let start = Instant::now();
     while setup_s.len() < SETUP_REPS
         || (start.elapsed() < SETUP_BUDGET && setup_s.len() < SETUP_MAX_REPS)
     {
-        drop(ready.take());
         let t = Instant::now();
-        ready = Some(setup(cfg)?);
+        drop(setup(cfg)?);
         setup_s.push(t.elapsed().as_secs_f64());
     }
-    Ok((setup_s, ready.expect("SETUP_REPS is positive")))
+    Ok(setup_s)
+}
+
+fn phase(cfg: &Config, interleave_trace: bool) -> Result<PhaseResult, String> {
+    InProcess::run_phase(
+        cfg.workload,
+        || setup(cfg),
+        &mut stream(cfg),
+        cfg.seconds,
+        interleave_trace,
+    )
 }
 
 fn untraced(cfg: &Config) -> Result<Report, String> {
-    let (mut setup_s, ready) = setups(cfg)?;
-    let phase = ready.run_phase(&mut stream(cfg), cfg.seconds, false);
-    drop(ready);
+    let mut setup_s = setups(cfg)?;
+    let phase = phase(cfg, false)?;
     // Attribution first: the set-ups after the phase replace its profiles.
-    let mut notes = attribution(cfg, &measure_triad());
-    setup_s.extend(setups(cfg)?.0);
+    let mut notes = attribution(cfg, &measure_triad(), &phase);
+    setup_s.extend(&phase.setup_s);
+    setup_s.extend(setups(cfg)?);
     let quiet = stats::quiet(&setup_s);
     let kept: Vec<f64> = setup_s.iter().zip(&quiet).filter(|(_, k)| **k).map(|(s, _)| *s).collect();
     notes.push(format!(
-        "setup_s is the median of the fastest {} of {} set-ups before and after the phase; \
-         median of all {}",
+        "setup_s is the median of the fastest {} of {} set-ups before, during (one per block) \
+         and after the phase; median of all {}",
         kept.len(),
         setup_s.len(),
         stats::median(&setup_s).unwrap_or(0.0)
@@ -256,19 +281,17 @@ fn untraced(cfg: &Config) -> Result<Report, String> {
 }
 
 fn traced(cfg: &Config) -> Result<Report, String> {
-    // The set-up is traced on its own, so the first-contact tune probe
-    // shows in the counters.
+    // A set-up traced on its own, so the first-contact tune probe shows in
+    // the counters.
     let handle = TraceHandle::begin();
     let ready = setup(cfg);
     let probes = handle.finish().counter("kpm.tune.probe").unwrap_or(0);
-    let ready = ready?;
-    if ready.dim() >= kpm::exec::ROW_MIN_DIM && probes == 0 {
+    if ready?.dim() >= kpm::exec::ROW_MIN_DIM && probes == 0 {
         return Err("the traced set-up recorded no kpm.tune.probe".into());
     }
-    let phase = ready.run_phase(&mut stream(cfg), cfg.seconds, true);
-    drop(ready);
+    let phase = phase(cfg, true)?;
     let triad = measure_triad();
-    let mut notes = attribution(cfg, &triad);
+    let mut notes = attribution(cfg, &triad, &phase);
     let inputs =
         layers::Inputs { workload: cfg.workload, seed: cfg.seed, phase: &phase, triad: &triad };
     let probed = layers::measure(&inputs, &mut notes)?;
@@ -361,10 +384,10 @@ fn measure_triad() -> Triad {
 
 /// What a number depends on besides the code: the host, the bandwidth
 /// measured in this run, the profiles the tuner chose, and the threads.
-fn attribution(cfg: &Config, triad: &Triad) -> Vec<String> {
+fn attribution(cfg: &Config, triad: &Triad, phase: &PhaseResult) -> Vec<String> {
     let llc = host::llc_bytes().map_or_else(|| "unknown".to_string(), |b| b.to_string());
     let mut threads =
-        format!("timed jobs one at a time in-process, kpm thread budget {}", host::nproc());
+        format!("set-up and timed jobs one at a time in-process, kpm thread budget {JOB_THREADS}");
     if cfg.trace {
         threads += &format!(
             "; service probe: 1 serve worker, {} loopback fleet workers at kpm thread budget 1, \
@@ -411,6 +434,10 @@ fn attribution(cfg: &Config, triad: &Triad) -> Vec<String> {
         format!(
             "tune profiles: {}",
             if profiles.is_empty() { "none".to_string() } else { profiles.join("; ") }
+        ),
+        format!(
+            "tuner picks, blocks each: {}",
+            phase.profiles.iter().map(|(p, n)| format!("{p} x{n}")).collect::<Vec<_>>().join("; ")
         ),
     ]
 }
