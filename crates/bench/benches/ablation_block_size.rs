@@ -9,9 +9,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kpm::moments::KpmParams;
 use kpm_lattice::paper_cubic_hamiltonian;
-use kpm_stream::cost::{MomentLaunchShape, Precision, SparseFormat};
 use kpm_stream::tune::tune_block_size;
-use kpm_stream::{Mapping, StreamKpmEngine, VectorLayout};
+use kpm_stream::{
+    Mapping, MomentLaunchShape, Precision, SparseFormat, StreamKpmEngine, VectorLayout,
+};
 use kpm_streamsim::GpuSpec;
 use std::hint::black_box;
 

@@ -19,9 +19,9 @@
 //! measurably reduces repeat-job latency.
 
 use criterion::{BenchmarkId, Criterion};
-use kpm_fleet::{Fleet, FleetClient, FleetPolicy, FleetStats};
 use kpm_shard::transport::loopback_pair;
 use kpm_shard::worker::serve_endpoint;
+use kpm_shard::{Fleet, FleetClient, FleetPolicy, FleetStats};
 use std::hint::black_box;
 use std::time::Instant;
 

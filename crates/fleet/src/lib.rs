@@ -1,36 +1,9 @@
-//! `kpm-fleet` — cache- and locality-aware multi-job scheduling over
-//! shard workers, with a restartable merge journal.
+//! `kpm-fleet` — the fleet scheduler's names, re-exported from
+//! `kpm-shard`.
 //!
-//! The shard layer (`kpm-shard`) runs *one* job over a worker set and
-//! tears everything down. This crate keeps the workers — and their warm
-//! state — alive across *many* jobs:
-//!
-//! - **Locality-aware routing** ([`scheduler`]): workers advertise a
-//!   content-addressed inventory (assembled operators, warm
-//!   per-realization moment rows, tuned execution profiles); the
-//!   scheduler scores placements so a job's shards land where its work
-//!   already lives, and falls back to least-loaded when nothing is warm.
-//! - **Cross-job balancing**: an idle worker steals shards from a warm
-//!   worker's backlog. The frozen `(seed, s, r)` RNG contract makes the
-//!   rows identical wherever they are computed, so stealing never
-//!   changes a single bit of the merge.
-//! - **Restartable merges** ([`journal`]): accepted rows hit an fsync'd
-//!   on-disk journal *before* they count; a coordinator that dies can be
-//!   restarted on the same journal directory and resumes — recomputing
-//!   only unacknowledged work — with a bitwise-identical result.
-//!
-//! [`FleetEngine`] plugs the fleet into `kpm-serve`'s [`MomentEngine`]
-//! hook, so `kpm fleet` keeps the serve queue, cache, and CSV output
-//! byte-compatible with `kpm batch`. See DESIGN.md §13.
-//!
-//! [`MomentEngine`]: kpm_serve::MomentEngine
+//! The fleet scheduler, its journal and [`FleetEngine`] live in
+//! `kpm-shard`, where the scheduler is the only coordinator: a one-job
+//! sharded run is a fleet with locality off. This crate keeps the paths
+//! that `kpm-cli` and the repository benchmark (`perfbench`) import.
 
-pub mod engine;
-pub mod error;
-pub mod journal;
-pub mod scheduler;
-
-pub use engine::FleetEngine;
-pub use error::FleetError;
-pub use journal::{Journal, Replayed};
-pub use scheduler::{Fleet, FleetClient, FleetPolicy, FleetStats};
+pub use kpm_shard::{Fleet, FleetEngine, FleetError, FleetPolicy, FleetStats, Journal};

@@ -10,7 +10,7 @@
 //! concurrently.
 
 use crate::engine::{EngineError, GpuRunResult, StreamKpmEngine, TimeBreakdown};
-use crate::layout::Mapping;
+use crate::Mapping;
 use kpm::prelude::{KpmParams, MomentStats};
 use kpm_linalg::CsrMatrix;
 use kpm_streamsim::{GpuSpec, SimTime};

@@ -6,9 +6,8 @@
 //! and reads the moments back. Produces both verified numbers and a
 //! modeled-time breakdown.
 
-use crate::cost::{MomentLaunchShape, Precision, SparseFormat};
 use crate::kernels::{MomentGenKernel, MomentReduceKernel};
-use crate::layout::{Mapping, VectorLayout};
+use crate::{Mapping, MomentLaunchShape, Precision, SparseFormat, VectorLayout};
 use kpm::prelude::*;
 use kpm_linalg::{CsrMatrix, DenseMatrix};
 use kpm_streamsim::{Device, Dim3, GlobalBuffer, GpuSpec, SimError, SimTime};
@@ -235,22 +234,6 @@ impl StreamKpmEngine {
             block_size: self.block_size,
             precision: Precision::Double,
         }
-    }
-
-    /// Prices a run at the given shape without executing it.
-    ///
-    /// Retired: this is the closed-form analytic sum. Build a
-    /// [`kpm_streamsim::queue::MomentRunPlan`] (or submit through
-    /// `kpm::device::SimDevice`) to control overlap, chunking, and device
-    /// count; with overlap disabled the pipeline reproduces this value
-    /// bit-for-bit.
-    #[deprecated(
-        since = "0.7.0",
-        note = "route through queue::MomentRunPlan (or kpm::device::SimDevice)"
-    )]
-    #[allow(deprecated)]
-    pub fn estimate(&self, shape: &MomentLaunchShape) -> SimTime {
-        shape.estimate_total(self.device.spec(), self.compute_efficiency)
     }
 
     /// Runs the full pipeline on a CSR matrix.
@@ -680,17 +663,6 @@ mod tests {
         assert!((dos.integrate() - 1.0).abs() < 0.05, "integral {}", dos.integrate());
         // Band of the cubic lattice is [-6, 6].
         assert!(dos.energies[0] > -6.5 && *dos.energies.last().unwrap() < 6.5);
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the retired shim alongside its successor
-    fn estimate_is_pure_and_positive() {
-        let engine = StreamKpmEngine::new(GpuSpec::tesla_c2050());
-        let shape = engine.shape_for(1000, 7000, false, 1024, 1792);
-        let t = engine.estimate(&shape);
-        assert!(t.as_secs_f64() > 0.0);
-        // No launches recorded by estimating.
-        assert!(engine.device().launches().is_empty());
     }
 
     #[test]

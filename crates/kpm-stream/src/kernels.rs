@@ -3,7 +3,7 @@
 //! * [`MomentGenKernel`] — Fig. 4a: random-vector generation plus the full
 //!   `N`-iteration Chebyshev recursion and per-realization dot products,
 //!   in one launch. Supports both work mappings (see
-//!   [`crate::layout::Mapping`]).
+//!   [`crate::Mapping`]).
 //! * [`MomentReduceKernel`] — Fig. 4b: parallel summation of the
 //!   per-realization `mu~_n` into `mu_n`, one block per moment order, with
 //!   a shared-memory tree reduction.
@@ -17,9 +17,8 @@
 //! with the reference to floating-point reduction-order differences
 //! (~1e-13), which the tests pin down.
 
-use crate::cost::MomentLaunchShape;
 use crate::engine::DeviceMatrix;
-use crate::layout::Mapping;
+use crate::{Mapping, MomentLaunchShape};
 use kpm::random::{Distribution, RandomStream};
 use kpm_streamsim::kernel::{BlockKernel, BlockScope, KernelCost};
 use kpm_streamsim::{GlobalBuffer, GpuSpec, LaunchDims};

@@ -10,9 +10,8 @@
 //! against the host engine; modeled time exposes how the latency-bound
 //! mapping fares as the arithmetic intensity grows.
 
-use crate::cost::Precision;
 use crate::engine::{DeviceMatrix, EngineError};
-use crate::layout::{Mapping, VectorLayout};
+use crate::{Mapping, Precision, VectorLayout};
 use kpm::prelude::{Boundable, DoubleMoments, KpmParams};
 use kpm::random::RandomStream;
 use kpm_linalg::CsrMatrix;
@@ -462,11 +461,11 @@ mod tests {
         // at the paper's Fig. 5 parameters, N = 256 double moments cost
         // ~100x the DoS run.
         let spec = GpuSpec::tesla_c2050();
-        let dos_shape = crate::cost::MomentLaunchShape {
+        let dos_shape = crate::MomentLaunchShape {
             dim: 1000,
             stored_entries: 7000,
             dense: false,
-            format: crate::cost::SparseFormat::Csr,
+            format: crate::SparseFormat::Csr,
             num_moments: 256,
             realizations: 1792,
             mapping: Mapping::ThreadPerRealization,

@@ -26,17 +26,15 @@
 //! reproductions).
 
 pub mod cluster;
-pub mod cost;
 pub mod engine;
 pub mod kernels;
 pub mod kubo_stream;
-pub mod layout;
 pub mod propagate;
 pub mod tune;
 
 pub use cluster::DeviceCluster;
-pub use cost::{MomentLaunchShape, Precision, SparseFormat};
 pub use engine::{DeviceMatrix, EngineError, GpuRunResult, StreamKpmEngine, TimeBreakdown};
+pub use kpm_streamsim::layout::{Mapping, VectorLayout};
+pub use kpm_streamsim::shape::{MomentLaunchShape, Precision, SparseFormat};
 pub use kubo_stream::{device_double_moments, DoubleMomentShape};
-pub use layout::{Mapping, VectorLayout};
 pub use propagate::DevicePropagator;

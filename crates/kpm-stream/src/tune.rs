@@ -10,12 +10,9 @@
 //!
 //! Candidates are priced through the event-queue device pipeline
 //! ([`kpm_streamsim::queue::MomentRunPlan`]) with transfer/compute overlap
-//! on — what the modeled device actually does. The retired overlap-off
-//! analytic chain survives only as the deprecated
-//! [`tune_block_size_analytic`] shim (the same pattern `cost.rs` used when
-//! the closed-form model moved into the pipeline).
+//! on — what the modeled device actually does.
 
-use crate::cost::MomentLaunchShape;
+use crate::MomentLaunchShape;
 use kpm_streamsim::{GpuSpec, SimTime};
 
 /// One candidate evaluated by the tuner.
@@ -66,29 +63,6 @@ pub fn tune_block_size(
     compute_efficiency: f64,
     candidates: Option<&[usize]>,
 ) -> TuneResult {
-    sweep(spec, shape, compute_efficiency, candidates, true)
-}
-
-/// [`tune_block_size`] priced on the retired overlap-off analytic chain
-/// (strict `setup + upload + generation + reduction + download` sum).
-#[deprecated(note = "the overlap-off analytic pricing is retired; use `tune_block_size` \
-            (pipelined) or price `kpm_streamsim::StageTimes` directly")]
-pub fn tune_block_size_analytic(
-    spec: &GpuSpec,
-    shape: &MomentLaunchShape,
-    compute_efficiency: f64,
-    candidates: Option<&[usize]>,
-) -> TuneResult {
-    sweep(spec, shape, compute_efficiency, candidates, false)
-}
-
-fn sweep(
-    spec: &GpuSpec,
-    shape: &MomentLaunchShape,
-    compute_efficiency: f64,
-    candidates: Option<&[usize]>,
-    overlap: bool,
-) -> TuneResult {
     let defaults;
     let list: &[usize] = match candidates {
         Some(c) => c,
@@ -104,7 +78,6 @@ fn sweep(
         points.push(TunePoint {
             block_size: b,
             time: kpm_streamsim::queue::MomentRunPlan::new(candidate)
-                .with_overlap(overlap)
                 .total(spec, compute_efficiency),
         });
     }
@@ -119,15 +92,14 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Precision;
-    use crate::layout::{Mapping, VectorLayout};
+    use crate::{Mapping, Precision, VectorLayout};
 
     fn paper_shape() -> MomentLaunchShape {
         MomentLaunchShape {
             dim: 1000,
             stored_entries: 7000,
             dense: false,
-            format: crate::cost::SparseFormat::Csr,
+            format: crate::SparseFormat::Csr,
             num_moments: 512,
             realizations: 1792,
             mapping: Mapping::ThreadPerRealization,
@@ -182,28 +154,6 @@ mod tests {
             |b: usize| result.points.iter().find(|p| p.block_size == b).unwrap().time.as_secs_f64();
         assert!(by_size(100) >= by_size(96), "100 wastes 28 lanes of its 4th warp");
         assert_ne!(result.best, 100, "a misaligned size must not win this sweep");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn analytic_shim_prices_the_serial_chain() {
-        // The deprecated shim reproduces the retired overlap-off pricing,
-        // and the pipelined default can only hide transfer time — so for
-        // every candidate the pipelined price is <= the analytic one.
-        let spec = GpuSpec::tesla_c2050();
-        let piped = tune_block_size(&spec, &paper_shape(), 0.2, None);
-        let serial = tune_block_size_analytic(&spec, &paper_shape(), 0.2, None);
-        assert_eq!(piped.points.len(), serial.points.len());
-        for (p, s) in piped.points.iter().zip(&serial.points) {
-            assert_eq!(p.block_size, s.block_size);
-            assert!(
-                p.time.as_secs_f64() <= s.time.as_secs_f64() + 1e-12,
-                "overlap made block {} slower: {} vs {}",
-                p.block_size,
-                p.time.as_secs_f64(),
-                s.time.as_secs_f64()
-            );
-        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 use kpm::moments::KpmParams;
 use kpm::rescale::{rescale, Boundable};
 use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
-use kpm_stream::cost::{MomentLaunchShape, Precision, SparseFormat};
-use kpm_stream::{Mapping, StreamKpmEngine, VectorLayout};
+use kpm_stream::{
+    Mapping, MomentLaunchShape, Precision, SparseFormat, StreamKpmEngine, VectorLayout,
+};
 use kpm_streamsim::queue::MomentRunPlan;
 use kpm_streamsim::GpuSpec;
 use proptest::prelude::*;
 
-/// Overlap-off pipeline pricing, the successor of the retired
-/// `estimate_total` (bit-identical to it).
+/// Overlap-off pipeline pricing (bit-identical to
+/// `StageTimes::analytic_total`).
 fn total(s: &MomentLaunchShape, spec: &GpuSpec, eff: f64) -> f64 {
     MomentRunPlan::new(*s).with_overlap(false).total(spec, eff).as_secs_f64()
 }

@@ -436,6 +436,7 @@ impl FromStr for DeviceSpec {
 mod tests {
     use super::*;
     use kpm_linalg::MatrixFormat;
+    use kpm_streamsim::StageTimes;
 
     fn lattice(dim: usize) -> SparseMatrix {
         // Ring with nearest-neighbour hopping: sparse, symmetric, bounded.
@@ -526,8 +527,7 @@ mod tests {
         let p = params();
         let dev = SimDevice::tesla_c2050().with_overlap(false);
         let shape = dev.shape_for(&DeviceOp::Sparse(&h), &p);
-        #[allow(deprecated)]
-        let analytic = shape.estimate_total(&GpuSpec::tesla_c2050(), 0.2);
+        let analytic = StageTimes::price(&shape, &GpuSpec::tesla_c2050(), 0.2).analytic_total();
         let piped = dev.model_run(&DeviceOp::Sparse(&h), &p).total;
         assert_eq!(piped.as_secs_f64(), analytic.as_secs_f64());
     }

@@ -86,25 +86,6 @@ pub fn evaluate(
     Ok(GreensFunction { energies: energies.to_vec(), values })
 }
 
-/// Evaluates the KPM Green's function from (undamped) moments.
-///
-/// # Errors
-/// Same as [`evaluate`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `green::evaluate`, or `GreenEstimator` with `Estimator::compute` \
-            for the full pipeline"
-)]
-pub fn greens_function(
-    moments: &[f64],
-    kernel: KernelType,
-    energies: &[f64],
-    a_plus: f64,
-    a_minus: f64,
-) -> Result<GreensFunction, KpmError> {
-    evaluate(moments, kernel, energies, a_plus, a_minus)
-}
-
 /// Matrix-element Green's function estimator — the [`Estimator`] for
 /// `G_ij(omega) = <i|(omega - H)^{-1}|j>` (retarded, kernel-smeared).
 ///
@@ -290,18 +271,5 @@ mod tests {
         let h = kpm_lattice::dense_random_symmetric(8, 1.0, 1);
         let est = GreenEstimator::element(KpmParams::new(16), 2, 8, vec![0.0]);
         assert!(matches!(est.compute(&h), Err(KpmError::InvalidParameter(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_greens_function_shim_matches_evaluate() {
-        let mu: Vec<f64> = (0..32).map(|k| chebyshev::t(k, 0.2)).collect();
-        let energies = vec![-0.5, 0.0, 0.5];
-        let via_shim = greens_function(&mu, KernelType::Jackson, &energies, 0.0, 1.0).unwrap();
-        let via_eval = evaluate(&mu, KernelType::Jackson, &energies, 0.0, 1.0).unwrap();
-        for (a, b) in via_shim.values.iter().zip(&via_eval.values) {
-            assert_eq!(a.re, b.re);
-            assert_eq!(a.im, b.im);
-        }
     }
 }

@@ -11,7 +11,6 @@ use crate::dos::{reconstruct_density, Dos};
 use crate::error::KpmError;
 use crate::estimator::Estimator;
 use crate::moments::{single_vector_moments, KpmParams, MomentStats};
-use crate::rescale::Boundable;
 use kpm_linalg::tiled::TiledOp;
 
 /// LDoS estimator at a fixed site — the [`Estimator`] for
@@ -74,22 +73,6 @@ impl Estimator for LdosEstimator {
     }
 }
 
-/// Computes the LDoS at `site`.
-///
-/// # Errors
-/// Bounds or validation failures, or `site` out of range.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LdosEstimator::new(params, site)` with `Estimator::compute`"
-)]
-pub fn local_dos<A: Boundable + TiledOp + Sync>(
-    op: &A,
-    site: usize,
-    params: &KpmParams,
-) -> Result<Dos, KpmError> {
-    LdosEstimator::new(params.clone(), site).compute(op)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +130,6 @@ mod tests {
         let h = DenseMatrix::identity(4);
         let e = LdosEstimator::new(KpmParams::new(8), 4).compute(&h);
         assert!(matches!(e, Err(KpmError::InvalidParameter(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_local_dos_shim_matches_estimator() {
-        let h = kpm_lattice::dense_random_symmetric(16, 1.0, 11);
-        let params = KpmParams::new(32);
-        let via_shim = local_dos(&h, 5, &params).unwrap();
-        let via_trait = LdosEstimator::new(params, 5).compute(&h).unwrap();
-        assert_eq!(via_shim.rho, via_trait.rho);
-        assert_eq!(via_shim.energies, via_trait.energies);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! * the cyclic Jacobi rotation method for dense symmetric matrices — slow
 //!   but simple and extremely robust, plenty for `D <= ~1000`;
 //! * the implicit-shift QL algorithm for symmetric tridiagonal matrices —
-//!   the classic `tql`-style routine, consumed by the Lanczos bound
-//!   estimator in [`crate::lanczos`].
+//!   the classic `tql`-style routine.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;

@@ -12,11 +12,11 @@
 //! * Compressed Sparse Row storage ([`CsrMatrix`], built via [`CooMatrix`]) —
 //!   the paper's Fig. 5 lattice Hamiltonian is sparse/symmetric with seven
 //!   stored entries per row; CSR is the CRS format the paper names.
-//! * Spectral bounds ([`gershgorin`], [`lanczos`]) — Eq. (8)–(9) of the paper
-//!   rescale the Hamiltonian into `[-1, 1]` using Gershgorin's theorem.
+//! * Spectral bounds ([`gershgorin`]) — Eq. (8)–(9) of the paper rescale the
+//!   Hamiltonian into `[-1, 1]` using Gershgorin's theorem.
 //! * Exact eigensolvers ([`eigen`]) — ground truth for validating the KPM
 //!   density of states on small systems (cyclic Jacobi for dense symmetric
-//!   matrices, implicit-shift QL for symmetric tridiagonals from Lanczos).
+//!   matrices, implicit-shift QL for symmetric tridiagonals).
 //!
 //! Everything is `f64`: the paper performs all KPM calculations in double
 //! precision, and so do we.
@@ -29,7 +29,6 @@ pub mod eigen;
 pub mod ell;
 pub mod error;
 pub mod gershgorin;
-pub mod lanczos;
 pub mod op;
 pub mod sparse;
 pub mod stencil;

@@ -1,105 +1,25 @@
-//! The coordinator: dispatch shards, survive workers, merge exactly.
+//! One-job sharded runs: a fleet scheduler started for one job and
+//! stopped after it.
 //!
 //! [`run`] partitions a job's realization units into deterministic shards
 //! ([`kpm::shard_plan`]), dispatches them to workers over any
-//! [`Endpoint`]s, and merges the returned per-realization rows in
-//! canonical order — so the merged moments are bitwise identical to a
-//! single-process run no matter how many workers, how the shards were
-//! split, or which workers died along the way.
-//!
-//! Fault model:
-//! - **Crash**: the connection drops; the pump reports it and every shard
-//!   the worker held goes back to pending with exponential backoff.
-//! - **Hang**: the connection stays open but heartbeat pongs stop; after
-//!   `heartbeat_timeout` without any frame the worker is declared dead and
-//!   treated as crashed.
-//! - **Straggler**: a shard in flight longer than `speculative_after` is
-//!   duplicated onto an idle worker; the first result wins and duplicates
-//!   are dropped by shard id.
-//!
-//! Deterministic failures (a worker *reports* an error, or returns
-//! malformed rows) abort the run: every worker computes the same function,
-//! so retrying elsewhere would fail identically. The run completes as long
-//! as at least one worker survives.
+//! [`Endpoint`]s through the fleet scheduler ([`crate::scheduler`]), and
+//! merges the returned per-realization rows in canonical order — so the
+//! merged moments are bitwise identical to a single-process run no matter
+//! how many workers, how the shards were split, or which workers died
+//! along the way. The scheduler's fault model applies unchanged. A
+//! one-job fleet runs with locality off and no journal, and since it can
+//! never gain a worker, it fails as soon as the last one dies.
 
-use crate::error::ShardError;
+use crate::error::{FleetError, ShardError};
 use crate::job::{MergedMoments, ShardJob};
+use crate::scheduler::{Fleet, FleetPolicy};
 use crate::transport::Endpoint;
-use crate::wire::Frame;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Pump-thread poll granularity (bounds shutdown latency only).
-const PUMP_POLL: Duration = Duration::from_millis(100);
-/// Main-loop event wait (bounds heartbeat/dispatch latency only).
-const EVENT_POLL: Duration = Duration::from_millis(20);
-
-/// Scheduling and fault-tolerance knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPolicy {
-    /// Target shards per worker (> 1 keeps reassignment granular).
-    pub shards_per_worker: usize,
-    /// How often the coordinator pings every live worker.
-    pub heartbeat_interval: Duration,
-    /// Silence longer than this declares a worker dead.
-    pub heartbeat_timeout: Duration,
-    /// In-flight longer than this triggers a speculative duplicate.
-    pub speculative_after: Duration,
-    /// Dispatch attempts per shard before the run fails.
-    pub max_attempts: u32,
-    /// First reassignment backoff; doubles per attempt.
-    pub backoff_base: Duration,
-}
-
-impl Default for ShardPolicy {
-    fn default() -> Self {
-        Self {
-            shards_per_worker: 2,
-            heartbeat_interval: Duration::from_millis(200),
-            heartbeat_timeout: Duration::from_secs(3),
-            speculative_after: Duration::from_secs(30),
-            max_attempts: 8,
-            backoff_base: Duration::from_millis(25),
-        }
-    }
-}
-
-struct WorkerState {
-    peer: String,
-    tx: Arc<dyn crate::transport::FrameSink>,
-    alive: bool,
-    last_seen: Instant,
-    /// Shard ids dispatched to this worker and not yet answered.
-    inflight: Vec<u32>,
-    /// Whether this connection has seen the job's [`Frame::SpecAnnounce`].
-    /// The spec line travels once per worker; every shard after that —
-    /// including speculative re-dispatches — is an O(1) [`Frame::RequestRef`],
-    /// so re-dispatch traffic no longer scales with spec size.
-    announced: bool,
-}
-
-struct ShardState {
-    range: Range<usize>,
-    rows: Option<Vec<Vec<f64>>>,
-    attempts: u32,
-    eligible_at: Instant,
-    /// Workers currently holding this shard (first is the primary; any
-    /// later entries are speculative duplicates).
-    assigned: Vec<usize>,
-    dispatched_at: Instant,
-    primary: Option<usize>,
-}
-
-enum Event {
-    Frame(usize, Frame),
-    Closed(usize),
-}
-
-/// Runs `job` across `endpoints` under `policy`; returns moments bitwise
-/// identical to the single-process pipeline.
+/// Runs `job` across `endpoints` in `policy.shards_per_job` shards, under
+/// `policy`'s heartbeat, retry and speculation settings; returns moments
+/// bitwise identical to the single-process pipeline.
 ///
 /// # Errors
 /// [`ShardError::Job`] for an invalid job or empty worker list,
@@ -110,311 +30,25 @@ enum Event {
 pub fn run(
     job: &ShardJob,
     endpoints: Vec<Endpoint>,
-    policy: &ShardPolicy,
+    policy: &FleetPolicy,
 ) -> Result<MergedMoments, ShardError> {
     job.validate()?;
     if endpoints.is_empty() {
         return Err(ShardError::Job("a distributed run needs at least one worker".into()));
     }
     let _span = kpm_obs::span("shard.run");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let (ev_tx, ev_rx) = mpsc::channel();
-    let mut workers = Vec::with_capacity(endpoints.len());
-    let mut pumps = Vec::with_capacity(endpoints.len());
-    for (i, ep) in endpoints.into_iter().enumerate() {
-        let Endpoint { peer, tx, mut rx } = ep;
-        workers.push(WorkerState {
-            peer,
-            tx,
-            alive: true,
-            last_seen: Instant::now(),
-            inflight: Vec::new(),
-            announced: false,
-        });
-        let evt = ev_tx.clone();
-        let stop = Arc::clone(&stop);
-        pumps.push(
-            std::thread::Builder::new()
-                .name(format!("kpm-shard-pump-{i}"))
-                .spawn(move || loop {
-                    match rx.recv_timeout(PUMP_POLL) {
-                        Ok(Some(frame)) => {
-                            if evt.send(Event::Frame(i, frame)).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(None) => {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = evt.send(Event::Closed(i));
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn shard pump thread"),
-        );
-    }
-    drop(ev_tx);
-
-    let mut coordinator = Coordinator::new(job, policy, workers);
-    let rows = coordinator.drive(&ev_rx);
-
-    // Wind down: stop the pumps, tell surviving workers we are done.
-    stop.store(true, Ordering::Relaxed);
-    for w in coordinator.workers.iter().filter(|w| w.alive) {
-        let _ = w.tx.send(&Frame::Shutdown);
-    }
-    drop(coordinator); // closes the endpoints so pumps blocked on TCP exit too
-    for p in pumps {
-        let _ = p.join();
-    }
-
-    let rows = rows?;
-    let _merge_span = kpm_obs::span("shard.merge");
-    job.merge(&rows)
+    let policy = FleetPolicy { locality: false, no_worker_grace: Duration::ZERO, ..*policy };
+    let fleet = Fleet::start(endpoints, policy, None).map_err(into_shard_error)?;
+    fleet.client().submit(&job.canonical()).map_err(into_shard_error)
 }
 
-struct Coordinator<'a> {
-    job: &'a ShardJob,
-    policy: &'a ShardPolicy,
-    workers: Vec<WorkerState>,
-    shards: Vec<ShardState>,
-    done: usize,
-    nonce: u64,
-    job_id: u64,
-    spec_line: String,
-    inflight_peak: u64,
-}
-
-impl<'a> Coordinator<'a> {
-    fn new(job: &'a ShardJob, policy: &'a ShardPolicy, workers: Vec<WorkerState>) -> Self {
-        let total = job.total_units();
-        let num_shards = total.min(workers.len() * policy.shards_per_worker.max(1)).max(1);
-        let now = Instant::now();
-        let shards = kpm::shard_plan(total, num_shards)
-            .into_iter()
-            .map(|range| ShardState {
-                range,
-                rows: None,
-                attempts: 0,
-                eligible_at: now,
-                assigned: Vec::new(),
-                dispatched_at: now,
-                primary: None,
-            })
-            .collect();
-        Self {
-            job,
-            policy,
-            workers,
-            shards,
-            done: 0,
-            nonce: 0,
-            job_id: job.spec().content_hash(),
-            spec_line: job.canonical(),
-            inflight_peak: 0,
-        }
-    }
-
-    fn drive(&mut self, events: &mpsc::Receiver<Event>) -> Result<Vec<Vec<f64>>, ShardError> {
-        let mut last_ping = Instant::now();
-        while self.done < self.shards.len() {
-            let now = Instant::now();
-            // Hung-worker detection.
-            for i in 0..self.workers.len() {
-                if self.workers[i].alive
-                    && now.duration_since(self.workers[i].last_seen) > self.policy.heartbeat_timeout
-                {
-                    self.kill_worker(i, now);
-                }
-            }
-            if !self.workers.iter().any(|w| w.alive) {
-                return Err(ShardError::AllWorkersDead {
-                    pending: self.shards.iter().filter(|s| s.rows.is_none()).count(),
-                });
-            }
-            // Heartbeats.
-            if now.duration_since(last_ping) >= self.policy.heartbeat_interval {
-                last_ping = now;
-                for i in 0..self.workers.len() {
-                    if self.workers[i].alive {
-                        self.nonce += 1;
-                        let ping = Frame::Ping { nonce: self.nonce };
-                        if self.workers[i].tx.send(&ping).is_err() {
-                            self.kill_worker(i, now);
-                        }
-                    }
-                }
-            }
-            // Dispatch every pending, eligible shard.
-            for k in 0..self.shards.len() {
-                let s = &self.shards[k];
-                if s.rows.is_some() || !s.assigned.is_empty() || s.eligible_at > now {
-                    continue;
-                }
-                if s.attempts >= self.policy.max_attempts {
-                    return Err(ShardError::ShardFailed { shard: k as u32, attempts: s.attempts });
-                }
-                if let Some(w) = self.pick_worker(&[]) {
-                    self.dispatch(k, w, now);
-                }
-            }
-            // Speculative duplicates for stragglers.
-            for k in 0..self.shards.len() {
-                let s = &self.shards[k];
-                if s.rows.is_none()
-                    && s.assigned.len() == 1
-                    && now.duration_since(s.dispatched_at) > self.policy.speculative_after
-                {
-                    let holders = s.assigned.clone();
-                    if let Some(w) = self.pick_worker(&holders) {
-                        kpm_obs::counter_add("shard.speculative", 1);
-                        self.dispatch(k, w, now);
-                    }
-                }
-            }
-            // Drain events.
-            match events.recv_timeout(EVENT_POLL) {
-                Ok(ev) => {
-                    self.handle(ev)?;
-                    while let Ok(ev) = events.try_recv() {
-                        self.handle(ev)?;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every pump exited: no frame can ever arrive again.
-                    let now = Instant::now();
-                    for i in 0..self.workers.len() {
-                        self.kill_worker(i, now);
-                    }
-                }
-            }
-        }
-        kpm_obs::counter_add("shard.inflight.peak", self.inflight_peak);
-        let rows =
-            self.shards.iter_mut().flat_map(|s| s.rows.take().expect("all shards done")).collect();
-        Ok(rows)
-    }
-
-    fn handle(&mut self, ev: Event) -> Result<(), ShardError> {
-        match ev {
-            Event::Closed(i) => {
-                self.kill_worker(i, Instant::now());
-                Ok(())
-            }
-            Event::Frame(i, frame) => {
-                self.workers[i].last_seen = Instant::now();
-                match frame {
-                    Frame::Pong { .. } => Ok(()),
-                    Frame::Result(res) => self.accept_result(i, res),
-                    Frame::WorkerError { shard, message, .. } => {
-                        Err(ShardError::Worker { shard, message })
-                    }
-                    // Coordinator-bound frames only; anything else is noise.
-                    _ => Ok(()),
-                }
-            }
-        }
-    }
-
-    fn accept_result(&mut self, i: usize, res: crate::wire::ShardResult) -> Result<(), ShardError> {
-        let k = res.shard as usize;
-        if k >= self.shards.len() {
-            return Err(ShardError::Protocol(format!(
-                "worker {} answered unknown shard {k}",
-                self.workers[i].peer
-            )));
-        }
-        self.workers[i].inflight.retain(|&s| s != res.shard);
-        if self.shards[k].rows.is_some() {
-            return Ok(()); // speculative loser (or a ghost from a revived worker)
-        }
-        let s = &mut self.shards[k];
-        let want_rows = s.range.len();
-        let want_len = self.job.moment_len();
-        if res.rows.len() != want_rows || res.rows.iter().any(|r| r.len() != want_len) {
-            return Err(ShardError::Protocol(format!(
-                "worker {} returned malformed rows for shard {k}",
-                self.workers[i].peer
-            )));
-        }
-        if s.primary.is_some_and(|p| p != i) {
-            kpm_obs::counter_add("shard.speculative_wins", 1);
-        }
-        s.rows = Some(res.rows);
-        s.assigned.retain(|&w| w != i);
-        self.done += 1;
-        kpm_obs::counter_add("shard.completed", 1);
-        Ok(())
-    }
-
-    /// Marks a worker dead and returns its unfinished shards to pending
-    /// with exponential backoff.
-    fn kill_worker(&mut self, i: usize, now: Instant) {
-        if !self.workers[i].alive {
-            return;
-        }
-        self.workers[i].alive = false;
-        kpm_obs::counter_add("shard.workers.dead", 1);
-        let lost = std::mem::take(&mut self.workers[i].inflight);
-        for shard in lost {
-            let s = &mut self.shards[shard as usize];
-            s.assigned.retain(|&w| w != i);
-            if s.rows.is_none() && s.assigned.is_empty() {
-                let exp = s.attempts.min(10);
-                s.eligible_at = now + self.policy.backoff_base * 2u32.saturating_pow(exp);
-                kpm_obs::counter_add("shard.reassigned", 1);
-            }
-        }
-    }
-
-    /// The live worker with the least in-flight work, excluding `exclude`;
-    /// `None` when every live worker is excluded (or none is live).
-    fn pick_worker(&self, exclude: &[usize]) -> Option<usize> {
-        (0..self.workers.len())
-            .filter(|i| self.workers[*i].alive && !exclude.contains(i))
-            .min_by_key(|i| self.workers[*i].inflight.len())
-    }
-
-    fn dispatch(&mut self, k: usize, w: usize, now: Instant) {
-        let request = {
-            let s = &mut self.shards[k];
-            s.attempts += 1;
-            s.assigned.push(w);
-            if s.primary.is_none() || s.assigned.len() == 1 {
-                s.primary = Some(w);
-            }
-            s.dispatched_at = now;
-            Frame::RequestRef {
-                job: self.job_id,
-                shard: k as u32,
-                start: s.range.start as u64,
-                end: s.range.end as u64,
-            }
-        };
-        self.workers[w].inflight.push(k as u32);
-        let inflight_total: usize = self.workers.iter().map(|x| x.inflight.len()).sum();
-        self.inflight_peak = self.inflight_peak.max(inflight_total as u64);
-        kpm_obs::counter_add("shard.dispatched", 1);
-        // The full spec line travels once per connection; every dispatch
-        // after that (re-dispatch, speculation) is shard-range only.
-        if !self.workers[w].announced {
-            let announce = Frame::SpecAnnounce { job: self.job_id, spec: self.spec_line.clone() };
-            if self.workers[w].tx.send(&announce).is_err() {
-                self.kill_worker(w, now);
-                return;
-            }
-            self.workers[w].announced = true;
-            kpm_obs::counter_add("shard.spec.announced", 1);
-        }
-        if self.workers[w].tx.send(&request).is_err() {
-            self.kill_worker(w, now);
-        }
+fn into_shard_error(e: FleetError) -> ShardError {
+    match e {
+        FleetError::Shard(e) => e,
+        FleetError::Job(msg) => ShardError::Job(msg),
+        FleetError::NoWorkers { pending } => ShardError::AllWorkersDead { pending },
+        // No journal here: the scheduler failed to start or stopped.
+        other @ (FleetError::Journal(_) | FleetError::Stopped) => ShardError::Io(other.to_string()),
     }
 }
 
@@ -422,9 +56,12 @@ impl<'a> Coordinator<'a> {
 mod tests {
     use super::*;
     use crate::transport::loopback_pair;
+    use crate::wire::Frame;
     use crate::worker::{serve_endpoint_with, WorkerFault};
     use kpm_serve::worker::compute_raw_moments;
     use kpm_serve::JobSpec;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     fn spawn_workers(faults: &[Option<WorkerFault>]) -> Vec<Endpoint> {
         faults
@@ -442,12 +79,14 @@ mod tests {
             .collect()
     }
 
-    fn fast_policy() -> ShardPolicy {
-        ShardPolicy {
+    /// Two shards per worker, with quick heartbeats.
+    fn fast_policy(workers: usize) -> FleetPolicy {
+        FleetPolicy {
+            shards_per_job: 2 * workers,
             heartbeat_interval: Duration::from_millis(50),
             heartbeat_timeout: Duration::from_millis(600),
             backoff_base: Duration::from_millis(5),
-            ..ShardPolicy::default()
+            ..FleetPolicy::default()
         }
     }
 
@@ -463,7 +102,7 @@ mod tests {
         let reference = reference_mean();
         for n in [1usize, 2, 4] {
             let endpoints = spawn_workers(&vec![None; n]);
-            let merged = run(&job, endpoints, &fast_policy()).unwrap();
+            let merged = run(&job, endpoints, &fast_policy(n)).unwrap();
             let stats = merged.into_stats().unwrap();
             assert_eq!(stats.mean, reference, "{n} workers must match single-process bitwise");
         }
@@ -473,7 +112,7 @@ mod tests {
     fn run_survives_a_worker_dying_mid_job_with_identical_bytes() {
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
         let endpoints = spawn_workers(&[Some(WorkerFault::DieAfterRequests(1)), None, None]);
-        let merged = run(&job, endpoints, &fast_policy()).unwrap();
+        let merged = run(&job, endpoints, &fast_policy(3)).unwrap();
         assert_eq!(merged.into_stats().unwrap().mean, reference_mean());
     }
 
@@ -481,10 +120,12 @@ mod tests {
     fn run_survives_a_hung_worker_via_heartbeat_timeout() {
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
         let endpoints = spawn_workers(&[Some(WorkerFault::HangAfterRequests(0)), None]);
-        let merged = run(&job, endpoints, &fast_policy()).unwrap();
+        let merged = run(&job, endpoints, &fast_policy(2)).unwrap();
         assert_eq!(merged.into_stats().unwrap().mean, reference_mean());
     }
 
+    /// A one-job run can never gain a worker, so it fails as soon as the
+    /// last one dies, whatever grace the policy gives a fleet.
     #[test]
     fn all_workers_dead_is_reported() {
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
@@ -492,7 +133,8 @@ mod tests {
             Some(WorkerFault::DieAfterRequests(0)),
             Some(WorkerFault::DieAfterRequests(0)),
         ]);
-        match run(&job, endpoints, &fast_policy()) {
+        let policy = FleetPolicy { no_worker_grace: Duration::from_secs(3600), ..fast_policy(2) };
+        match run(&job, endpoints, &policy) {
             Err(ShardError::AllWorkersDead { pending }) => assert!(pending > 0),
             other => panic!("expected AllWorkersDead, got {other:?}"),
         }
@@ -525,7 +167,7 @@ mod tests {
             }
         });
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
-        match run(&job, vec![coord], &fast_policy()) {
+        match run(&job, vec![coord], &fast_policy(1)) {
             Err(ShardError::Worker { message, .. }) => {
                 assert!(message.contains("degenerate"), "{message}");
             }
@@ -563,27 +205,27 @@ mod tests {
             }
         });
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
-        let merged = run(&job, vec![coord], &fast_policy()).unwrap();
+        let merged = run(&job, vec![coord], &fast_policy(1)).unwrap();
         assert_eq!(merged.into_stats().unwrap().mean, reference_mean());
-        // Two shards were dispatched (shards_per_worker = 2), one announce.
+        // Two shards were dispatched (2 shards per worker), one announce.
         assert_eq!(announces.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn empty_worker_list_is_rejected() {
         let job = ShardJob::parse(&format!("dos {LINE}")).unwrap();
-        assert!(matches!(run(&job, Vec::new(), &ShardPolicy::default()), Err(ShardError::Job(_))));
+        assert!(matches!(run(&job, Vec::new(), &FleetPolicy::default()), Err(ShardError::Job(_))));
     }
 
     #[test]
     fn ldos_and_kubo_jobs_run_distributed_bitwise() {
         let ldos = ShardJob::parse("ldos:5 lattice=chain:32 moments=16").unwrap();
-        let merged = run(&ldos, spawn_workers(&[None, None]), &fast_policy()).unwrap();
+        let merged = run(&ldos, spawn_workers(&[None, None]), &fast_policy(2)).unwrap();
         let direct = ldos.compute_partial(0..1).unwrap();
         assert_eq!(merged.into_stats().unwrap().mean, direct[0]);
 
         let kubo = ShardJob::parse("kubo lattice=chain:16 moments=6 random=2 sets=2").unwrap();
-        let merged = run(&kubo, spawn_workers(&[None, None, None]), &fast_policy()).unwrap();
+        let merged = run(&kubo, spawn_workers(&[None, None, None]), &fast_policy(3)).unwrap();
         let mut rows = Vec::new();
         for range in kpm::shard_plan(kubo.total_units(), 1) {
             rows.extend(kubo.compute_partial(range).unwrap());

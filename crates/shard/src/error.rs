@@ -1,12 +1,16 @@
-//! Error taxonomy of the distributed shard layer.
+//! Error taxonomy of the distributed shard layer and its fleet scheduler.
 //!
 //! Transport failures ([`ShardError::Io`]) and missed heartbeats are
-//! *recoverable per worker* — the coordinator reassigns the lost shards and
+//! *recoverable per worker* — the scheduler reassigns the lost shards and
 //! keeps going — so they surface from [`crate::coordinator::run`] only when
 //! the last worker dies. Everything else (protocol violations, bad job
 //! lines, deterministic compute errors reported by a worker) is fatal to
 //! the run: retrying a deterministic failure on another worker would fail
 //! identically.
+//!
+//! A [`FleetError`] surfaces per *job* (one submission fails without
+//! taking the fleet down) or per *fleet* (journal I/O, a stopped
+//! scheduler).
 
 use std::fmt;
 
@@ -70,6 +74,58 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
+/// Why a fleet job (or the fleet itself) failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FleetError {
+    /// Journal directory or file I/O failed.
+    Journal(String),
+    /// The submitted job line is invalid or unshardable.
+    Job(String),
+    /// A shard-layer failure terminal for one job (deterministic worker
+    /// error, attempts exhausted, malformed rows).
+    Shard(ShardError),
+    /// No live worker remained long enough to finish the job.
+    NoWorkers {
+        /// Shards still unfinished when the job was abandoned.
+        pending: usize,
+    },
+    /// The scheduler thread is gone (shut down, killed, or crashed); the
+    /// submission can never complete.
+    Stopped,
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::Journal(msg) => write!(f, "journal: {msg}"),
+            FleetError::Job(msg) => write!(f, "job: {msg}"),
+            FleetError::Shard(e) => write!(f, "shard: {e}"),
+            FleetError::NoWorkers { pending } => {
+                write!(f, "no live workers with {pending} shards pending")
+            }
+            FleetError::Stopped => write!(f, "fleet scheduler stopped"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
+
+impl From<std::io::Error> for FleetError {
+    fn from(e: std::io::Error) -> Self {
+        FleetError::Journal(e.to_string())
+    }
+}
+
+impl From<ShardError> for FleetError {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::Job(msg) => FleetError::Job(msg),
+            ShardError::AllWorkersDead { pending } => FleetError::NoWorkers { pending },
+            other => FleetError::Shard(other),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +148,16 @@ mod tests {
         let e: ShardError =
             std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "refused").into();
         assert!(matches!(e, ShardError::Io(_)));
+    }
+
+    #[test]
+    fn display_and_conversions_carry_context() {
+        assert!(FleetError::Journal("disk full".into()).to_string().contains("disk full"));
+        let from_shard: FleetError = ShardError::AllWorkersDead { pending: 3 }.into();
+        assert_eq!(from_shard, FleetError::NoWorkers { pending: 3 });
+        let from_job: FleetError = ShardError::Job("bad".into()).into();
+        assert_eq!(from_job, FleetError::Job("bad".into()));
+        let from_io: FleetError = std::io::Error::other("nope").into();
+        assert!(matches!(from_io, FleetError::Journal(_)));
     }
 }

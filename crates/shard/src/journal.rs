@@ -215,12 +215,12 @@ mod tests {
             j.record_job(2, bounded).unwrap();
         }
         let (_, replayed) = Journal::open(&dir).unwrap();
-        let old = kpm_shard::ShardJob::parse(&replayed.jobs[&1]).unwrap();
+        let old = crate::ShardJob::parse(&replayed.jobs[&1]).unwrap();
         assert_eq!(old.spec().bounds, kpm::BoundsMethod::Gershgorin);
         // The default provider never renders, so pre-bounds canonical
         // lines (and the hashes derived from them) are byte-stable.
         assert!(!old.canonical().contains("bounds="), "{}", old.canonical());
-        let new = kpm_shard::ShardJob::parse(&replayed.jobs[&2]).unwrap();
+        let new = crate::ShardJob::parse(&replayed.jobs[&2]).unwrap();
         assert_eq!(new.spec().bounds, kpm::BoundsMethod::Lanczos { steps: 48 });
         assert!(new.canonical().contains("bounds=lanczos:48"), "{}", new.canonical());
         std::fs::remove_dir_all(&dir).unwrap();

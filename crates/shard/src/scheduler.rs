@@ -1,14 +1,31 @@
 //! The fleet scheduler: many jobs, many workers, locality-aware placement,
-//! journaled merges.
+//! journaled merges. It is the only coordinator: a one-job sharded run
+//! ([`crate::coordinator::run`]) is a fleet started for that job with
+//! locality off and no journal, and stopped after it.
 //!
 //! One drive thread owns all state. Worker connections feed it frames
-//! through pump threads (the shard coordinator's pattern); submissions,
-//! joins, and stats queries arrive on the same event channel from
-//! [`FleetClient`] handles. Per job the scheduler is exactly the shard
-//! coordinator — fixed deterministic shard plan, canonical-order merge,
-//! heartbeat death detection, backoff reassignment, speculative duplicates
-//! — so every job's moments stay bitwise identical to a single-process
-//! run. What the fleet adds across jobs:
+//! through pump threads; submissions, joins, and stats queries arrive on
+//! the same event channel from [`FleetClient`] handles. Per job: a fixed
+//! deterministic shard plan, heartbeat death detection, backoff
+//! reassignment, and speculative duplicates. The drive thread hands a
+//! finished job's rows back to the submitter, whose [`JobReceiver`]
+//! replays the canonical-order merge — so every job's moments stay
+//! bitwise identical to a single-process run. Fault model:
+//!
+//! - **Crash**: the connection drops; the pump reports it and every shard
+//!   the worker held goes back to pending with exponential backoff.
+//! - **Hang**: the connection stays open but heartbeat pongs stop; after
+//!   `heartbeat_timeout` without any frame the worker is declared dead and
+//!   treated as crashed.
+//! - **Straggler**: a shard in flight longer than `speculative_after` is
+//!   duplicated onto another worker; the first result wins and duplicates
+//!   are dropped by shard id.
+//!
+//! Deterministic failures (a worker *reports* an error, or returns
+//! malformed rows) fail the job: every worker computes the same function,
+//! so retrying elsewhere would fail identically. Per-shard events count
+//! as `shard.*` obs counters, fleet-only events as `fleet.*`. What the
+//! fleet adds across jobs:
 //!
 //! - **Locality-aware routing**: each worker's warm state (advertised via
 //!   [`Frame::InventoryQuery`] at join, then tracked incrementally from
@@ -24,16 +41,18 @@
 //!   they count ([`crate::journal`]); a restarted scheduler pre-fills
 //!   shards from the replayed journal and resumes without recomputing.
 
-use crate::error::FleetError;
+use crate::error::{FleetError, ShardError};
+use crate::job::{MergedMoments, ShardJob};
 use crate::journal::{Journal, Replayed};
-use kpm_shard::transport::Endpoint;
-use kpm_shard::wire::{Frame, RowRun};
-use kpm_shard::{MergedMoments, ShardJob};
+use crate::transport::{Endpoint, FrameSink};
+use crate::wire::{Frame, RowRun, ShardResult};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pump-thread poll granularity (bounds shutdown latency only).
@@ -61,10 +80,11 @@ pub struct FleetPolicy {
     pub max_attempts: u32,
     /// First reassignment backoff; doubles per attempt.
     pub backoff_base: Duration,
-    /// Whether placement scores worker warm state (off = least-loaded).
+    /// Whether placement scores worker warm state (off = least-loaded,
+    /// and no inventory is asked for).
     pub locality: bool,
-    /// How long a freshly joined worker may go un-inventoried before the
-    /// scheduler dispatches to it anyway.
+    /// With locality on, how long placement waits for a freshly joined
+    /// worker's inventory before placing without it.
     pub inventory_wait: Duration,
     /// How long the fleet tolerates zero live workers before failing the
     /// jobs that are pending (a joining worker resets the clock).
@@ -95,7 +115,7 @@ impl Default for FleetPolicy {
 /// counters.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Jobs merged and acknowledged.
+    /// Jobs whose rows all arrived and were handed back for the merge.
     pub jobs_completed: u64,
     /// Jobs that terminally failed.
     pub jobs_failed: u64,
@@ -145,9 +165,13 @@ impl FleetStats {
     }
 }
 
+/// What the drive thread hands back for one submission: the parsed job and
+/// its rows in canonical order, ready to merge.
+type Outcome = Result<(ShardJob, Vec<Vec<f64>>), FleetError>;
+
 /// Messages from [`Fleet`]/[`FleetClient`] handles to the drive thread.
 enum FleetMsg {
-    Submit { line: String, reply: Sender<Result<MergedMoments, FleetError>> },
+    Submit { line: String, reply: Sender<Outcome> },
     Join(Endpoint),
     Stats { reply: Sender<FleetStats> },
     Shutdown,
@@ -264,15 +288,32 @@ impl FleetClient {
     ///
     /// # Errors
     /// [`FleetError::Stopped`] when the scheduler is gone.
-    pub fn submit_async(
-        &self,
-        line: &str,
-    ) -> Result<Receiver<Result<MergedMoments, FleetError>>, FleetError> {
+    pub fn submit_async(&self, line: &str) -> Result<JobReceiver, FleetError> {
         let (tx, rx) = mpsc::channel();
         self.tx
             .send(Event::Msg(FleetMsg::Submit { line: line.to_string(), reply: tx }))
             .map_err(|_| FleetError::Stopped)?;
-        Ok(rx)
+        Ok(JobReceiver { rx })
+    }
+}
+
+/// One submission's pending outcome. The drive thread hands back the
+/// job's rows; [`JobReceiver::recv`] merges them on the waiting thread,
+/// inside a `shard.merge` span, so a merge never stalls scheduling.
+pub struct JobReceiver {
+    rx: Receiver<Outcome>,
+}
+
+impl JobReceiver {
+    /// Blocks for the job's merged moments.
+    ///
+    /// # Errors
+    /// [`RecvError`] when the scheduler stopped without answering.
+    pub fn recv(&self) -> Result<Result<MergedMoments, FleetError>, RecvError> {
+        Ok(self.rx.recv()?.and_then(|(job, rows)| {
+            let _span = kpm_obs::span("shard.merge");
+            job.merge(&rows).map_err(FleetError::from)
+        }))
     }
 }
 
@@ -280,7 +321,7 @@ impl FleetClient {
 
 struct WorkerSt {
     peer: String,
-    tx: std::sync::Arc<dyn kpm_shard::transport::FrameSink>,
+    tx: Arc<dyn FrameSink>,
     alive: bool,
     last_seen: Instant,
     joined_at: Instant,
@@ -302,6 +343,8 @@ struct ShardSt {
     eligible_at: Instant,
     assigned: Vec<usize>,
     dispatched_at: Instant,
+    /// The worker of the latest non-speculative dispatch.
+    primary: Option<usize>,
 }
 
 struct JobSt {
@@ -316,7 +359,9 @@ struct JobSt {
     prefix: bool,
     shards: Vec<ShardSt>,
     done: usize,
-    reply: Option<Sender<Result<MergedMoments, FleetError>>>,
+    /// Most of this job's shard copies in flight at once.
+    inflight_peak: usize,
+    reply: Option<Sender<Outcome>>,
     finished: bool,
 }
 
@@ -343,6 +388,14 @@ struct Scheduler {
     nonce: u64,
     results_journaled: usize,
     all_dead_since: Option<Instant>,
+    /// Set when the drive thread exits; pumps then stop polling.
+    stopped: Arc<AtomicBool>,
+}
+
+impl Drop for Scheduler {
+    fn drop(&mut self) {
+        self.stopped.store(true, Ordering::Relaxed);
+    }
 }
 
 impl Scheduler {
@@ -365,6 +418,7 @@ impl Scheduler {
             nonce: 0,
             results_journaled: 0,
             all_dead_since: None,
+            stopped: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -463,12 +517,7 @@ impl Scheduler {
                     Frame::WorkerError { job, shard, message } => {
                         let seq = job as usize;
                         if seq < self.jobs.len() {
-                            self.fail_job(
-                                seq,
-                                FleetError::Shard(format!(
-                                    "worker failed shard {shard}: {message}"
-                                )),
-                            );
+                            self.fail_job(seq, ShardError::Worker { shard, message }.into());
                         }
                         Flow::Continue
                     }
@@ -498,6 +547,7 @@ impl Scheduler {
         self.stats.workers_joined += 1;
         self.all_dead_since = None;
         let evt = self.ev_tx.clone();
+        let stopped = Arc::clone(&self.stopped);
         std::thread::Builder::new()
             .name(format!("kpm-fleet-pump-{i}"))
             .spawn(move || loop {
@@ -507,6 +557,7 @@ impl Scheduler {
                             break;
                         }
                     }
+                    Ok(None) if stopped.load(Ordering::Relaxed) => break,
                     Ok(None) => continue,
                     Err(_) => {
                         let _ = evt.send(Event::Closed(i));
@@ -515,14 +566,14 @@ impl Scheduler {
                 }
             })
             .expect("spawn fleet pump thread");
-        // Ask for the warm-state inventory; placement prefers answered
-        // workers until `inventory_wait` expires.
-        if self.workers[i].tx.send(&Frame::InventoryQuery).is_err() {
+        // Ask for the warm-state inventory; with locality on, placement
+        // holds until it is answered or `inventory_wait` expires.
+        if self.policy.locality && self.workers[i].tx.send(&Frame::InventoryQuery).is_err() {
             self.kill_worker(i, now);
         }
     }
 
-    fn submit(&mut self, line: &str, reply: Sender<Result<MergedMoments, FleetError>>) {
+    fn submit(&mut self, line: &str, reply: Sender<Outcome>) {
         let job = match ShardJob::parse(line) {
             Ok(j) => j,
             Err(e) => {
@@ -553,6 +604,7 @@ impl Scheduler {
                 eligible_at: now,
                 assigned: Vec::new(),
                 dispatched_at: now,
+                primary: None,
             })
             .collect();
         // Pre-fill from the journal image: rows this hash already has —
@@ -585,6 +637,7 @@ impl Scheduler {
             need,
             shards,
             done,
+            inflight_peak: 0,
             reply: Some(reply),
             finished: false,
         });
@@ -594,21 +647,18 @@ impl Scheduler {
         }
     }
 
+    /// Hands a job's rows back for the submitter to merge. Accepted rows
+    /// were checked against the job's shape, so the merge cannot fail.
     fn complete_job(&mut self, seq: usize) {
         let j = &mut self.jobs[seq];
         j.finished = true;
         let rows: Vec<Vec<f64>> =
             j.shards.iter_mut().flat_map(|s| s.rows.take().expect("all shards done")).collect();
-        let result = j.job.merge(&rows).map_err(FleetError::from);
-        if result.is_ok() {
-            self.stats.jobs_completed += 1;
-            kpm_obs::counter_add("fleet.jobs.completed", 1);
-        } else {
-            self.stats.jobs_failed += 1;
-            kpm_obs::counter_add("fleet.jobs.failed", 1);
-        }
+        self.stats.jobs_completed += 1;
+        kpm_obs::counter_add("fleet.jobs.completed", 1);
+        kpm_obs::counter_add("shard.inflight.peak", j.inflight_peak as u64);
         if let Some(reply) = j.reply.take() {
-            let _ = reply.send(result);
+            let _ = reply.send(Ok((j.job.clone(), rows)));
         }
     }
 
@@ -628,23 +678,29 @@ impl Scheduler {
         }
     }
 
-    fn accept_result(&mut self, i: usize, res: kpm_shard::wire::ShardResult) -> Flow {
+    fn accept_result(&mut self, i: usize, res: ShardResult) -> Flow {
         let seq = res.job as usize;
         self.workers[i]
             .inflight
             .retain(|&(job, shard)| (job, shard) != (res.job as u32, res.shard));
         let Some(j) = self.jobs.get_mut(seq) else { return Flow::Continue };
         let k = res.shard as usize;
-        if j.finished || k >= j.shards.len() || j.shards[k].rows.is_some() {
+        if j.finished || j.shards.get(k).is_some_and(|s| s.rows.is_some()) {
             return Flow::Continue; // duplicate, speculative loser, or stale
         }
-        let want_rows = j.shards[k].range.len();
-        if res.rows.len() != want_rows || res.rows.iter().any(|r| r.len() != j.need) {
-            let peer = self.workers[i].peer.clone();
-            self.fail_job(
-                seq,
-                FleetError::Shard(format!("worker {peer} returned malformed rows for shard {k}")),
-            );
+        let peer = &self.workers[i].peer;
+        let malformed = match j.shards.get(k) {
+            None => Some(format!("worker {peer} answered unknown shard {k}")),
+            Some(s)
+                if res.rows.len() != s.range.len()
+                    || res.rows.iter().any(|r| r.len() != j.need) =>
+            {
+                Some(format!("worker {peer} returned malformed rows for shard {k}"))
+            }
+            Some(_) => None,
+        };
+        if let Some(msg) = malformed {
+            self.fail_job(seq, ShardError::Protocol(msg).into());
             return Flow::Continue;
         }
         // Journal before ack: the shard only counts once its rows are
@@ -670,11 +726,14 @@ impl Scheduler {
         w.inv_ops.insert(op_key);
         w.inv_rows.push(RowRun { key: row_key, start, end, n: need as u32 });
         let j = &mut self.jobs[seq];
+        if j.shards[k].primary.is_some_and(|p| p != i) {
+            kpm_obs::counter_add("shard.speculative_wins", 1);
+        }
         j.shards[k].rows = Some(res.rows);
         j.shards[k].assigned.clear();
         j.done += 1;
         self.results_journaled += 1;
-        kpm_obs::counter_add("fleet.shards.completed", 1);
+        kpm_obs::counter_add("shard.completed", 1);
         if j.done == j.shards.len() {
             self.complete_job(seq);
         }
@@ -690,7 +749,7 @@ impl Scheduler {
         }
         self.workers[i].alive = false;
         self.stats.workers_dead += 1;
-        kpm_obs::counter_add("fleet.workers.dead", 1);
+        kpm_obs::counter_add("shard.workers.dead", 1);
         let lost = std::mem::take(&mut self.workers[i].inflight);
         for (job, shard) in lost {
             let Some(j) = self.jobs.get_mut(job as usize) else { continue };
@@ -699,7 +758,7 @@ impl Scheduler {
             if s.rows.is_none() && s.assigned.is_empty() {
                 let exp = s.attempts.min(10);
                 s.eligible_at = now + self.policy.backoff_base * 2u32.saturating_pow(exp);
-                kpm_obs::counter_add("fleet.shards.reassigned", 1);
+                kpm_obs::counter_add("shard.reassigned", 1);
             }
         }
     }
@@ -753,24 +812,26 @@ impl Scheduler {
         kpm_obs::counter_add(name, 1);
     }
 
-    /// Picks a worker for one shard: the best-scoring warm worker, unless
-    /// its queue is [`STEAL_DEPTH`] deeper than an idle lower-scoring
-    /// worker's — then the idle worker steals the shard.
+    /// Picks a worker for one shard. With locality off: the least-loaded
+    /// live worker. With locality on, nothing is placed while a live
+    /// worker's inventory is outstanding and its `inventory_wait` runs —
+    /// else a fresh fleet would put its whole first job on whichever
+    /// worker answered first. Then the best-scoring warm worker wins,
+    /// unless its queue is [`STEAL_DEPTH`] deeper than an idle
+    /// lower-scoring worker's — then the idle worker steals the shard.
     fn pick_worker(&mut self, seq: usize, range: &Range<usize>, now: Instant) -> Option<usize> {
-        let candidates: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| {
-                let w = &self.workers[i];
-                w.alive
-                    && (w.inv_seen || now.duration_since(w.joined_at) >= self.policy.inventory_wait)
-            })
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let least =
-            *candidates.iter().min_by_key(|&&i| self.workers[i].inflight.len()).expect("non-empty");
+        let candidates: Vec<usize> =
+            (0..self.workers.len()).filter(|&i| self.workers[i].alive).collect();
+        let least = *candidates.iter().min_by_key(|&&i| self.workers[i].inflight.len())?;
         if !self.policy.locality {
             return Some(least);
+        }
+        let awaiting_inventory = candidates.iter().any(|&i| {
+            let w = &self.workers[i];
+            !w.inv_seen && now.duration_since(w.joined_at) < self.policy.inventory_wait
+        });
+        if awaiting_inventory {
+            return None;
         }
         let job = &self.jobs[seq];
         let best = *candidates
@@ -808,13 +869,8 @@ impl Scheduler {
                     continue;
                 }
                 if s.attempts >= self.policy.max_attempts {
-                    let attempts = s.attempts;
-                    self.fail_job(
-                        seq,
-                        FleetError::Shard(format!(
-                            "shard {k} failed after {attempts} dispatch attempts"
-                        )),
-                    );
+                    let failed = ShardError::ShardFailed { shard: k as u32, attempts: s.attempts };
+                    self.fail_job(seq, failed.into());
                     break;
                 }
                 let range = self.jobs[seq].shards[k].range.clone();
@@ -841,7 +897,7 @@ impl Scheduler {
                         .filter(|&i| i != holder && self.workers[i].alive)
                         .min_by_key(|&i| self.workers[i].inflight.len());
                     if let Some(w) = other {
-                        kpm_obs::counter_add("fleet.speculative", 1);
+                        kpm_obs::counter_add("shard.speculative", 1);
                         self.dispatch(seq, k, w, now);
                     }
                 }
@@ -850,14 +906,18 @@ impl Scheduler {
     }
 
     fn dispatch(&mut self, seq: usize, k: usize, w: usize, now: Instant) {
-        {
-            let s = &mut self.jobs[seq].shards[k];
-            s.attempts += 1;
-            s.assigned.push(w);
-            s.dispatched_at = now;
+        let j = &mut self.jobs[seq];
+        let s = &mut j.shards[k];
+        s.attempts += 1;
+        s.assigned.push(w);
+        if s.assigned.len() == 1 {
+            s.primary = Some(w);
         }
+        s.dispatched_at = now;
+        let inflight = j.shards.iter().map(|s| s.assigned.len()).sum();
+        j.inflight_peak = j.inflight_peak.max(inflight);
         self.workers[w].inflight.push((seq as u32, k as u32));
-        kpm_obs::counter_add("fleet.dispatched", 1);
+        kpm_obs::counter_add("shard.dispatched", 1);
         // Spec travels once per (worker, job); every shard after that is an
         // O(1) reference.
         if !self.workers[w].announced.contains(&(seq as u32)) {
@@ -868,6 +928,7 @@ impl Scheduler {
                 return;
             }
             self.workers[w].announced.insert(seq as u32);
+            kpm_obs::counter_add("shard.spec.announced", 1);
         }
         let range = &self.jobs[seq].shards[k].range;
         let request = Frame::RequestRef {
@@ -885,8 +946,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpm_shard::transport::loopback_pair;
-    use kpm_shard::worker::{serve_endpoint_with, WorkerFault};
+    use crate::transport::loopback_pair;
+    use crate::wire::InventoryReport;
+    use crate::worker::{serve_endpoint_with, WorkerFault};
 
     fn spawn_workers(n: usize) -> Vec<Endpoint> {
         (0..n)
@@ -919,6 +981,88 @@ mod tests {
         let job = ShardJob::parse(line).unwrap();
         let rows = job.compute_partial(0..job.total_units()).unwrap();
         job.merge(&rows).unwrap().into_stats().unwrap().mean
+    }
+
+    /// Serves shards by hand and returns how many it was sent.
+    /// `before_inventory` runs before the inventory reply, `on_request`
+    /// when a shard request arrives.
+    fn hand_rolled_worker(
+        mut ep: Endpoint,
+        before_inventory: impl FnOnce() + Send + 'static,
+        on_request: impl Fn() + Send + 'static,
+    ) -> std::thread::JoinHandle<usize> {
+        std::thread::spawn(move || {
+            let mut before_inventory = Some(before_inventory);
+            let mut specs = HashMap::new();
+            let mut requests = 0;
+            while let Ok(frame) = ep.rx.recv_timeout(Duration::from_secs(30)) {
+                match frame {
+                    Some(Frame::InventoryQuery) => {
+                        if let Some(wait) = before_inventory.take() {
+                            wait();
+                        }
+                        let _ = ep.tx.send(&Frame::Inventory(InventoryReport::default()));
+                    }
+                    Some(Frame::SpecAnnounce { job, spec }) => {
+                        specs.insert(job, ShardJob::parse(&spec).unwrap());
+                    }
+                    Some(Frame::RequestRef { job, shard, start, end }) => {
+                        requests += 1;
+                        on_request();
+                        let rows = specs[&job].compute_partial(start as usize..end as usize);
+                        let reply = ShardResult { job, shard, rows: rows.unwrap() };
+                        let _ = ep.tx.send(&Frame::Result(reply));
+                    }
+                    Some(Frame::Ping { nonce }) => {
+                        let _ = ep.tx.send(&Frame::Pong { nonce });
+                    }
+                    Some(Frame::Shutdown) => break,
+                    _ => {}
+                }
+            }
+            requests
+        })
+    }
+
+    /// A fresh fleet's first job is spread over its workers even while one
+    /// inventory reply is outstanding: the withholding worker answers only
+    /// once the other worker has been sent a shard. With locality off
+    /// placement never waits for inventory; with it on, placement holds
+    /// until the reply or `inventory_wait` runs out.
+    #[test]
+    fn first_job_is_spread_while_an_inventory_reply_is_outstanding() {
+        for locality in [false, true] {
+            let (sent_tx, sent_rx) = mpsc::channel();
+            let (slow, slow_end) = loopback_pair("withholding");
+            let (eager, eager_end) = loopback_pair("eager");
+            let slow_worker = hand_rolled_worker(
+                slow_end,
+                move || {
+                    let _ = sent_rx.recv_timeout(Duration::from_secs(30));
+                },
+                || {},
+            );
+            let eager_worker = hand_rolled_worker(
+                eager_end,
+                || {},
+                move || {
+                    let _ = sent_tx.send(());
+                },
+            );
+            let inventory_wait =
+                if locality { Duration::from_millis(300) } else { Duration::from_secs(3600) };
+            let policy = FleetPolicy { locality, inventory_wait, ..FleetPolicy::default() };
+            let fleet = Fleet::start(vec![slow, eager], policy, None).unwrap();
+            let merged = fleet.client().submit(LINE_A).unwrap().into_stats().unwrap();
+            assert_eq!(merged.mean, reference(LINE_A));
+            drop(fleet);
+            let slow_shards = slow_worker.join().unwrap();
+            let eager_shards = eager_worker.join().unwrap();
+            assert!(
+                slow_shards > 0 && eager_shards > 0,
+                "locality {locality}: {slow_shards} and {eager_shards} shards sent"
+            );
+        }
     }
 
     #[test]

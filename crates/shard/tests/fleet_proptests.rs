@@ -9,10 +9,9 @@
 //! (crates/shard/tests/proptests.rs) across jobs and coordinator
 //! restarts.
 
-use kpm_fleet::{Fleet, FleetError, FleetPolicy};
 use kpm_shard::transport::{loopback_pair, Endpoint};
 use kpm_shard::worker::{serve_endpoint_with, serve_listener_with};
-use kpm_shard::{MergedMoments, ShardJob, WorkerFault};
+use kpm_shard::{Fleet, FleetError, FleetPolicy, MergedMoments, ShardJob, WorkerFault};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

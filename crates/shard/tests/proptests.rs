@@ -11,19 +11,20 @@ use kpm_serve::job::JobSpec;
 use kpm_serve::worker::compute_raw_moments;
 use kpm_shard::worker::serve_endpoint_with;
 use kpm_shard::{
-    loopback_pair, run, serve_endpoint, MergedMoments, ShardJob, ShardPolicy, WorkerFault,
+    loopback_pair, run, serve_endpoint, FleetPolicy, MergedMoments, ShardJob, WorkerFault,
 };
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Quick heartbeats so fault paths resolve in test time.
-fn fast_policy(shards_per_worker: usize) -> ShardPolicy {
-    ShardPolicy {
-        shards_per_worker,
+/// `shards_per_worker` shards for each of `workers` workers, with quick
+/// heartbeats so fault paths resolve in test time.
+fn fast_policy(workers: usize, shards_per_worker: usize) -> FleetPolicy {
+    FleetPolicy {
+        shards_per_job: workers * shards_per_worker,
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(600),
         backoff_base: Duration::from_millis(5),
-        ..ShardPolicy::default()
+        ..FleetPolicy::default()
     }
 }
 
@@ -32,7 +33,7 @@ fn fast_policy(shards_per_worker: usize) -> ShardPolicy {
 fn run_sharded(
     job: &ShardJob,
     workers: usize,
-    policy: &ShardPolicy,
+    policy: &FleetPolicy,
     fault: Option<WorkerFault>,
 ) -> MergedMoments {
     let mut endpoints = Vec::new();
@@ -94,7 +95,7 @@ proptest! {
         let spec = JobSpec::parse(&line).unwrap();
         let (direct, ..) = compute_raw_moments(&spec, 0).unwrap();
         let job = ShardJob::Dos(spec);
-        let merged = run_sharded(&job, workers, &fast_policy(shards_per_worker), None);
+        let merged = run_sharded(&job, workers, &fast_policy(workers, shards_per_worker), None);
         let MergedMoments::Stats(stats) = merged else { panic!("dos merges to stats") };
         prop_assert_eq!(stats.mean, direct.mean);
         prop_assert_eq!(stats.std_err, direct.std_err);
@@ -116,7 +117,7 @@ proptest! {
             "kubo lattice=chain:{sites} moments={moments} random=2 sets=2 seed={seed}"
         )).unwrap();
         for job in [ldos, kubo] {
-            let merged = run_sharded(&job, workers, &fast_policy(shards_per_worker), None);
+            let merged = run_sharded(&job, workers, &fast_policy(workers, shards_per_worker), None);
             assert_stats_equal(merged, reference(&job), "random split");
         }
     }
@@ -137,7 +138,7 @@ proptest! {
         let merged = run_sharded(
             &job,
             workers,
-            &fast_policy(2),
+            &fast_policy(workers, 2),
             Some(WorkerFault::DieAfterRequests(served_before_death)),
         );
         let MergedMoments::Stats(stats) = merged else { panic!("dos merges to stats") };
@@ -153,7 +154,7 @@ fn hung_worker_converges_to_identical_bytes() {
     let spec = JobSpec::parse("lattice=chain:40 moments=16 random=3 sets=2 seed=17").unwrap();
     let (direct, ..) = compute_raw_moments(&spec, 0).unwrap();
     let job = ShardJob::Dos(spec);
-    let merged = run_sharded(&job, 2, &fast_policy(2), Some(WorkerFault::HangAfterRequests(1)));
+    let merged = run_sharded(&job, 2, &fast_policy(2, 2), Some(WorkerFault::HangAfterRequests(1)));
     let MergedMoments::Stats(stats) = merged else { panic!("dos merges to stats") };
     assert_eq!(stats.mean, direct.mean);
     assert_eq!(stats.std_err, direct.std_err);

@@ -72,7 +72,6 @@ pub mod mem;
 pub mod model;
 pub mod queue;
 pub mod shape;
-pub mod streams;
 
 pub use device::{Device, LaunchRecord};
 pub use dim::{Dim3, LaunchDims};

@@ -2,7 +2,7 @@
 //! closed-form run pricing.
 //!
 //! The analytic estimate (`setup + upload + generation + reduction +
-//! download`, see [`MomentLaunchShape::estimate_total`]) cannot express
+//! download`, see [`StageTimes::analytic_total`]) cannot express
 //! transfer/compute **overlap**, multi-stream concurrency, or multi-device
 //! scaling — the axes that shape real stream-computing performance. This
 //! module models a device the way the hardware works instead: commands are

@@ -24,7 +24,7 @@
 
 use crate::kernel::KernelCost;
 use crate::layout::{Mapping, VectorLayout};
-use crate::model::{GpuSpec, SimTime};
+use crate::model::GpuSpec;
 
 /// Floating-point precision of a hypothetical run.
 ///
@@ -223,24 +223,6 @@ impl MomentLaunchShape {
         let reduced = w * self.num_moments as u64;
         vectors + partials + reduced + self.matrix_bytes()
     }
-
-    /// Prices the full run on `spec` **without executing anything**:
-    /// setup + host→device matrix transfer + generation launch + reduce
-    /// launch + moments readback.
-    ///
-    /// This closed-form entry point is retired: it is now a shim over the
-    /// overlap-disabled command-queue pipeline, whose strict-chain makespan
-    /// reproduces the analytic sum bit-for-bit. New callers should build a
-    /// [`crate::queue::MomentRunPlan`] (or go through `kpm::device::SimDevice`)
-    /// to control overlap, chunking, and device count explicitly.
-    #[deprecated(
-        since = "0.7.0",
-        note = "route through queue::MomentRunPlan (or kpm::device::SimDevice); \
-                the overlap-off pipeline reproduces this sum exactly"
-    )]
-    pub fn estimate_total(&self, spec: &GpuSpec, compute_efficiency: f64) -> SimTime {
-        crate::queue::MomentRunPlan::new(*self).with_overlap(false).total(spec, compute_efficiency)
-    }
 }
 
 #[cfg(test)]
@@ -278,8 +260,8 @@ mod tests {
         }
     }
 
-    /// Pipeline-priced total (overlap off), the successor of the retired
-    /// `estimate_total`.
+    /// Pipeline-priced total (overlap off), equal to
+    /// [`crate::queue::StageTimes::analytic_total`].
     fn total(shape: &MomentLaunchShape, spec: &GpuSpec, eff: f64) -> f64 {
         MomentRunPlan::new(*shape).with_overlap(false).total(spec, eff).as_secs_f64()
     }
@@ -427,16 +409,5 @@ mod tests {
         let spec = GpuSpec::tesla_c2050();
         let t = total(&paper_fig5(128), &spec, 0.2);
         assert!(t > spec.setup_overhead.as_secs_f64());
-    }
-
-    /// Pins the deprecated shim: `estimate_total` and the overlap-off
-    /// pipeline are the same number, bit for bit.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_estimate_total_matches_pipeline() {
-        let spec = GpuSpec::tesla_c2050();
-        for shape in [paper_fig5(128), paper_fig5(1024), paper_fig8(512)] {
-            assert_eq!(shape.estimate_total(&spec, 0.2).as_secs_f64(), total(&shape, &spec, 0.2),);
-        }
     }
 }
