@@ -218,14 +218,9 @@ impl CsrMatrix {
     // decoded (col, value) pair is reused across four accumulators; per
     // column the accumulation still runs over the row's entries in
     // ascending-column order, so results stay bitwise equal to `spmv`. The
-    // sink receives the raw accumulator per `(row, col)`; full-block callers
-    // store it (optionally through a rescale transform), the tiled engine
-    // fuses the Chebyshev update and dot accumulation in the same call.
-    //
-    // Contract relied on by `crate::tiled`: within `rows`, every `(i, j)` is
-    // visited exactly once, and per column the rows arrive in ascending
-    // order.
-    pub(crate) fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
+    // sink receives the raw accumulator per `(row, col)` and stores it,
+    // optionally through a rescale transform.
+    fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
         &self,
         x: &[f64],
         k: usize,
@@ -259,6 +254,46 @@ impl CsrMatrix {
                 sink(acc, i, j);
                 j += 1;
             }
+        }
+    }
+
+    // Row kernel of the tiled engine (`crate::tiled::TiledOp`): rows `rows`
+    // of `A X` for a row-interleaved `k`-column block (element `(c, j)` at
+    // `c * k + j`), stored into the row-interleaved tile `out` (row `i` at
+    // `(i - rows.start) * k`). Each decoded entry meets the inputs it
+    // multiplies as one contiguous run of `x`, and per element the
+    // accumulation runs over the row's entries in ascending-column order
+    // from `0.0`, exactly as in `spmv`, so every value is bitwise equal to
+    // `spmm`'s. The caller checks the lengths.
+    pub(crate) fn rows_interleaved(
+        &self,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+    }
+
+    /// Columns `j0..j0 + W` of `rows_interleaved`.
+    fn rows_chunk<const W: usize>(
+        &self,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        let row0 = rows.start;
+        for i in rows {
+            let seg = self.row_ptr[i]..self.row_ptr[i + 1];
+            let mut acc = [0.0f64; W];
+            for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
+                for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
+                    *a += v * xv;
+                }
+            }
+            out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
         }
     }
 

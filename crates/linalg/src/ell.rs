@@ -170,10 +170,9 @@ impl EllMatrix {
         self.spmm_rows_sink(x, k, 0..n, &mut |acc, i, j| y[j * n + i] = f(acc, i, j));
     }
 
-    // Row-range streaming core behind `spmm`/`spmm_rescaled` and the tiled
-    // engine. Same contract as `CsrMatrix::spmm_rows_sink`: each `(i, j)`
-    // with `i` in `rows` is emitted exactly once, rows ascending per column.
-    pub(crate) fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
+    // Row-range core behind `spmm`/`spmm_rescaled`: each `(i, j)` with `i` in
+    // `rows` is emitted to the sink exactly once, rows ascending per column.
+    fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
         &self,
         x: &[f64],
         k: usize,
@@ -210,6 +209,44 @@ impl EllMatrix {
                 sink(acc, i, j);
                 j += 1;
             }
+        }
+    }
+
+    // Row kernel of the tiled engine, with the contract of
+    // `CsrMatrix::rows_interleaved`: rows `rows` of `A X` for a
+    // row-interleaved `k`-column block, stored into the row-interleaved tile
+    // `out`. Slots accumulate in ascending order from `0.0` and padding is
+    // never read, as in `spmv`.
+    pub(crate) fn rows_interleaved(
+        &self,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+    }
+
+    // Columns `j0..j0 + W` of `rows_interleaved`.
+    fn rows_chunk<const W: usize>(
+        &self,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        let (n, row0) = (self.nrows, rows.start);
+        for i in rows {
+            let mut acc = [0.0f64; W];
+            for s in 0..self.row_len[i] {
+                let idx = s * n + i;
+                let v = self.values[idx];
+                for (a, &xv) in acc.iter_mut().zip(&x[self.col_idx[idx] * k + j0..][..W]) {
+                    *a += v * xv;
+                }
+            }
+            out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
         }
     }
 

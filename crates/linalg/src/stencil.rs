@@ -339,13 +339,11 @@ impl StencilOp {
         self.stream_rows(x, k, 0..n, &mut |acc, i, j| y[j * n + i] = f(acc, i, j));
     }
 
-    /// Row-range streaming core behind [`StencilOp::spmm_into`] and the
-    /// tiled engine. Same contract as `CsrMatrix::spmm_rows_sink`: each
-    /// `(i, j)` with `i` in `rows` is emitted exactly once, rows ascending
-    /// per column, with per-element values bitwise identical to the
-    /// full-matrix sweep (the odometer is seeded at `rows.start` with one
-    /// div/mod chain and then walks exactly as the full sweep would).
-    pub(crate) fn stream_rows<S: FnMut(f64, usize, usize)>(
+    /// Row-range core behind [`StencilOp::spmm_into`]: each `(i, j)` with
+    /// `i` in `rows` is emitted to the sink exactly once, rows ascending per
+    /// column (the odometer is seeded at `rows.start` with one div/mod chain
+    /// and then walks exactly as the full sweep would).
+    fn stream_rows<S: FnMut(f64, usize, usize)>(
         &self,
         x: &[f64],
         k: usize,
@@ -457,6 +455,108 @@ impl StencilOp {
             }
             sink(acc, i, j);
         }
+    }
+
+    /// Row kernel of the tiled engine, with the contract of
+    /// `CsrMatrix::rows_interleaved`: rows `rows` of `A X` for a
+    /// row-interleaved `k`-column block, stored into the row-interleaved
+    /// tile `out`. Interior and boundary rows accumulate in ascending-column
+    /// order exactly as in `StencilOp::stream_rows`, and the odometer is
+    /// seeded at `rows.start`, so a range starting mid-operator computes the
+    /// same bits as a sweep from row 0.
+    pub(crate) fn rows_interleaved(
+        &self,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+    }
+
+    /// Columns `j0..j0 + W` of `StencilOp::rows_interleaved`.
+    fn rows_chunk<const W: usize>(
+        &self,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        let row0 = rows.start;
+        let mut cols = Vec::with_capacity(self.geometry.max_neighbors() + 1);
+        let mut store =
+            |i: usize, acc: [f64; W]| out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
+        let (StencilGeometry::Hypercubic { dims, .. }, Some(plan)) = (&self.geometry, &self.plan)
+        else {
+            for i in rows {
+                store(i, self.row_generic_interleaved(i, x, k, j0, &mut cols));
+            }
+            return;
+        };
+        let mut coords = [0usize; 8];
+        let mut rem = row0;
+        for (c, &l) in coords.iter_mut().zip(dims) {
+            *c = rem % l;
+            rem /= l;
+        }
+        let t = -self.hopping;
+        for i in rows {
+            let interior =
+                dims.iter().zip(&coords).all(|(&l, &c)| l == 1 || (c >= 1 && c + 2 <= l));
+            let acc = if interior {
+                // Below-diagonal hops, the diagonal when stored, then
+                // above-diagonal hops: ascending column order.
+                let mut acc = [0.0f64; W];
+                let mut add = |coef: f64, c: usize| {
+                    for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
+                        *a += coef * xv;
+                    }
+                };
+                for &off in &plan.neg {
+                    add(t, (i as isize + off) as usize);
+                }
+                if self.diagonal_stored(i) {
+                    add(self.onsite[i], i);
+                }
+                for &off in &plan.pos {
+                    add(t, (i as isize + off) as usize);
+                }
+                acc
+            } else {
+                self.row_generic_interleaved(i, x, k, j0, &mut cols)
+            };
+            store(i, acc);
+            // Odometer increment, first dimension fastest.
+            for (c, &l) in coords.iter_mut().zip(dims) {
+                *c += 1;
+                if *c < l {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+    }
+
+    /// One generic (boundary / honeycomb) row of `StencilOp::rows_chunk`.
+    #[inline]
+    fn row_generic_interleaved<const W: usize>(
+        &self,
+        i: usize,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        cols: &mut Vec<usize>,
+    ) -> [f64; W] {
+        self.row_cols_into(i, cols);
+        let mut acc = [0.0f64; W];
+        for &c in cols.iter() {
+            let v = self.entry(i, c);
+            for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
+                *a += v * xv;
+            }
+        }
+        acc
     }
 }
 

@@ -2,27 +2,44 @@
 //!
 //! The paper's GPU speedup comes from executing the whole Chebyshev step —
 //! SpMV, the `2 H v - prev` update, and the `<r0|rn>` reduction — inside one
-//! resident kernel parallelized across the matrix dimension. This module is
-//! the CPU analogue: the operator streams a *row range* of the block product
-//! into a sink ([`TiledOp`]), and the engine partitions the `D` rows into
-//! tiles. Each tile streams its slice of `A x` into a small per-worker
-//! scratch that never leaves L1, then runs the same vectorized
-//! combine-and-dot kernel as the untiled path over the cache-hot tile — so
-//! the Chebyshev update and the moment dots piggyback on the matrix sweep
-//! without a full-size intermediate buffer. A work-stealing tile scheduler
-//! keeps threads busy even when boundary tiles are cheaper than interior
-//! ones.
+//! resident kernel parallelized across the matrix dimension, with each
+//! matrix entry fetched once for all random vectors. This module is the CPU
+//! analogue: the engine partitions the `D` rows into tiles, each tile
+//! computes its rows of `A x` ([`TiledOp::block_rows`]) into a small
+//! per-worker scratch that never leaves L1, and the Chebyshev combine and
+//! the moment dots then run over the cache-hot tile — so the update and the
+//! dots piggyback on the matrix sweep without a full-size intermediate
+//! buffer. A work-stealing tile scheduler keeps threads busy even when
+//! boundary tiles are cheaper than interior ones.
+//!
+//! # Layout
+//!
+//! The engine keeps its `D x k` blocks — the start block, both recursion
+//! buffers and every scratch tile — *row-interleaved*: element `(i, j)` at
+//! `i * k + j`. Row `i` of all `k` vectors is then one contiguous run, so a
+//! matrix entry `(i, c)` meets its `k` inputs in one load of `x[c * k..]`,
+//! a tile's rows of a buffer are one contiguous slice, and every per-row
+//! loop over the vectors has a unit stride. Callers pass column-major
+//! blocks (the [`BlockOp`] layout); the engine interleaves the start block
+//! once per call.
+//!
+//! The column count is a compile-time constant inside every row loop: the
+//! row kernels and the combine-and-dot kernels are const-generic in their
+//! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
+//! run in const-width column chunks.
 //!
 //! # Determinism
 //!
-//! Partial dots are a pure function of fixed row *segments* —
-//! [`vecops::dot`] / [`vecops::chebyshev_combine_dot`] over fixed slices,
-//! stored into private slot segments; the per-step reduction sums the slots
-//! in canonical (ascending) segment order on one thread. Which worker
-//! executes a tile therefore cannot affect any bit of the result: for a
-//! fixed tile size, moments are bitwise identical across thread counts,
-//! including the single-threaded fast path. This is pinned by tests here and
-//! in the `kpm` crate.
+//! Partial dots are a pure function of fixed row *segments*: per column,
+//! each is the dot over a fixed run of rows with [`vecops::dot`]'s
+//! association (four lanes; eight for the plain step under
+//! [`vecops::KernelVariant::Unrolled8`]), stored into a private slot; the
+//! per-step reduction sums the slots in canonical (ascending) segment order
+//! on one thread. Which worker executes a tile therefore cannot affect any
+//! bit of the result: for a fixed tile size, moments are bitwise identical
+//! across thread counts, including the single-threaded fast path. This is
+//! pinned by tests here and in the `kpm` crate, and `tests/tiled_bits.rs`
+//! pins the values themselves against the original column-major engine.
 //!
 //! The slot granularity is decoupled from the work granularity: when
 //! `tile_rows` is a multiple of [`DEFAULT_TILE_ROWS`], each tile computes
@@ -41,10 +58,11 @@
 //!
 //! # Memory traffic
 //!
-//! Per column of the block, a fused step reads `x` (8 B/row), reads and
-//! writes `p` in place (16 B/row), and reads `r0` for the dot (8 B/row) —
-//! 32 B/row plus the matrix stream; the raw product only ever lands in a
-//! tile-sized per-worker scratch that stays cache-resident. The split
+//! A fused step reads each matrix row once for all `k` columns. Per column
+//! it reads `x` (8 B/row), reads and writes `p` in place (16 B/row), and
+//! reads `r0` for the dot (8 B/row) — `32 k` B/row plus the matrix row; the
+//! raw product only ever lands in a tile-sized per-worker scratch that
+//! stays cache-resident. The split
 //! pipeline (SpMM into a `D x k` intermediate, then combine+dot) moves the
 //! raw product through memory an extra time: 48 B/row plus the matrix. See
 //! DESIGN.md §9 for the full accounting.
@@ -59,7 +77,7 @@ use crate::ell::EllMatrix;
 use crate::op::{DiagonalOp, IdentityOp, LinearOp, RescaledOp};
 use crate::sparse::SparseMatrix;
 use crate::stencil::StencilOp;
-use crate::vecops;
+use crate::vecops::{self, KernelVariant};
 
 /// Default tile height in rows.
 ///
@@ -69,221 +87,164 @@ use crate::vecops;
 /// variable (read once by `kpm::exec`).
 pub const DEFAULT_TILE_ROWS: usize = 128;
 
-/// An operator whose block product can be streamed one row range at a time.
+/// Widest column chunk a row kernel runs at one compile-time width. Blocks
+/// of up to this many columns run as one chunk; wider ones as full chunks
+/// of this width plus one narrower remainder. `for_each_chunk!` lists the
+/// widths 1 to 16 it dispatches to.
+const MAX_CHUNK_COLS: usize = 16;
+
+/// An operator whose block product can be computed one row range at a time
+/// over a row-interleaved block.
 ///
-/// `stream_block_rows` produces exactly the values `(A x)[j * dim + i]` for
-/// every `i` in `rows` and every column `j < k`, calling
-/// `sink(value, i, j)` once per element with rows ascending within each
-/// column. Each streamed value must be bitwise identical to what
-/// [`BlockOp::apply_block`] stores at the same position — the tiled engine's
-/// cross-format determinism rests on this, mirroring the blocked-vs-scalar
-/// contract on [`BlockOp`].
+/// `x` holds a `dim x k` block row-interleaved: element `(c, j)` at
+/// `c * k + j`. [`TiledOp::block_rows`] writes `(A x)(i, j)` for every `i`
+/// in `rows` and every column `j` to `out[(i - rows.start) * k + j]`, a
+/// row-interleaved tile with the same row stride. Each value must be
+/// bitwise identical to what [`BlockOp::apply_block`] stores for the same
+/// element of the column-major block — for the sparse formats, the row's
+/// entries multiplied and added in ascending order from `0.0`. The tiled
+/// engine's cross-format determinism rests on this, mirroring the
+/// blocked-vs-scalar contract on [`BlockOp`].
 pub trait TiledOp: BlockOp {
-    /// Streams rows `rows` of the block product `A X` into `sink`.
+    /// Writes rows `rows` of `A X` into the row-interleaved tile `out`.
     ///
     /// # Panics
-    /// Panics if `x.len() != self.dim() * k` or `rows.end > self.dim()`.
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    );
+    /// Panics if `x.len() != self.dim() * k`, `rows.end > self.dim()`, or
+    /// `out.len() != rows.len() * k`.
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]);
+}
 
-    /// Streams the same row range with any affine store transform factored
-    /// out: the true product element is
-    /// `(v - a_plus * x[j * dim + i]) * inv_a_minus` for each streamed `v`,
-    /// where `(a_plus, inv_a_minus)` is the returned pair.
-    ///
-    /// The default streams final values and returns the identity
-    /// `(0.0, 1.0)`. [`RescaledOp`] overrides it to stream its *inner*
-    /// operator's raw values instead — applying the rescale per element
-    /// inside a deeply composed sink closure defeats vectorization of the
-    /// format kernels, while the tiled engine can apply the returned
-    /// transform to a whole cache-hot tile at once
-    /// ([`vecops::rescale_inplace`]) with bitwise-identical results.
-    fn stream_block_rows_affine<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) -> (f64, f64) {
-        self.stream_block_rows(x, k, rows, sink);
-        (0.0, 1.0)
-    }
+/// The shape checks every [`TiledOp::block_rows`] implementation makes.
+fn check_rows(dim: usize, x: &[f64], k: usize, rows: &Range<usize>, out: &[f64]) {
+    assert_eq!(x.len(), dim * k, "block_rows: x length");
+    assert!(rows.start <= rows.end && rows.end <= dim, "block_rows: row range");
+    assert_eq!(out.len(), rows.len() * k, "block_rows: tile length");
 }
 
 impl<A: TiledOp + ?Sized> TiledOp for &A {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        (**self).stream_block_rows(x, k, rows, sink)
-    }
-
-    fn stream_block_rows_affine<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) -> (f64, f64) {
-        (**self).stream_block_rows_affine(x, k, rows, sink)
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        (**self).block_rows(x, k, rows, out)
     }
 }
 
 impl TiledOp for CsrMatrix {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        assert_eq!(x.len(), self.ncols() * k, "stream_block_rows: x length");
-        assert!(rows.end <= self.nrows(), "stream_block_rows: row range");
-        self.spmm_rows_sink(x, k, rows, sink);
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        check_rows(self.dim(), x, k, &rows, out);
+        self.rows_interleaved(x, k, rows, out);
     }
 }
 
 impl TiledOp for EllMatrix {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        assert_eq!(x.len(), self.ncols() * k, "stream_block_rows: x length");
-        assert!(rows.end <= self.nrows(), "stream_block_rows: row range");
-        self.spmm_rows_sink(x, k, rows, sink);
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        check_rows(self.dim(), x, k, &rows, out);
+        self.rows_interleaved(x, k, rows, out);
     }
 }
 
 impl TiledOp for StencilOp {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        assert_eq!(x.len(), self.dim() * k, "stream_block_rows: x length");
-        assert!(rows.end <= self.dim(), "stream_block_rows: row range");
-        self.stream_rows(x, k, rows, sink);
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        check_rows(self.dim(), x, k, &rows, out);
+        self.rows_interleaved(x, k, rows, out);
     }
 }
 
 impl TiledOp for DenseMatrix {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         let d = self.dim();
-        assert_eq!(x.len(), d * k, "stream_block_rows: x length");
-        assert!(rows.end <= d, "stream_block_rows: row range");
-        // Same `vecops::dot(row, xcol)` as `apply_block`, so bitwise equal.
+        check_rows(d, x, k, &rows, out);
+        // Each input column gathered contiguous once per call (`d * k` values
+        // against `rows.len() * d * k` multiply-adds), so every element is
+        // the very `vecops::dot(row, xcol)` that `apply_block` stores.
+        let cols: Vec<Vec<f64>> = (0..k).map(|j| (0..d).map(|c| x[c * k + j]).collect()).collect();
+        let row0 = rows.start;
         for i in rows {
             let row = self.row(i);
-            for j in 0..k {
-                sink(vecops::dot(row, &x[j * d..(j + 1) * d]), i, j);
+            for (y, col) in out[(i - row0) * k..][..k].iter_mut().zip(&cols) {
+                *y = vecops::dot(row, col);
             }
         }
     }
 }
 
 impl TiledOp for IdentityOp {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        let d = self.dim();
-        assert_eq!(x.len(), d * k, "stream_block_rows: x length");
-        assert!(rows.end <= d, "stream_block_rows: row range");
-        for i in rows {
-            for j in 0..k {
-                sink(x[j * d + i], i, j);
-            }
-        }
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        check_rows(self.dim(), x, k, &rows, out);
+        out.copy_from_slice(&x[rows.start * k..rows.end * k]);
     }
 }
 
 impl TiledOp for DiagonalOp {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        let d = self.dim();
-        assert_eq!(x.len(), d * k, "stream_block_rows: x length");
-        assert!(rows.end <= d, "stream_block_rows: row range");
-        let diag = self.diag();
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        check_rows(self.dim(), x, k, &rows, out);
+        let row0 = rows.start;
         for i in rows {
-            for j in 0..k {
-                sink(diag[i] * x[j * d + i], i, j);
+            let d = self.diag()[i];
+            for (y, &xv) in out[(i - row0) * k..][..k].iter_mut().zip(&x[i * k..][..k]) {
+                *y = d * xv;
             }
         }
     }
 }
 
 impl TiledOp for SparseMatrix {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         match self {
-            SparseMatrix::Csr(m) => m.stream_block_rows(x, k, rows, sink),
-            SparseMatrix::Ell(m) => m.stream_block_rows(x, k, rows, sink),
-            SparseMatrix::Stencil(s) => s.stream_block_rows(x, k, rows, sink),
+            SparseMatrix::Csr(m) => m.block_rows(x, k, rows, out),
+            SparseMatrix::Ell(m) => m.block_rows(x, k, rows, out),
+            SparseMatrix::Stencil(s) => s.block_rows(x, k, rows, out),
         }
     }
 }
 
 impl<A: TiledOp> TiledOp for RescaledOp<A> {
-    fn stream_block_rows<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) {
-        // Same `(val - a_plus x) * inv_a_minus` store transform the format
-        // kernels fuse in, so streamed values stay bitwise identical to
-        // `RescaledOp::apply_block`.
-        let f = crate::block::rescaled_store(x, self.inner().dim(), self.a_plus(), {
-            1.0 / self.a_minus()
-        });
-        self.inner().stream_block_rows(x, k, rows, &mut |val, i, j| sink(f(val, i, j), i, j));
+    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        // The inner operator's raw rows, then the `(raw - a_plus x) *
+        // inv_a_minus` store transform the format kernels fuse into
+        // `apply_block`, over the cache-hot tile and the same rows of `x`
+        // (both contiguous): bitwise identical to `RescaledOp::apply_block`.
+        self.inner().block_rows(x, k, rows.clone(), out);
+        let xt = &x[rows.start * k..rows.end * k];
+        vecops::rescale_inplace(out, xt, self.a_plus(), 1.0 / self.a_minus());
     }
+}
 
-    fn stream_block_rows_affine<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        sink: &mut S,
-    ) -> (f64, f64) {
-        // Stream the inner operator's values untouched and let the caller
-        // apply the rescale to the whole tile, vectorized.
-        self.inner().stream_block_rows(x, k, rows, sink);
-        (self.a_plus(), 1.0 / self.a_minus())
+/// Runs `$body` once per const-width column chunk of a `$k`-column
+/// row-interleaved block, with `$j0` the chunk's first column and `$W` a
+/// constant equal to its width, so that `$body` can instantiate a
+/// const-generic kernel at that width.
+macro_rules! for_each_chunk {
+    ($k:expr, |$j0:ident, $W:ident| $body:expr) => {
+        for ($j0, width) in $crate::tiled::column_chunks($k) {
+            $crate::tiled::for_each_chunk!(
+                @width width, $W, $body; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            );
+        }
+    };
+    (@width $w:expr, $W:ident, $body:expr; $($n:literal)*) => {
+        match $w {
+            $($n => {
+                const $W: usize = $n;
+                $body
+            })*
+            w => unreachable!("column chunk of width {w}"),
+        }
+    };
+}
+pub(crate) use for_each_chunk;
+
+/// `(j0, width)` of the const-width column chunks covering `k` columns.
+pub(crate) fn column_chunks(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..k).step_by(MAX_CHUNK_COLS).map(move |j0| (j0, (k - j0).min(MAX_CHUNK_COLS)))
+}
+
+/// Row-interleaved copy of a column-major `d x k` block: element `(i, j)`
+/// moves from `j * d + i` to `i * k + j`.
+fn interleave(block: &[f64], d: usize, k: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(d * k);
+    for i in 0..d {
+        out.extend((0..k).map(|j| block[j * d + i]));
     }
+    out
 }
 
 /// Counters reported by one engine run.
@@ -514,24 +475,41 @@ fn drain_tiles<P: Fn(usize, usize, usize)>(
     }
 }
 
-/// Raw pointers to the engine's shared mutable state. Tiles write disjoint
-/// row ranges of the recursion buffers and disjoint slot segments, and every
-/// cross-step read is ordered by a barrier, so the aliasing is benign; the
-/// pointers exist to express that to the compiler without fabricating
-/// overlapping `&mut` slices across threads.
+/// Raw pointers to the engine's shared mutable state, so that tiles running
+/// on different threads can each borrow their own disjoint part of it
+/// without fabricating overlapping `&mut` slices of whole buffers.
 #[derive(Clone, Copy)]
 struct EngineBuffers {
     a: *mut f64,
     b: *mut f64,
     slots: *mut f64,
     /// `workers` stripes of `tile_rows * k` — each worker's private landing
-    /// zone for the streamed tile of `A x`, small enough to stay in L1.
+    /// zone for its tile of `A x`, small enough to stay in L1.
     scratch: *mut f64,
 }
 
-// Safety: see the field-level discussion above — all concurrent access is
-// to disjoint indices, and step transitions are barrier-ordered.
+// SAFETY: the pointers address four `Vec<f64>`s that the engine function
+// owns and keeps alive until `run_parallel` has joined every worker, and
+// the invariants below keep every access through them race-free.
+// - Disjoint tile rows: during a step, a tile writes only its own rows of
+//   the recursion buffer being updated and its own segments of `slots`,
+//   and every worker only reads the other recursion buffer.
+// - A per-worker scratch stripe: worker `w` alone uses stripe `w`, one tile
+//   at a time.
+// - Barrier-ordered steps: the barriers between steps (and before worker
+//   0's reduction) order every write of one step before any read of the
+//   next.
+// No element is therefore ever accessed concurrently with a write to it.
 unsafe impl Sync for EngineBuffers {}
+
+/// Elements `range` of the engine buffer at `ptr`, as a mutable slice.
+///
+/// # Safety
+/// `range` must lie inside that buffer, and no other access to any of its
+/// elements may happen while the returned slice is in use.
+unsafe fn buffer_mut<'a>(ptr: *mut f64, range: Range<usize>) -> &'a mut [f64] {
+    std::slice::from_raw_parts_mut(ptr.add(range.start), range.len())
+}
 
 #[inline]
 fn tile_range(tile: usize, tile_rows: usize, d: usize) -> Range<usize> {
@@ -581,14 +559,149 @@ fn tile_ordered_norms(r0: &[f64], d: usize, k: usize, tile_rows: usize) -> Vec<V
         .collect()
 }
 
+/// Dot slots per canonical segment: `<r0|r0>` and `<r0|r_m>` for the plain
+/// recursion; the doubling recursion adds `<r1|r1>` in step 0 and uses two
+/// of its three slots afterwards.
+const PLAIN_SLOTS: usize = 2;
+const DOUBLING_SLOTS: usize = 3;
+
+/// Tile-relative row ranges of the dot slot segments in a `len`-row tile.
+fn segments(len: usize, slot_rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len).step_by(slot_rows).map(move |lo| lo..(lo + slot_rows).min(len))
+}
+
+/// `vecops::dot` of columns `j0..j0 + W` of two row-interleaved `k`-column
+/// tiles over rows `seg`, one value per column.
+#[inline(always)]
+fn column_dots<const W: usize>(
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    j0: usize,
+    seg: Range<usize>,
+) -> [f64; W] {
+    vecops::lane_dots::<W, 4>(seg.len(), |r| {
+        let o = (seg.start + r) * k + j0;
+        let mut terms = [0.0; W];
+        for ((t, &a), &b) in terms.iter_mut().zip(&a[o..o + W]).zip(&b[o..o + W]) {
+            *t = a * b;
+        }
+        terms
+    })
+}
+
+/// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
+/// `<r0|p>`: per column, `vecops::chebyshev_combine_dot` (`L = 4`) or
+/// `vecops::chebyshev_combine_dot8` (`L = 8`).
+#[inline(always)]
+fn combine_dots<const W: usize, const L: usize>(
+    h: &[f64],
+    p: &mut [f64],
+    r0: &[f64],
+    k: usize,
+    j0: usize,
+    seg: Range<usize>,
+) -> [f64; W] {
+    vecops::lane_dots::<W, L>(seg.len(), |r| {
+        let o = (seg.start + r) * k + j0;
+        let mut terms = [0.0; W];
+        for (((t, p), &h), &r0) in
+            terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
+        {
+            *p = 2.0 * h - *p;
+            *t = r0 * *p;
+        }
+        terms
+    })
+}
+
+// The three per-tile dot kernels below take whole tiles of row-interleaved
+// `k`-column blocks and the tile's slots (`nslots * k` per canonical
+// segment). They are generic in nothing, so each is compiled once however
+// many operator types instantiate the engine.
+
+/// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
+/// are in place: per segment and column, `<r0|r0>` and `<r0|r1>` into
+/// slots 0 and 1, and with [`DOUBLING_SLOTS`] also `<r1|r1>` into slot 2.
+fn start_dots(
+    r0: &[f64],
+    r1: &[f64],
+    k: usize,
+    slot_rows: usize,
+    nslots: usize,
+    slots: &mut [f64],
+) {
+    for (s, seg) in segments(r0.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * nslots * k..][..nslots * k];
+        for_each_chunk!(k, |j0, W| {
+            slot[j0..][..W].copy_from_slice(&column_dots::<W>(r0, r0, k, j0, seg.clone()));
+            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(r0, r1, k, j0, seg.clone()));
+            if nslots == DOUBLING_SLOTS {
+                let norm1 = column_dots::<W>(r1, r1, k, j0, seg.clone());
+                slot[2 * k + j0..][..W].copy_from_slice(&norm1);
+            }
+        });
+    }
+}
+
+/// A later plain step on one tile, once its rows of `A x` are in `h`:
+/// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
+fn plain_step_dots(
+    variant: KernelVariant,
+    h: &[f64],
+    p: &mut [f64],
+    r0: &[f64],
+    k: usize,
+    slot_rows: usize,
+    slots: &mut [f64],
+) {
+    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
+        for_each_chunk!(k, |j0, W| {
+            let mu = match variant {
+                KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
+                KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
+            };
+            slot[j0..][..W].copy_from_slice(&mu);
+        });
+    }
+}
+
+/// A later doubling step on one tile, once its rows of `A x` are in `h`:
+/// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
+/// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
+fn doubling_step_dots(
+    h: &[f64],
+    p: &mut [f64],
+    x: &[f64],
+    k: usize,
+    slot_rows: usize,
+    slots: &mut [f64],
+) {
+    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+        for_each_chunk!(k, |j0, W| {
+            for r in seg.clone() {
+                let o = r * k + j0;
+                for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
+                    *p = 2.0 * h - *p;
+                }
+            }
+            slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
+            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
+        });
+    }
+}
+
 /// Tiled fused plain-recursion moments for a `D x k` block of start vectors.
 ///
 /// Returns the raw (unnormalized) moments `mu[j][m] = <r0_j | T_m(A) r0_j>`
 /// for `m < n` per column, plus the engine counters; callers divide by `D`.
-/// `A` must already be rescaled into `[-1, 1]`.
+/// `A` must already be rescaled into `[-1, 1]`. `r0` is column-major (the
+/// [`BlockOp`] layout); the engine works on a row-interleaved copy.
 ///
-/// Every step streams the operator exactly once: the tile's slice of `A x`
-/// lands in an L1-resident per-worker scratch, and the in-place Chebyshev
+/// Every step streams the operator exactly once: the tile's rows of `A x`
+/// land in an L1-resident per-worker scratch, and the in-place Chebyshev
 /// combine fused with the `<r0|.>` dot runs on the tile immediately after,
 /// while its rows are still cache-resident. For a fixed `tile_rows` the
 /// result is bitwise independent of `threads` (see the module docs).
@@ -623,10 +736,11 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     let variant = vecops::kernel_variant();
     // Buffer `a` starts as r0 (= T_0 x), `b` receives T_1 x in step 0; from
     // then on the roles alternate by step parity and the previous vector is
-    // overwritten in place.
-    let mut a = r0.to_vec();
+    // overwritten in place. All three blocks are row-interleaved.
+    let r0 = interleave(r0, d, k);
+    let mut a = r0.clone();
     let mut b = vec![0.0f64; d * k];
-    const NSLOTS: usize = 2;
+    const NSLOTS: usize = PLAIN_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
     let mut scratch = vec![0.0f64; workers * tile_rows * k];
     let buffers = EngineBuffers {
@@ -639,87 +753,48 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     let process = move |step: usize, tile: usize, w: usize| {
         let buffers = buffers; // capture the whole Sync struct, not raw-pointer fields
         let rows = tile_range(tile, tile_rows, d);
-        let row0 = rows.start;
-        let len = rows.len();
+        let elems = rows.start * k..rows.end * k;
         // Tiles on the canonical grid start on a segment boundary, so the
         // tile covers whole segments (the last may be ragged against `d`).
-        let seg0 = row0 / slot_rows;
-        let segs_here = len.div_ceil(slot_rows);
-        // Safety: this tile's slot segments and buffer rows are touched by
-        // no other tile this step, the scratch stripe belongs to worker `w`
-        // alone, and the barrier orders steps. The stream lands in the
-        // L1-resident scratch; the combine and dots then run over the hot
-        // tile with the same vectorized kernels as the untiled path, so the
-        // per-element sink stays a plain store.
-        unsafe {
-            let slots = buffers.slots;
-            if step == 0 {
-                // r1 = A r0 via the worker's scratch stripe (a disjoint
-                // `&mut` slice — a raw-pointer sink would lose `noalias` and
-                // devectorize the format kernels), copied out to `b`; then
-                // <r0|r0> and <r0|r1> per canonical segment of the hot tile.
-                let scratch_tile =
-                    std::slice::from_raw_parts_mut(buffers.scratch.add(w * tile_rows * k), len * k);
-                op.stream_block_rows(r0, k, rows.clone(), &mut |val, i, j| {
-                    scratch_tile[j * len + (i - row0)] = val;
-                });
-                for j in 0..k {
-                    let lo = j * d + row0;
-                    let col = &scratch_tile[j * len..(j + 1) * len];
-                    std::ptr::copy_nonoverlapping(col.as_ptr(), buffers.b.add(lo), len);
-                    for s in 0..segs_here {
-                        let off = s * slot_rows;
-                        let seg_len = slot_rows.min(len - off);
-                        let slot_base = (seg0 + s) * NSLOTS * k;
-                        let r0s = &r0[lo + off..lo + off + seg_len];
-                        let bs = &col[off..off + seg_len];
-                        *slots.add(slot_base + j) = vecops::dot(r0s, r0s);
-                        *slots.add(slot_base + k + j) = vecops::dot(r0s, bs);
-                    }
-                }
-            } else {
-                // Stream (A x)[tile] into the worker's scratch, then
-                // r_{s+1} = 2 (A x) - r_{s-1} over r_{s-1} in place, fused
-                // with <r0|r_{s+1}> per canonical segment.
-                let (xp, pp) =
-                    if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
-                let x = std::slice::from_raw_parts(xp as *const f64, d * k);
-                // A real `&mut` slice, not a raw pointer: the sink closure's
-                // store must carry `noalias` or it blocks vectorization of
-                // the format kernels' register-tiled inner loops.
-                let scratch_tile =
-                    std::slice::from_raw_parts_mut(buffers.scratch.add(w * tile_rows * k), len * k);
-                let (a_plus, inv) =
-                    op.stream_block_rows_affine(x, k, rows.clone(), &mut |val, i, j| {
-                        scratch_tile[j * len + (i - row0)] = val;
-                    });
-                for j in 0..k {
-                    let lo = j * d + row0;
-                    for s in 0..segs_here {
-                        let off = s * slot_rows;
-                        let seg_len = slot_rows.min(len - off);
-                        let slot_base = (seg0 + s) * NSLOTS * k;
-                        let r0s = &r0[lo + off..lo + off + seg_len];
-                        let hs = &scratch_tile[j * len + off..j * len + off + seg_len];
-                        let ps = std::slice::from_raw_parts_mut(pp.add(lo + off), seg_len);
-                        *slots.add(slot_base + j) = if (a_plus, inv) == (0.0, 1.0) {
-                            vecops::chebyshev_combine_dot_variant(variant, hs, ps, r0s)
-                        } else {
-                            let xs = &x[lo + off..lo + off + seg_len];
-                            vecops::rescaled_chebyshev_combine_dot_variant(
-                                variant, hs, xs, ps, r0s, a_plus, inv,
-                            )
-                        };
-                    }
-                }
-            }
+        let seg0 = rows.start / slot_rows;
+        let seg_end = seg0 + rows.len().div_ceil(slot_rows);
+        // SAFETY: the slots of this tile's own segments (in bounds: they are
+        // among the `nsegs`), which worker 0 reads only after the
+        // end-of-step barrier.
+        let slots = unsafe { buffer_mut(buffers.slots, seg0 * NSLOTS * k..seg_end * NSLOTS * k) };
+        if step == 0 {
+            // r1 = A r0, straight into this tile's rows of `b`; then
+            // <r0|r0> and <r0|r1> per canonical segment of the hot tile.
+            // SAFETY: this tile alone writes these rows of `b`, and nothing
+            // reads `b` before the end-of-step barrier.
+            let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
+            op.block_rows(&r0, k, rows, r1);
+            start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
+        } else {
+            // (A x)[tile] into the worker's scratch, then
+            // r_{s+1} = 2 (A x) - r_{s-1} over r_{s-1} in place, fused with
+            // <r0|r_{s+1}> per canonical segment.
+            let (xp, pp) =
+                if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
+            // SAFETY: during this step every tile writes only the other
+            // buffer `pp`, so all of `xp` may be read concurrently.
+            let x = unsafe { std::slice::from_raw_parts(xp.cast_const(), d * k) };
+            // SAFETY: this tile alone reads and writes these rows of `pp`
+            // during this step.
+            let p = unsafe { buffer_mut(pp, elems.clone()) };
+            let stripe = w * tile_rows * k;
+            // SAFETY: stripe `w` belongs to worker `w`, which runs one tile
+            // at a time.
+            let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
+            op.block_rows(x, k, rows, h);
+            plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots);
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
     let slot_sum = |seg_slot: usize, j: usize| -> f64 {
         let mut total = 0.0;
         for seg in 0..nsegs {
-            // Safety: worker 0 reads after the end-of-step barrier; no tile
+            // SAFETY: worker 0 reads after the end-of-step barrier; no tile
             // is writing.
             total += unsafe { *buffers.slots.add(seg * NSLOTS * k + seg_slot * k + j) };
         }
@@ -773,9 +848,10 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     // Canonical segment slots, as in the plain engine.
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
-    let mut a = r0.to_vec();
+    let r0 = interleave(r0, d, k);
+    let mut a = r0.clone();
     let mut b = vec![0.0f64; d * k];
-    const NSLOTS: usize = 3;
+    const NSLOTS: usize = DOUBLING_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
     let mut scratch = vec![0.0f64; workers * tile_rows * k];
     let buffers = EngineBuffers {
@@ -791,72 +867,32 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     let process = move |step: usize, tile: usize, w: usize| {
         let buffers = buffers; // capture the whole Sync struct, not raw-pointer fields
         let rows = tile_range(tile, tile_rows, d);
-        let row0 = rows.start;
-        let len = rows.len();
-        let seg0 = row0 / slot_rows;
-        let segs_here = len.div_ceil(slot_rows);
-        // Safety: as in the plain engine — disjoint tiles and scratch
-        // stripes, barrier-ordered steps, combine + dots on the still-hot
-        // tile after the stream.
-        unsafe {
-            let slots = buffers.slots;
-            if step == 0 {
-                // r1 = A r0 via the scratch stripe (see the plain engine);
-                // then <r0|r0>, <r0|r1>, <r1|r1> per canonical segment.
-                let scratch_tile =
-                    std::slice::from_raw_parts_mut(buffers.scratch.add(w * tile_rows * k), len * k);
-                op.stream_block_rows(r0, k, rows.clone(), &mut |val, i, j| {
-                    scratch_tile[j * len + (i - row0)] = val;
-                });
-                for j in 0..k {
-                    let lo = j * d + row0;
-                    let col = &scratch_tile[j * len..(j + 1) * len];
-                    std::ptr::copy_nonoverlapping(col.as_ptr(), buffers.b.add(lo), len);
-                    for s in 0..segs_here {
-                        let off = s * slot_rows;
-                        let seg_len = slot_rows.min(len - off);
-                        let slot_base = (seg0 + s) * NSLOTS * k;
-                        let r0s = &r0[lo + off..lo + off + seg_len];
-                        let bs = &col[off..off + seg_len];
-                        *slots.add(slot_base + j) = vecops::dot(r0s, r0s);
-                        *slots.add(slot_base + k + j) = vecops::dot(r0s, bs);
-                        *slots.add(slot_base + 2 * k + j) = vecops::dot(bs, bs);
-                    }
-                }
-            } else {
-                // r_{t+1} = 2 A r_t - r_{t-1} via the scratch stripe; then
-                // <r_t|r_{t+1}> and <r_{t+1}|r_{t+1}> per canonical segment.
-                let (xp, pp) =
-                    if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
-                let x = std::slice::from_raw_parts(xp as *const f64, d * k);
-                // `&mut` slice rather than raw pointer for the same
-                // `noalias` reason as in the plain engine.
-                let scratch_tile =
-                    std::slice::from_raw_parts_mut(buffers.scratch.add(w * tile_rows * k), len * k);
-                let (a_plus, inv) =
-                    op.stream_block_rows_affine(x, k, rows.clone(), &mut |val, i, j| {
-                        scratch_tile[j * len + (i - row0)] = val;
-                    });
-                for j in 0..k {
-                    let lo = j * d + row0;
-                    for s in 0..segs_here {
-                        let off = s * slot_rows;
-                        let seg_len = slot_rows.min(len - off);
-                        let slot_base = (seg0 + s) * NSLOTS * k;
-                        let xs = &x[lo + off..lo + off + seg_len];
-                        let hs = &scratch_tile[j * len + off..j * len + off + seg_len];
-                        let ps = std::slice::from_raw_parts_mut(pp.add(lo + off), seg_len);
-                        if (a_plus, inv) == (0.0, 1.0) {
-                            vecops::chebyshev_combine_inplace(hs, ps);
-                        } else {
-                            vecops::rescaled_chebyshev_combine_inplace(hs, xs, ps, a_plus, inv);
-                        }
-                        let ps = &*ps;
-                        *slots.add(slot_base + j) = vecops::dot(xs, ps);
-                        *slots.add(slot_base + k + j) = vecops::dot(ps, ps);
-                    }
-                }
-            }
+        let elems = rows.start * k..rows.end * k;
+        let seg0 = rows.start / slot_rows;
+        let seg_end = seg0 + rows.len().div_ceil(slot_rows);
+        // SAFETY: as in the plain engine — this tile's own slot segments.
+        let slots = unsafe { buffer_mut(buffers.slots, seg0 * NSLOTS * k..seg_end * NSLOTS * k) };
+        if step == 0 {
+            // r1 = A r0 into this tile's rows of `b`; then <r0|r0>, <r0|r1>
+            // and <r1|r1> per canonical segment.
+            // SAFETY: as in the plain engine — this tile's own rows of `b`.
+            let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
+            op.block_rows(&r0, k, rows, r1);
+            start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
+        } else {
+            // r_{t+1} = 2 A r_t - r_{t-1} via the scratch stripe; then
+            // <r_t|r_{t+1}> and <r_{t+1}|r_{t+1}> per canonical segment.
+            let (xp, pp) =
+                if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
+            // SAFETY: as in the plain engine — `xp` is read-only this step.
+            let x = unsafe { std::slice::from_raw_parts(xp.cast_const(), d * k) };
+            // SAFETY: as in the plain engine — this tile's own rows of `pp`.
+            let p = unsafe { buffer_mut(pp, elems.clone()) };
+            let stripe = w * tile_rows * k;
+            // SAFETY: as in the plain engine — worker `w`'s own stripe.
+            let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
+            op.block_rows(x, k, rows, h);
+            doubling_step_dots(h, p, &x[elems], k, slot_rows, slots);
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
@@ -865,7 +901,7 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     let slot_sum = |seg_slot: usize, j: usize| -> f64 {
         let mut total = 0.0;
         for seg in 0..nsegs {
-            // Safety: worker 0 reads after the end-of-step barrier.
+            // SAFETY: worker 0 reads after the end-of-step barrier.
             total += unsafe { *buffers.slots.add(seg * NSLOTS * k + seg_slot * k + j) };
         }
         total
@@ -914,53 +950,99 @@ mod tests {
         (0..d * k).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect()
     }
 
+    /// Column-major copy of a row-interleaved `d x k` block.
+    fn deinterleave(block: &[f64], d: usize, k: usize) -> Vec<f64> {
+        let mut out = vec![0.0; d * k];
+        for (i, row) in block.chunks_exact(k).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out[j * d + i] = v;
+            }
+        }
+        out
+    }
+
+    /// Widths 1 to 16 run as one const-width chunk, 17 as 16 + 1.
+    const WIDTHS: [usize; 5] = [1, 3, 5, 14, 17];
+
+    /// Computes every `step`-row range of `A X` into a NaN-filled tile,
+    /// starting mid-operator for all but the first, and checks that every
+    /// element was written and equals `apply_block`'s bit for bit.
+    fn assert_rows_match_apply_block<A: TiledOp>(op: &A, k: usize, step: usize, name: &str) {
+        let d = op.dim();
+        let x: Vec<f64> = (0..d * k).map(|i| (i as f64 * 0.7).sin()).collect();
+        let reference = op.apply_block_alloc(&x, k);
+        let xi = interleave(&x, d, k);
+        let mut got = vec![f64::NAN; d * k];
+        for lo in (0..d).step_by(step) {
+            let rows = lo..(lo + step).min(d);
+            let mut tile = vec![f64::NAN; rows.len() * k];
+            op.block_rows(&xi, k, rows.clone(), &mut tile);
+            got[rows.start * k..rows.end * k].copy_from_slice(&tile);
+        }
+        assert!(got.iter().all(|v| !v.is_nan()), "{name}, k = {k}: every element written");
+        let got = deinterleave(&got, d, k);
+        let same = got.iter().zip(&reference).all(|(g, r)| g.to_bits() == r.to_bits());
+        assert!(same, "{name}, k = {k}: {got:?} vs {reference:?}");
+    }
+
     #[test]
     fn streamed_values_match_apply_block_bitwise() {
-        let d = 23;
-        let k = 3;
-        let csr = ring(d);
-        let x: Vec<f64> = (0..d * k).map(|i| (i as f64).sin()).collect();
-        let reference = csr.apply_block_alloc(&x, k);
-        for op in [SparseMatrix::Csr(csr.clone()), SparseMatrix::Ell(EllMatrix::from_csr(&csr))] {
-            let mut got = vec![f64::NAN; d * k];
-            let mut count = 0usize;
-            for lo in (0..d).step_by(7) {
-                op.stream_block_rows(&x, k, lo..(lo + 7).min(d), &mut |val, i, j| {
-                    got[j * d + i] = val;
-                    count += 1;
-                });
+        let csr = ring(23);
+        for k in WIDTHS {
+            for op in [SparseMatrix::Csr(csr.clone()), SparseMatrix::Ell(EllMatrix::from_csr(&csr))]
+            {
+                assert_rows_match_apply_block(&op, k, 7, op.format_name());
             }
-            assert_eq!(count, d * k, "{}: every element exactly once", op.format_name());
-            assert_eq!(got, reference, "{}", op.format_name());
+            let dense = DenseMatrix::from_fn(11, 11, |i, j| ((3 * i + j) as f64).cos());
+            assert_rows_match_apply_block(&dense, k, 4, "dense");
+            assert_rows_match_apply_block(&IdentityOp::new(9), k, 4, "identity");
+            let diag = DiagonalOp::new((0..9).map(|i| 0.5 - i as f64 * 0.3).collect());
+            assert_rows_match_apply_block(&diag, k, 4, "diagonal");
         }
     }
 
     #[test]
     fn stencil_streaming_matches_csr_from_offset_ranges() {
-        let s = StencilOp::hypercubic_uniform(&[4, 3, 2], &[true, false, true], 1.0, 0.2, true);
-        let d = s.dim();
-        let k = 2;
-        let x: Vec<f64> = (0..d * k).map(|i| (i as f64 * 0.3).cos()).collect();
-        let reference = s.to_csr().apply_block_alloc(&x, k);
-        let mut got = vec![f64::NAN; d * k];
-        for lo in (0..d).step_by(5) {
-            s.stream_block_rows(&x, k, lo..(lo + 5).min(d), &mut |val, i, j| {
-                got[j * d + i] = val;
-            });
+        // [4, 3, 2] has only boundary rows (an extent-2 direction); [5, 4, 3]
+        // also has interior rows, so ranges seed the odometer on both paths.
+        for (dims, step) in [([4, 3, 2], 5), ([5, 4, 3], 7)] {
+            let s = StencilOp::hypercubic_uniform(&dims, &[true, false, true], 1.0, 0.2, true);
+            let d = s.dim();
+            let csr = s.to_csr();
+            for k in WIDTHS {
+                let x: Vec<f64> = (0..d * k).map(|i| (i as f64 * 0.3).cos()).collect();
+                let reference = csr.apply_block_alloc(&x, k);
+                let xi = interleave(&x, d, k);
+                let mut got = vec![f64::NAN; d * k];
+                for lo in (0..d).step_by(step) {
+                    let rows = lo..(lo + step).min(d);
+                    let mut tile = vec![f64::NAN; rows.len() * k];
+                    s.block_rows(&xi, k, rows.clone(), &mut tile);
+                    got[rows.start * k..rows.end * k].copy_from_slice(&tile);
+                }
+                assert_eq!(
+                    deinterleave(&got, d, k),
+                    reference,
+                    "{dims:?}, k = {k}: seeded odometer must match full sweep"
+                );
+            }
         }
-        assert_eq!(got, reference, "seeded odometer must match full sweep");
     }
 
     #[test]
     fn rescaled_streaming_matches_rescaled_apply_block() {
         let r = RescaledOp::new(ring(17), 0.3, 1.7);
         let d = 17;
-        let k = 2;
-        let x: Vec<f64> = (0..d * k).map(|i| (i as f64).cos()).collect();
-        let reference = r.apply_block_alloc(&x, k);
-        let mut got = vec![f64::NAN; d * k];
-        r.stream_block_rows(&x, k, 0..d, &mut |val, i, j| got[j * d + i] = val);
-        assert_eq!(got, reference);
+        for k in WIDTHS {
+            let x: Vec<f64> = (0..d * k).map(|i| (i as f64).cos()).collect();
+            let reference = r.apply_block_alloc(&x, k);
+            let mut got = vec![f64::NAN; d * k];
+            r.block_rows(&interleave(&x, d, k), k, 0..d, &mut got);
+            assert_eq!(deinterleave(&got, d, k), reference, "k = {k}");
+            assert_rows_match_apply_block(&r, k, 5, "rescaled csr");
+            let dense = RescaledOp::new(ring(17).to_dense(), 0.3, 1.7);
+            assert_rows_match_apply_block(&dense, k, 5, "rescaled dense");
+        }
     }
 
     fn reference_plain_moments(op: &CsrMatrix, r0: &[f64], n: usize) -> Vec<f64> {

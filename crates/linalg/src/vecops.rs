@@ -82,6 +82,53 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// `W` dot products at once over `n` rows of a row-interleaved block, each
+/// with the association of [`dot`] (`L = 4`) or of
+/// [`chebyshev_combine_dot8`] (`L = 8`).
+///
+/// `term(r)` returns row `r`'s `W` products, one per column. It is called
+/// exactly once per row, in ascending order, so it may also store (the
+/// fused Chebyshev combine does). Per column, row `r < n - n % L` adds into
+/// lane `r % L`, the last `n % L` rows are summed in order as the tail, and
+/// the lanes reduce pairwise before the tail is added:
+/// `(a0 + a1) + (a2 + a3) + tail` for four lanes. Every column is therefore
+/// bitwise equal to the contiguous one-vector kernel on that column.
+#[inline(always)]
+pub(crate) fn lane_dots<const W: usize, const L: usize>(
+    n: usize,
+    mut term: impl FnMut(usize) -> [f64; W],
+) -> [f64; W] {
+    let body = n - n % L;
+    let mut acc = [[0.0f64; W]; L];
+    for base in (0..body / L).map(|c| c * L) {
+        for (l, lane) in acc.iter_mut().enumerate() {
+            for (a, t) in lane.iter_mut().zip(term(base + l)) {
+                *a += t;
+            }
+        }
+    }
+    let mut tail = [[0.0f64; W]; L];
+    for (slot, r) in tail.iter_mut().zip(body..n) {
+        *slot = term(r);
+    }
+    let tail = &tail[..n - body];
+    std::array::from_fn(|u| {
+        let lanes: [f64; L] = std::array::from_fn(|l| acc[l][u]);
+        pairwise_sum(&lanes) + tail.iter().map(|t| t[u]).sum::<f64>()
+    })
+}
+
+/// `(a0 + a1) + (a2 + a3)` for four lanes, `((a0 + a1) + (a2 + a3)) +
+/// ((a4 + a5) + (a6 + a7))` for eight: the lane reduction of the unrolled
+/// kernels.
+fn pairwise_sum(lanes: &[f64]) -> f64 {
+    if lanes.len() == 1 {
+        return lanes[0];
+    }
+    let (lo, hi) = lanes.split_at(lanes.len() / 2);
+    pairwise_sum(lo) + pairwise_sum(hi)
+}
+
 /// `y += alpha * x`.
 ///
 /// # Panics
@@ -196,14 +243,13 @@ pub fn chebyshev_combine_dot(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// In-place spectral rescale of a streamed product segment:
+/// In-place spectral rescale of a computed product segment:
 /// `h[i] = (h[i] - a_plus * x[i]) * inv_a_minus`.
 ///
 /// Element-for-element the same expression as the store transform fused into
-/// the format kernels (`block::rescaled_store`), so applying it to raw
-/// streamed values yields bitwise-identical results to streaming rescaled
-/// values — just vectorized over a contiguous slice instead of scalar
-/// per-element inside a sink.
+/// the format kernels (`block::rescaled_store`), so rescaling a tile of raw
+/// products afterwards (as the tiled engine's `RescaledOp` row kernel does)
+/// yields bitwise-identical results to the fused store.
 ///
 /// # Panics
 /// Panics on length mismatch.
@@ -543,6 +589,34 @@ mod tests {
             assert_eq!(p4, p8, "rescaled stores must be bitwise identical, n = {n}");
             let scale = mu4.abs().max(1.0);
             assert!((mu8 - mu4).abs() <= 1e-12 * scale, "n = {n}: {mu8} vs {mu4}");
+        }
+    }
+
+    #[test]
+    fn lane_dots_match_the_one_vector_kernels_per_column() {
+        // Three columns at once; lengths cover every residue mod 8.
+        const W: usize = 3;
+        for n in (0..18usize).chain([128, 263]) {
+            let col = |j: usize, f: fn(f64) -> f64| -> Vec<f64> {
+                (0..n).map(|i| f((i * W + j) as f64 * 0.7) + 0.1).collect()
+            };
+            let cols = |f: fn(f64) -> f64| -> Vec<Vec<f64>> { (0..W).map(|j| col(j, f)).collect() };
+            let (hx, r0, prev) = (cols(f64::sin), cols(f64::cos), cols(f64::tan));
+            let dots = lane_dots::<W, 4>(n, |i| std::array::from_fn(|j| r0[j][i] * hx[j][i]));
+            let mut p8 = prev.clone();
+            let mu8 = lane_dots::<W, 8>(n, |i| {
+                std::array::from_fn(|j| {
+                    p8[j][i] = 2.0 * hx[j][i] - p8[j][i];
+                    r0[j][i] * p8[j][i]
+                })
+            });
+            for j in 0..W {
+                assert_eq!(dots[j].to_bits(), dot(&r0[j], &hx[j]).to_bits(), "n = {n}, col {j}");
+                let mut p = prev[j].clone();
+                let want = chebyshev_combine_dot8(&hx[j], &mut p, &r0[j]);
+                assert_eq!(mu8[j].to_bits(), want.to_bits(), "n = {n}, col {j}");
+                assert_eq!(p8[j], p, "n = {n}, col {j}");
+            }
         }
     }
 
