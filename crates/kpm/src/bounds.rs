@@ -50,9 +50,15 @@ pub type BoundsProvider = BoundsMethod;
 /// Krylov steps used by `--bounds lanczos` when no `:k` suffix is given.
 ///
 /// At m = 64 with full reorthogonalization the extreme Ritz values of the
-/// paper's lattices are converged to well below the safety margin, and the
-/// probe costs 64 matvecs — negligible next to the `N * R * S` sweeps of
-/// the moment stage it shrinks.
+/// paper's lattices are converged to well below the safety margin. The
+/// probe is 64 matvecs plus an `O(m^2 D)` reorthogonalization against a
+/// basis of `m` vectors, and that is not cheap at large `D`: on the
+/// 48^3 Anderson lattice (`D = 110,592`, `W = 12`) at one thread of a
+/// 2-vCPU Xeon host, `lanczos_contained(h, 64)` took 0.46-1.07 s across
+/// runs, longer than the job's whole `N = 128, R = 8` moment stage (about
+/// 0.3 s on the tiled engine), and its 56.6 MB basis sets the process's
+/// peak memory. A prototype three-term recurrence holding two vectors gave
+/// bounds within 3 ulps in 82-109 ms.
 pub const DEFAULT_LANCZOS_STEPS: usize = 64;
 
 /// Minimum effective Krylov depth for [`lanczos_contained`].
