@@ -644,6 +644,11 @@ fn start_dots(
     }
 }
 
+// A one-column block is laid out the same interleaved or not, so at
+// `k = 1` the two later-step kernels run the contiguous `vecops` kernels
+// on each segment: the same association, and faster there than one-wide
+// const kernels, which cannot vectorize across rows.
+
 /// A later plain step on one tile, once its rows of `A x` are in `h`:
 /// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
 fn plain_step_dots(
@@ -657,6 +662,11 @@ fn plain_step_dots(
 ) {
     for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
         let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
+        if k == 1 {
+            let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
+            slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
+            continue;
+        }
         for_each_chunk!(k, |j0, W| {
             let mu = match variant {
                 KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
@@ -680,6 +690,13 @@ fn doubling_step_dots(
 ) {
     for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
         let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+        if k == 1 {
+            let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
+            vecops::chebyshev_combine_inplace(h, p);
+            slot[0] = vecops::dot(x, p);
+            slot[1] = vecops::dot(p, p);
+            continue;
+        }
         for_each_chunk!(k, |j0, W| {
             for r in seg.clone() {
                 let o = r * k + j0;
