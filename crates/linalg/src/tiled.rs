@@ -62,10 +62,10 @@
 //! it reads `x` (8 B/row), reads and writes `p` in place (16 B/row), and
 //! reads `r0` for the dot (8 B/row) — `32 k` B/row plus the matrix row; the
 //! raw product only ever lands in a tile-sized per-worker scratch that
-//! stays cache-resident. The split
-//! pipeline (SpMM into a `D x k` intermediate, then combine+dot) moves the
-//! raw product through memory an extra time: 48 B/row plus the matrix. See
-//! DESIGN.md §9 for the full accounting.
+//! stays cache-resident. The split pipeline (SpMM into a `D x k`
+//! intermediate, then combine+dot) moves the raw product through memory an
+//! extra time: 48 B/row per column plus the matrix. See DESIGN.md §9 for
+//! the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
