@@ -6,8 +6,10 @@
 //! Chebyshev moments at fixed energy resolution. This module adds a
 //! deterministic m-step Lanczos provider (Chen, arXiv:2308.15683 §3;
 //! Lin–Saad–Yang, arXiv:1308.5467) that returns Ritz-value extremes widened
-//! by the per-Ritz residual bound, so the true spectrum is provably
-//! contained while the support stays tight.
+//! by the per-Ritz residual bound, so the true spectrum is contained while
+//! the support stays tight. The probe is the plain three-term recurrence: it
+//! needs only the tridiagonal `T_m` and the last residual norm, so it holds
+//! three vectors and never reorthogonalizes.
 //!
 //! Three providers are exposed under one textual grammar, parsed by the
 //! [`FromStr`] impl on [`BoundsMethod`]:
@@ -49,16 +51,12 @@ pub type BoundsProvider = BoundsMethod;
 
 /// Krylov steps used by `--bounds lanczos` when no `:k` suffix is given.
 ///
-/// At m = 64 with full reorthogonalization the extreme Ritz values of the
-/// paper's lattices are converged to well below the safety margin. The
-/// probe is 64 matvecs plus an `O(m^2 D)` reorthogonalization against a
-/// basis of `m` vectors, and that is not cheap at large `D`: on the
-/// 48^3 Anderson lattice (`D = 110,592`, `W = 12`) at one thread of a
-/// 2-vCPU Xeon host, `lanczos_contained(h, 64)` took 0.46-1.07 s across
-/// runs, longer than the job's whole `N = 128, R = 8` moment stage (about
-/// 0.3 s on the tiled engine), and its 56.6 MB basis sets the process's
-/// peak memory. A prototype three-term recurrence holding two vectors gave
-/// bounds within 3 ulps in 82-109 ms.
+/// At m = 64 the extreme Ritz values of the paper's lattices are converged
+/// to well below the safety margin. The probe costs 64 matvecs plus a few
+/// vector passes per step, over three vectors of length `D`: on the 48^3
+/// Anderson lattice (`D = 110,592`, `W = 12`) at one thread of a 2-vCPU
+/// Xeon host, `lanczos_contained(h, 64)` takes 140-151 ms and holds 2.7 MB,
+/// about half the job's `N = 128, R = 8` moment stage.
 pub const DEFAULT_LANCZOS_STEPS: usize = 64;
 
 /// Minimum effective Krylov depth for [`lanczos_contained`].
@@ -134,18 +132,26 @@ impl FromStr for BoundsMethod {
 
 /// Contained Lanczos bounds: Ritz extremes plus the residual safety margin.
 ///
-/// Runs `steps` iterations (capped at the operator dimension) of the
-/// symmetric Lanczos recursion with full reorthogonalization — at the small
-/// m used here the O(m^2 n) reorthogonalization cost is trivial and buys
-/// exact-arithmetic behaviour, so the Ritz values are genuine Rayleigh–Ritz
-/// estimates from an orthonormal Krylov basis. Per Chen §3, each Ritz pair
+/// Runs `steps` iterations (floored at [`MIN_CONTAINMENT_STEPS`], capped at
+/// the operator dimension) of the plain three-term Lanczos recurrence
+/// `beta_j v_{j+1} = A v_j - alpha_j v_j - beta_{j-1} v_{j-1}`, holding
+/// only `v_{j-1}`, `v_j` and the next residual. Per Chen §3, each Ritz pair
 /// `(theta_i, s_i)` of the tridiagonal `T_m` has a residual
 /// `||A y_i - theta_i y_i|| = beta_m |s_i[m-1]|`, so the interval
 /// `[theta_min - eta_min, theta_max + eta_max]` with `eta_i = beta_m
 /// |s_i[m-1]|` contains an eigenvalue-centered window; widening each end by
-/// its own residual (plus a tiny floating-point floor) yields bounds that
-/// contain the full spectrum whenever the extreme eigenvectors have any
-/// weight in the starter — guaranteed in practice by the random starter.
+/// its own residual (plus a relative cushion and a tiny floating-point
+/// floor) yields bounds that contain the full spectrum whenever the extreme
+/// eigenvectors have any weight in the starter — guaranteed in practice by
+/// the random starter.
+///
+/// Nothing reorthogonalizes, so the basis loses orthogonality once a Ritz
+/// value converges. Paige's analysis of the finite-precision recurrence
+/// keeps every Ritz value inside `[lambda_min - O(eps ||A||), lambda_max +
+/// O(eps ||A||)]`, and the lost orthogonality only adds ghost copies of
+/// converged Ritz values; the extremes converge first, so the ghosts never
+/// move the window. `tests/bounds_containment.rs` checks this against
+/// exact spectra, including clustered, degenerate and outlying extremes.
 ///
 /// Everything is sequential (one starter vector, scalar dot products in
 /// fixed order), so the result is bitwise identical across thread counts
@@ -171,8 +177,8 @@ pub fn lanczos_contained<A: LinearOp + ?Sized>(
     // Floor the Krylov depth: below ~12 steps the extreme Ritz values of a
     // general operator may not have started converging, and the residual
     // margin then measures a well-converged *interior* pair rather than the
-    // spectral edge. Capped at `n`, where the recursion tridiagonalizes the
-    // whole operator and the Ritz values are exact.
+    // spectral edge. Capped at `n`, beyond which the Krylov space has no
+    // new directions to offer.
     let m_max = steps.max(MIN_CONTAINMENT_STEPS).min(n);
 
     // Deterministic starter through the frozen realization-stream contract.
@@ -181,28 +187,25 @@ pub fn lanczos_contained<A: LinearOp + ?Sized>(
     let nrm = norm2(&v);
     scale(1.0 / nrm, &mut v);
 
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m_max);
-    basis.push(v);
+    let mut v_prev = vec![0.0; n];
+    let mut w = vec![0.0; n];
     let mut alphas: Vec<f64> = Vec::with_capacity(m_max);
     let mut betas: Vec<f64> = Vec::with_capacity(m_max.saturating_sub(1));
-    let mut w = vec![0.0; n];
     // Residual norm ||A q_m - (Krylov projection)|| after the final step.
     let mut beta_res = 0.0;
     let mut diag_scale: f64 = 0.0;
 
     for j in 0..m_max {
-        op.apply(&basis[j], &mut w);
-        let alpha = dot(&w, &basis[j]);
+        // w = A v_j - beta_{j-1} v_{j-1} - alpha_j v_j, with alpha_j taken
+        // after the first subtraction (Paige's ordering).
+        op.apply(&v, &mut w);
+        if let Some(&beta_prev) = betas.last() {
+            axpy(-beta_prev, &v_prev, &mut w);
+        }
+        let alpha = dot(&w, &v);
+        axpy(-alpha, &v, &mut w);
         alphas.push(alpha);
         diag_scale = diag_scale.max(alpha.abs());
-        // Full reorthogonalization, two passes: removes the alpha/beta
-        // components and any drift against the whole basis.
-        for _ in 0..2 {
-            for q in &basis {
-                let c = dot(&w, q);
-                axpy(-c, q, &mut w);
-            }
-        }
         let beta = norm2(&w);
         beta_res = beta;
         if j + 1 == m_max {
@@ -215,9 +218,11 @@ pub fn lanczos_contained<A: LinearOp + ?Sized>(
         }
         diag_scale = diag_scale.max(beta);
         betas.push(beta);
-        let mut q = w.clone();
-        scale(1.0 / beta, &mut q);
-        basis.push(q);
+        // Rotate: v_{j-1} <- v_j, v_{j+1} <- w / beta; the old v_{j-1}
+        // becomes the next step's output buffer.
+        std::mem::swap(&mut v_prev, &mut v);
+        std::mem::swap(&mut v, &mut w);
+        scale(1.0 / beta, &mut v);
     }
 
     let m = alphas.len();
@@ -348,8 +353,9 @@ pub fn bounds_cache_len() -> usize {
 /// This is the seam every pipeline routes through (estimator, host device
 /// pipeline, shard partials): it bumps `kpm.bounds.probe`, serves repeat
 /// probes for a scoped operator from the cache (`kpm.bounds.cache_hit`),
-/// and — when tracing is enabled — records a `kpm.bounds` span whose
-/// detail carries the provider plus the resulting `a_plus`/`a_minus`.
+/// and — when tracing is enabled — records a `kpm.bounds` span around
+/// each computed probe (a cache hit records none) whose detail carries the
+/// provider plus the resulting `a_plus`/`a_minus`.
 ///
 /// # Errors
 /// Propagates the provider's error ([`Boundable::spectral_bounds`]).
@@ -365,14 +371,17 @@ pub fn resolve<A: Boundable + ?Sized>(
             return Ok(*hit);
         }
     }
+    let span = kpm_obs::span("kpm.bounds");
     let bounds = op.spectral_bounds(method)?;
     if let Some(k) = key {
         cache().lock().unwrap().insert(k, bounds);
     }
     if kpm_obs::enabled() {
-        let detail =
-            format!("{method} a_plus={:.9} a_minus={:.9}", bounds.a_plus(), bounds.a_minus());
-        drop(kpm_obs::span_labeled("kpm.bounds", &detail));
+        span.set_detail(&format!(
+            "{method} a_plus={:.9} a_minus={:.9}",
+            bounds.a_plus(),
+            bounds.a_minus()
+        ));
     }
     Ok(bounds)
 }

@@ -9,6 +9,7 @@ use kpm_lattice::spec::LatticeSpec;
 use kpm_lattice::{Boundary, OnSite};
 use kpm_linalg::dense::DenseMatrix;
 use kpm_linalg::eigen::jacobi_eigenvalues;
+use kpm_linalg::op::DiagonalOp;
 use kpm_linalg::{LinearOp, SparseMatrix};
 use proptest::prelude::*;
 
@@ -30,6 +31,19 @@ fn assert_contained(label: &str, bounds: &SpectralBounds, eigs: &[f64]) {
         "{label}: bounds [{}, {}] must contain spectrum [{lo}, {hi}]",
         bounds.lower,
         bounds.upper
+    );
+}
+
+/// The window may exceed the true spectral interval by at most 1%: the
+/// probe's 0.1% cushion plus converged residuals, with room to spare.
+fn assert_tight(label: &str, bounds: &SpectralBounds, eigs: &[f64]) {
+    let spread = eigs[eigs.len() - 1] - eigs[0];
+    assert!(
+        bounds.width() <= 1.01 * spread,
+        "{label}: window [{}, {}] is {:.4}% wider than the spectrum's {spread}",
+        bounds.lower,
+        bounds.upper,
+        100.0 * (bounds.width() / spread - 1.0)
     );
 }
 
@@ -110,6 +124,72 @@ fn lanczos_contains_lattice_spectra_and_tightens_under_disorder() {
                 gersh.width()
             );
         }
+    }
+}
+
+/// Lattices larger than the default Krylov depth, so the recurrence runs
+/// long enough to lose orthogonality (the clean ones also exhaust their
+/// Krylov space: degenerate spectra have few distinct eigenvalues). The
+/// window must contain the dense spectrum and stay within 1% of its width.
+#[test]
+fn lanczos_contains_lattice_spectra_past_lost_orthogonality() {
+    for (spec, w) in
+        [("cubic:7,7,7", 0.0), ("cubic:7,7,7", 12.0), ("square:16,16", 0.0), ("chain:300", 0.0)]
+    {
+        let onsite =
+            if w == 0.0 { OnSite::Uniform(0.0) } else { OnSite::Disorder { width: w, seed: 3 } };
+        let h = LatticeSpec::parse(spec).unwrap().build_format(
+            1.0,
+            onsite,
+            Boundary::Periodic,
+            kpm_linalg::MatrixFormat::Csr,
+        );
+        let label = format!("{spec} W={w}");
+        let bounds = lanczos_contained(&h, DEFAULT_LANCZOS_STEPS).unwrap();
+        let mut eigs = jacobi_eigenvalues(&to_dense(&h)).unwrap();
+        eigs.sort_by(f64::total_cmp);
+        assert_contained(&label, &bounds, &eigs);
+        assert_tight(&label, &bounds, &eigs);
+    }
+}
+
+/// Ghost-eigenvalue inputs with exactly known spectra (a diagonal operator
+/// at D = 20,000, bulk evenly spaced on [-1, 1]). The probe keeps no basis
+/// and never reorthogonalizes, so converged extremes come back as ghost
+/// copies, clustered and degenerate extremes converge together, and a
+/// Krylov space exhausted before the last step continues on rounding
+/// noise. None of that may move the window off the spectrum.
+#[test]
+fn lanczos_contains_ghost_prone_spectra() {
+    const D: usize = 20_000;
+    let with_bulk = |extremes: &[f64]| {
+        let bulk = D - extremes.len();
+        let mut diag: Vec<f64> =
+            (0..bulk).map(|i| -1.0 + 2.0 * i as f64 / (bulk - 1) as f64).collect();
+        diag.extend_from_slice(extremes);
+        diag
+    };
+    let cases: Vec<(&str, Vec<f64>, usize)> = vec![
+        ("isolated top and bottom", with_bulk(&[10.0, -6.0]), DEFAULT_LANCZOS_STEPS),
+        ("top cluster", with_bulk(&[3.0, 3.0 - 1e-10, 3.0 - 2e-10]), DEFAULT_LANCZOS_STEPS),
+        (
+            "5-fold degenerate extremes",
+            with_bulk(&[4.0, 4.0, 4.0, 4.0, 4.0, -4.0, -4.0, -4.0, -4.0, -4.0]),
+            DEFAULT_LANCZOS_STEPS,
+        ),
+        (
+            "25 distinct values",
+            (0..D).map(|i| -1.0 + 2.0 * (i % 25) as f64 / 24.0).collect(),
+            DEFAULT_LANCZOS_STEPS,
+        ),
+        ("outliers at +-100", with_bulk(&[100.0, -100.0]), 200),
+    ];
+    for (label, diag, steps) in cases {
+        let mut eigs = diag.clone();
+        eigs.sort_by(f64::total_cmp);
+        let bounds = lanczos_contained(&DiagonalOp::new(diag), steps).unwrap();
+        assert_contained(label, &bounds, &eigs);
+        assert_tight(label, &bounds, &eigs);
     }
 }
 

@@ -1,9 +1,10 @@
 //! End-to-end format invariance on the paper's flagship workload: the full
-//! KPM moment pipeline (Gershgorin bounds → rescale → blocked stochastic
-//! recursion) must produce *bitwise-identical* moment statistics whether the
+//! KPM moment pipeline (bounds → rescale → blocked stochastic recursion)
+//! must produce *bitwise-identical* bounds and moment statistics whether the
 //! 10x10x10 cubic Hamiltonian is stored as CSR, padded ELL, a matrix-free
-//! stencil, or dense. This is the acceptance gate for treating the storage
-//! format as a pure performance knob.
+//! stencil, or dense, under Gershgorin bounds and, on a disordered lattice,
+//! under the contained Lanczos probe. This is the acceptance gate for
+//! treating the storage format as a pure performance knob.
 
 use kpm::prelude::*;
 use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
@@ -18,28 +19,52 @@ fn paper_model() -> TightBinding {
     .store_zero_diagonal(true)
 }
 
+/// The paper lattice under Anderson disorder `W = 12`, the operator the
+/// contained Lanczos bounds provider exists for.
+fn disordered_model() -> TightBinding {
+    TightBinding::new(
+        HypercubicLattice::cubic(10, 10, 10, Boundary::Periodic),
+        1.0,
+        OnSite::Disorder { width: 12.0, seed: 7 },
+    )
+}
+
 fn params(recursion: Recursion) -> KpmParams {
     KpmParams::new(32).with_random_vectors(4, 2).with_seed(20110516).with_recursion(recursion)
 }
 
 fn moments_for<A: Boundable + TiledOp + Sync>(op: &A, p: &KpmParams) -> MomentStats {
-    let bounds = op.spectral_bounds(p.bounds).expect("gershgorin bounds");
+    let bounds = op.spectral_bounds(p.bounds).expect("bounds");
     let rescaled = rescale(op, bounds, p.padding).expect("rescale");
     stochastic_moments(&rescaled, p)
 }
 
+fn bound_bits<A: Boundable>(op: &A, method: BoundsMethod) -> (u64, u64) {
+    let b = op.spectral_bounds(method).expect("bounds");
+    (b.lower.to_bits(), b.upper.to_bits())
+}
+
 #[test]
 fn paper_lattice_moments_bitwise_identical_across_formats() {
-    let tb = paper_model();
-    let csr_h = tb.build_csr();
-    for recursion in [Recursion::Plain, Recursion::Doubling] {
-        let p = params(recursion);
-        let reference = moments_for(&csr_h, &p);
+    let inputs = [
+        (paper_model(), BoundsMethod::Gershgorin),
+        (disordered_model(), BoundsMethod::Lanczos { steps: 64 }),
+    ];
+    for (tb, method) in inputs {
+        let csr_h = tb.build_csr();
+        let ref_bits = bound_bits(&csr_h, method);
         for format in [MatrixFormat::Ell, MatrixFormat::Stencil, MatrixFormat::Auto] {
-            let m = tb.build_format(format);
-            let stats = moments_for(&m, &p);
-            assert_eq!(stats.mean, reference.mean, "{format} mean ({recursion:?})");
-            assert_eq!(stats.std_err, reference.std_err, "{format} std_err ({recursion:?})");
+            assert_eq!(bound_bits(&tb.build_format(format), method), ref_bits, "{format} {method}");
+        }
+        for recursion in [Recursion::Plain, Recursion::Doubling] {
+            let p = params(recursion).with_bounds(method);
+            let reference = moments_for(&csr_h, &p);
+            for format in [MatrixFormat::Ell, MatrixFormat::Stencil, MatrixFormat::Auto] {
+                let m = tb.build_format(format);
+                let stats = moments_for(&m, &p);
+                assert_eq!(stats.mean, reference.mean, "{format} mean ({recursion:?})");
+                assert_eq!(stats.std_err, reference.std_err, "{format} std_err ({recursion:?})");
+            }
         }
     }
 }

@@ -134,6 +134,23 @@ pub struct SpanGuard {
     slot: Option<(u64, usize)>,
 }
 
+impl SpanGuard {
+    /// Replaces the span's detail, for a label known only once the measured
+    /// work has run (e.g. the interval a bounds probe found).
+    ///
+    /// Does nothing when tracing is disabled or the span's session has
+    /// ended.
+    pub fn set_detail(&self, detail: &str) {
+        let Some((id, idx)) = self.slot else { return };
+        let mut guard = lock_session();
+        if let Some(session) = guard.as_mut() {
+            if session.id == id {
+                session.spans[idx].detail = Some(detail.to_string());
+            }
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some((id, idx)) = self.slot else { return };
@@ -553,6 +570,25 @@ mod tests {
         assert_eq!(report.spans.len(), 1);
         assert_eq!(report.spans[0].name, "kpm.rescale");
         assert_eq!(report.spans[0].parent, None);
+    }
+
+    #[test]
+    fn detail_set_after_the_span_opened_is_recorded() {
+        let _lock = locked();
+        span("kpm.bounds").set_detail("ignored while disabled");
+        let handle = TraceHandle::begin();
+        {
+            let outer = span_labeled("kpm.rescale", "before");
+            let inner = span("kpm.bounds");
+            inner.set_detail("lanczos:64 a_plus=0.5");
+            outer.set_detail("after");
+        }
+        let report = handle.finish();
+        assert_eq!(report.spans.len(), 2);
+        assert_eq!(report.spans[0].detail.as_deref(), Some("after"));
+        assert_eq!(report.spans[1].name, "kpm.bounds");
+        assert_eq!(report.spans[1].detail.as_deref(), Some("lanczos:64 a_plus=0.5"));
+        assert_eq!(report.spans[1].parent, Some(0));
     }
 
     #[test]
