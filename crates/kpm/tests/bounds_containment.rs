@@ -128,9 +128,10 @@ fn lanczos_contains_lattice_spectra_and_tightens_under_disorder() {
 }
 
 /// Lattices larger than the default Krylov depth, so the recurrence runs
-/// long enough to lose orthogonality (the clean ones also exhaust their
-/// Krylov space: degenerate spectra have few distinct eigenvalues). The
-/// window must contain the dense spectrum and stay within 1% of its width.
+/// long enough to lose orthogonality (the clean cubic and square lattices
+/// also exhaust their Krylov space: their degenerate spectra have fewer
+/// than 64 distinct eigenvalues). The window must contain the dense
+/// spectrum and stay within 1% of its width.
 #[test]
 fn lanczos_contains_lattice_spectra_past_lost_orthogonality() {
     for (spec, w) in
