@@ -56,7 +56,7 @@ pub type BoundsProvider = BoundsMethod;
 /// vector passes per step, over three vectors of length `D`: on the 48^3
 /// Anderson lattice (`D = 110,592`, `W = 12`) at one thread of a 2-vCPU
 /// Xeon host, `lanczos_contained(h, 64)` takes 140-151 ms and holds 2.7 MB,
-/// about half the job's `N = 128, R = 8` moment stage.
+/// a quarter to a half of the job's one-thread moment stage (0.3-0.8 s).
 pub const DEFAULT_LANCZOS_STEPS: usize = 64;
 
 /// Minimum effective Krylov depth for [`lanczos_contained`].
