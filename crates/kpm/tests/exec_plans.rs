@@ -202,6 +202,30 @@ fn rows_and_hybrid_policies_are_bitwise_identical() {
     }
 }
 
+/// A traced tiled run names the copies of the moment kernels that ran:
+/// `kpm.exec.isa.avx2` or `kpm.exec.isa.baseline`, once per realization
+/// chunk, and never both.
+#[test]
+fn traced_tiled_run_counts_the_kernel_isa_once_per_chunk() {
+    let _g = policy_guard();
+    set_exec_policy(ExecPolicy::Rows);
+    set_thread_budget(1);
+    let h = lattice("chain:600", MatrixFormat::Csr);
+    let op = RescaledOp::new(h, 0.0, 3.0);
+    let params = KpmParams::new(16).with_random_vectors(3, 2).with_seed(3);
+    let chunks = realization_chunk_count(&params, 0..params.total_realizations());
+    assert_eq!(chunks, 2, "one chunk per realization set");
+
+    let handle = TraceHandle::begin();
+    stochastic_moments(&op, &params);
+    let report = handle.finish();
+
+    let ran = kpm_linalg::isa::active();
+    let other = if ran == "avx2" { "baseline" } else { "avx2" };
+    assert_eq!(report.counter(&format!("kpm.exec.isa.{ran}")), Some(chunks as u64));
+    assert_eq!(report.counter(&format!("kpm.exec.isa.{other}")), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -257,25 +257,8 @@ impl CsrMatrix {
         }
     }
 
-    // Row kernel of the tiled engine (`crate::tiled::TiledOp`): rows `rows`
-    // of `A X` for a row-interleaved `k`-column block (element `(c, j)` at
-    // `c * k + j`), stored into the row-interleaved tile `out` (row `i` at
-    // `(i - rows.start) * k`). Each decoded entry meets the inputs it
-    // multiplies as one contiguous run of `x`, and per element the
-    // accumulation runs over the row's entries in ascending-column order
-    // from `0.0`, exactly as in `spmv`, so every value is bitwise equal to
-    // `spmm`'s. The caller checks the lengths.
-    pub(crate) fn rows_interleaved(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
-    }
-
     /// Columns `j0..j0 + W` of `rows_interleaved`.
+    #[inline(always)]
     fn rows_chunk<const W: usize>(
         &self,
         x: &[f64],
@@ -380,6 +363,26 @@ impl CsrMatrix {
     /// Maximum number of stored entries in any row.
     pub fn max_row_nnz(&self) -> usize {
         (0..self.nrows).map(|i| self.row_ptr[i + 1] - self.row_ptr[i]).max().unwrap_or(0)
+    }
+}
+
+crate::isa::kernels! {
+    /// Row kernel of the tiled engine (`crate::tiled::TiledOp`): rows `rows`
+    /// of `A X` for a row-interleaved `k`-column block (element `(c, j)` at
+    /// `c * k + j`), stored into the row-interleaved tile `out` (row `i` at
+    /// `(i - rows.start) * k`). Each decoded entry meets the inputs it
+    /// multiplies as one contiguous run of `x`, and per element the
+    /// accumulation runs over the row's entries in ascending-column order
+    /// from `0.0`, exactly as in `spmv`, so every value is bitwise equal to
+    /// `spmm`'s. The caller checks the lengths.
+    pub(crate) fn rows_interleaved(
+        m: &CsrMatrix,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| m.rows_chunk::<W>(x, k, j0, rows.clone(), out));
     }
 }
 

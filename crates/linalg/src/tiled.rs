@@ -26,7 +26,9 @@
 //! The column count is a compile-time constant inside every row loop: the
 //! row kernels and the combine-and-dot kernels are const-generic in their
 //! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
-//! run in const-width column chunks.
+//! run in const-width column chunks. Each dispatching function is compiled
+//! twice, for baseline x86-64 and for AVX2, with the same bits
+//! ([`crate::isa`]).
 //!
 //! # Determinism
 //!
@@ -130,21 +132,21 @@ impl<A: TiledOp + ?Sized> TiledOp for &A {
 impl TiledOp for CsrMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         check_rows(self.dim(), x, k, &rows, out);
-        self.rows_interleaved(x, k, rows, out);
+        crate::csr::rows_interleaved(self, x, k, rows, out);
     }
 }
 
 impl TiledOp for EllMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         check_rows(self.dim(), x, k, &rows, out);
-        self.rows_interleaved(x, k, rows, out);
+        crate::ell::rows_interleaved(self, x, k, rows, out);
     }
 }
 
 impl TiledOp for StencilOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         check_rows(self.dim(), x, k, &rows, out);
-        self.rows_interleaved(x, k, rows, out);
+        crate::stencil::rows_interleaved(self, x, k, rows, out);
     }
 }
 
@@ -617,96 +619,99 @@ fn combine_dots<const W: usize, const L: usize>(
 
 // The three per-tile dot kernels below take whole tiles of row-interleaved
 // `k`-column blocks and the tile's slots (`nslots * k` per canonical
-// segment). They are generic in nothing, so each is compiled once however
-// many operator types instantiate the engine.
+// segment). They are generic in nothing, so each is compiled once per
+// instruction set (`crate::isa`) however many operator types instantiate
+// the engine.
 
-/// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
-/// are in place: per segment and column, `<r0|r0>` and `<r0|r1>` into
-/// slots 0 and 1, and with [`DOUBLING_SLOTS`] also `<r1|r1>` into slot 2.
-fn start_dots(
-    r0: &[f64],
-    r1: &[f64],
-    k: usize,
-    slot_rows: usize,
-    nslots: usize,
-    slots: &mut [f64],
-) {
-    for (s, seg) in segments(r0.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * nslots * k..][..nslots * k];
-        for_each_chunk!(k, |j0, W| {
-            slot[j0..][..W].copy_from_slice(&column_dots::<W>(r0, r0, k, j0, seg.clone()));
-            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(r0, r1, k, j0, seg.clone()));
-            if nslots == DOUBLING_SLOTS {
-                let norm1 = column_dots::<W>(r1, r1, k, j0, seg.clone());
-                slot[2 * k + j0..][..W].copy_from_slice(&norm1);
-            }
-        });
-    }
-}
-
-// A one-column block is laid out the same interleaved or not, so at
-// `k = 1` the two later-step kernels run the contiguous `vecops` kernels
-// on each segment: the same association, and faster there than one-wide
-// const kernels, which cannot vectorize across rows.
-
-/// A later plain step on one tile, once its rows of `A x` are in `h`:
-/// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
-fn plain_step_dots(
-    variant: KernelVariant,
-    h: &[f64],
-    p: &mut [f64],
-    r0: &[f64],
-    k: usize,
-    slot_rows: usize,
-    slots: &mut [f64],
-) {
-    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
-        if k == 1 {
-            let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-            slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
-            continue;
-        }
-        for_each_chunk!(k, |j0, W| {
-            let mu = match variant {
-                KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
-                KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
-            };
-            slot[j0..][..W].copy_from_slice(&mu);
-        });
-    }
-}
-
-/// A later doubling step on one tile, once its rows of `A x` are in `h`:
-/// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
-/// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
-fn doubling_step_dots(
-    h: &[f64],
-    p: &mut [f64],
-    x: &[f64],
-    k: usize,
-    slot_rows: usize,
-    slots: &mut [f64],
-) {
-    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
-        if k == 1 {
-            let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
-            vecops::chebyshev_combine_inplace(h, p);
-            slot[0] = vecops::dot(x, p);
-            slot[1] = vecops::dot(p, p);
-            continue;
-        }
-        for_each_chunk!(k, |j0, W| {
-            for r in seg.clone() {
-                let o = r * k + j0;
-                for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
-                    *p = 2.0 * h - *p;
+crate::isa::kernels! {
+    /// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
+    /// are in place: per segment and column, `<r0|r0>` and `<r0|r1>` into
+    /// slots 0 and 1, and with [`DOUBLING_SLOTS`] also `<r1|r1>` into slot 2.
+    fn start_dots(
+        r0: &[f64],
+        r1: &[f64],
+        k: usize,
+        slot_rows: usize,
+        nslots: usize,
+        slots: &mut [f64],
+    ) {
+        for (s, seg) in segments(r0.len() / k, slot_rows).enumerate() {
+            let slot = &mut slots[s * nslots * k..][..nslots * k];
+            for_each_chunk!(k, |j0, W| {
+                slot[j0..][..W].copy_from_slice(&column_dots::<W>(r0, r0, k, j0, seg.clone()));
+                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(r0, r1, k, j0, seg.clone()));
+                if nslots == DOUBLING_SLOTS {
+                    let norm1 = column_dots::<W>(r1, r1, k, j0, seg.clone());
+                    slot[2 * k + j0..][..W].copy_from_slice(&norm1);
                 }
+            });
+        }
+    }
+
+    // A one-column block is laid out the same interleaved or not, so at
+    // `k = 1` the two later-step kernels run the contiguous `vecops` kernels
+    // on each segment: the same association, and faster there than one-wide
+    // const kernels, which cannot vectorize across rows.
+
+    /// A later plain step on one tile, once its rows of `A x` are in `h`:
+    /// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
+    fn plain_step_dots(
+        variant: KernelVariant,
+        h: &[f64],
+        p: &mut [f64],
+        r0: &[f64],
+        k: usize,
+        slot_rows: usize,
+        slots: &mut [f64],
+    ) {
+        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+            let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
+            if k == 1 {
+                let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
+                slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
+                continue;
             }
-            slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
-            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
-        });
+            for_each_chunk!(k, |j0, W| {
+                let mu = match variant {
+                    KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
+                    KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
+                };
+                slot[j0..][..W].copy_from_slice(&mu);
+            });
+        }
+    }
+
+    /// A later doubling step on one tile, once its rows of `A x` are in `h`:
+    /// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
+    /// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
+    fn doubling_step_dots(
+        h: &[f64],
+        p: &mut [f64],
+        x: &[f64],
+        k: usize,
+        slot_rows: usize,
+        slots: &mut [f64],
+    ) {
+        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            if k == 1 {
+                let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
+                vecops::chebyshev_combine_inplace(h, p);
+                slot[0] = vecops::dot(x, p);
+                slot[1] = vecops::dot(p, p);
+                continue;
+            }
+            for_each_chunk!(k, |j0, W| {
+                for r in seg.clone() {
+                    let o = r * k + j0;
+                    for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
+                        *p = 2.0 * h - *p;
+                    }
+                }
+                slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
+                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
+            });
+        }
     }
 }
 

@@ -3,7 +3,9 @@
 //! These are the innermost loops of the KPM recursion. They are written over
 //! slices with iterator zips so the compiler can elide bounds checks and
 //! vectorize; all panic on length mismatch (a programming error, not a
-//! recoverable condition).
+//! recoverable condition). The kernels the moment engine and the Lanczos
+//! probe call run a second copy compiled for AVX2 where the CPU has it,
+//! with the same bits ([`crate::isa`]).
 
 /// Default for [`par_min_dim`]: the smallest operator dimension at which
 /// realization-level rayon parallelism pays for its fork-join overhead.
@@ -59,27 +61,28 @@ pub fn use_parallel(dim: usize) -> bool {
     dim >= par_min_dim()
 }
 
-/// Dot product `x · y`.
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    // Four-way unrolled accumulation: reduces the sequential FP dependency
-    // chain, which matters for a loop this hot, and incidentally makes the
-    // summation order deterministic and platform-independent.
-    let mut acc = [0.0f64; 4];
-    let (xc, xr) = x.split_at(x.len() - x.len() % 4);
-    let (yc, yr) = y.split_at(xc.len());
-    for (xs, ys) in xc.chunks_exact(4).zip(yc.chunks_exact(4)) {
-        acc[0] += xs[0] * ys[0];
-        acc[1] += xs[1] * ys[1];
-        acc[2] += xs[2] * ys[2];
-        acc[3] += xs[3] * ys[3];
+crate::isa::kernels! {
+    /// Dot product `x · y`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != y.len()`.
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dot: length mismatch");
+        // Four-way unrolled accumulation: reduces the sequential FP dependency
+        // chain, which matters for a loop this hot, and incidentally makes the
+        // summation order deterministic and platform-independent.
+        let mut acc = [0.0f64; 4];
+        let (xc, xr) = x.split_at(x.len() - x.len() % 4);
+        let (yc, yr) = y.split_at(xc.len());
+        for (xs, ys) in xc.chunks_exact(4).zip(yc.chunks_exact(4)) {
+            acc[0] += xs[0] * ys[0];
+            acc[1] += xs[1] * ys[1];
+            acc[2] += xs[2] * ys[2];
+            acc[3] += xs[3] * ys[3];
+        }
+        let tail: f64 = xr.iter().zip(yr).map(|(a, b)| a * b).sum();
+        pairwise_sum(&acc) + tail
     }
-    let tail: f64 = xr.iter().zip(yr).map(|(a, b)| a * b).sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 /// `W` dot products at once over `n` rows of a row-interleaved block, each
@@ -121,6 +124,13 @@ pub(crate) fn lane_dots<const W: usize, const L: usize>(
 /// `(a0 + a1) + (a2 + a3)` for four lanes, `((a0 + a1) + (a2 + a3)) +
 /// ((a4 + a5) + (a6 + a7))` for eight: the lane reduction of the unrolled
 /// kernels.
+///
+/// Kept out of line on purpose. Spelled out inline after the fused combine
+/// loop, the pairing led the vectorizer to split the accumulators into
+/// even and odd lanes and shuffle every element: `chebyshev_combine_dot`'s
+/// AVX2 copy ran 1.7x slower than its baseline copy, and both ran slower
+/// than with this call.
+#[inline(never)]
 fn pairwise_sum(lanes: &[f64]) -> f64 {
     if lanes.len() == 1 {
         return lanes[0];
@@ -129,23 +139,23 @@ fn pairwise_sum(lanes: &[f64]) -> f64 {
     pairwise_sum(lo) + pairwise_sum(hi)
 }
 
-/// `y += alpha * x`.
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
+crate::isa::kernels! {
+    /// `y += alpha * x`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != y.len()`.
+    pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
     }
-}
 
-/// `x *= alpha`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
+    /// `x *= alpha`.
+    pub fn scale(alpha: f64, x: &mut [f64]) {
+        for xi in x.iter_mut() {
+            *xi *= alpha;
+        }
     }
 }
 
@@ -158,106 +168,104 @@ pub fn shift(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Euclidean norm `||x||_2`, computed with scaling to avoid overflow for
-/// extreme magnitudes.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    let amax = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if amax == 0.0 || !amax.is_finite() {
-        return amax;
+crate::isa::kernels! {
+    /// Euclidean norm `||x||_2`, computed with scaling to avoid overflow for
+    /// extreme magnitudes.
+    pub fn norm2(x: &[f64]) -> f64 {
+        let amax = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        if amax == 0.0 || !amax.is_finite() {
+            return amax;
+        }
+        let inv = 1.0 / amax;
+        let ssq: f64 = x.iter().map(|&v| (v * inv) * (v * inv)).sum();
+        amax * ssq.sqrt()
     }
-    let inv = 1.0 / amax;
-    let ssq: f64 = x.iter().map(|&v| (v * inv) * (v * inv)).sum();
-    amax * ssq.sqrt()
-}
 
-/// Fused Chebyshev step: `out[i] = 2.0 * hx[i] - prev[i]`.
-///
-/// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
-/// `hx = H~ r_{n+1}` already formed. Fusing the scale and subtract halves the
-/// memory traffic relative to two separate BLAS-1 passes.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn chebyshev_combine(hx: &[f64], prev: &[f64], out: &mut [f64]) {
-    assert_eq!(hx.len(), prev.len(), "chebyshev_combine: length mismatch");
-    assert_eq!(hx.len(), out.len(), "chebyshev_combine: length mismatch");
-    for ((o, &h), &p) in out.iter_mut().zip(hx).zip(prev) {
-        *o = 2.0 * h - p;
+    /// Fused Chebyshev step: `out[i] = 2.0 * hx[i] - prev[i]`.
+    ///
+    /// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
+    /// `hx = H~ r_{n+1}` already formed. Fusing the scale and subtract halves the
+    /// memory traffic relative to two separate BLAS-1 passes.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn chebyshev_combine(hx: &[f64], prev: &[f64], out: &mut [f64]) {
+        assert_eq!(hx.len(), prev.len(), "chebyshev_combine: length mismatch");
+        assert_eq!(hx.len(), out.len(), "chebyshev_combine: length mismatch");
+        for ((o, &h), &p) in out.iter_mut().zip(hx).zip(prev) {
+            *o = 2.0 * h - p;
+        }
     }
-}
 
-/// In-place fused Chebyshev step: `prev[i] = 2.0 * hx[i] - prev[i]`.
-///
-/// Lets the caller recycle the `r_n` buffer as the `r_{n+2}` buffer, which is
-/// exactly the pointer-swap scheme the paper uses on the GPU (Sec. III-B-1).
-#[inline]
-pub fn chebyshev_combine_inplace(hx: &[f64], prev: &mut [f64]) {
-    assert_eq!(hx.len(), prev.len(), "chebyshev_combine_inplace: length mismatch");
-    for (p, &h) in prev.iter_mut().zip(hx) {
-        *p = 2.0 * h - *p;
-    }
-}
-
-/// Fuses [`chebyshev_combine_inplace`] with the moment dot product: updates
-/// `prev[i] = 2 * hx[i] - prev[i]` and returns `dot(r0, prev_new)` in a
-/// single pass over the three vectors.
-///
-/// The KPM recursion computes the combine and then immediately dots the
-/// result against the seed vector, which re-reads the freshly written block
-/// from memory; fusing the two keeps each element in registers between the
-/// update and the multiply. The reduction replicates [`dot`]'s exact
-/// four-way-unrolled summation order, so the returned moment is bitwise
-/// identical to `chebyshev_combine_inplace(hx, prev); dot(r0, prev)`.
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-pub fn chebyshev_combine_dot(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
-    assert_eq!(hx.len(), prev.len(), "chebyshev_combine_dot: length mismatch");
-    assert_eq!(r0.len(), prev.len(), "chebyshev_combine_dot: length mismatch");
-    let mut acc = [0.0f64; 4];
-    let split = prev.len() - prev.len() % 4;
-    let (pc, pr) = prev.split_at_mut(split);
-    let (hc, hr) = hx.split_at(split);
-    let (rc, rr) = r0.split_at(split);
-    for ((ps, hs), rs) in pc.chunks_exact_mut(4).zip(hc.chunks_exact(4)).zip(rc.chunks_exact(4)) {
-        ps[0] = 2.0 * hs[0] - ps[0];
-        ps[1] = 2.0 * hs[1] - ps[1];
-        ps[2] = 2.0 * hs[2] - ps[2];
-        ps[3] = 2.0 * hs[3] - ps[3];
-        acc[0] += rs[0] * ps[0];
-        acc[1] += rs[1] * ps[1];
-        acc[2] += rs[2] * ps[2];
-        acc[3] += rs[3] * ps[3];
-    }
-    let tail: f64 = rr
-        .iter()
-        .zip(pr.iter_mut())
-        .zip(hr)
-        .map(|((&r, p), &h)| {
+    /// In-place fused Chebyshev step: `prev[i] = 2.0 * hx[i] - prev[i]`.
+    ///
+    /// Lets the caller recycle the `r_n` buffer as the `r_{n+2}` buffer, which is
+    /// exactly the pointer-swap scheme the paper uses on the GPU (Sec. III-B-1).
+    pub fn chebyshev_combine_inplace(hx: &[f64], prev: &mut [f64]) {
+        assert_eq!(hx.len(), prev.len(), "chebyshev_combine_inplace: length mismatch");
+        for (p, &h) in prev.iter_mut().zip(hx) {
             *p = 2.0 * h - *p;
-            r * *p
-        })
-        .sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
+        }
+    }
 
-/// In-place spectral rescale of a computed product segment:
-/// `h[i] = (h[i] - a_plus * x[i]) * inv_a_minus`.
-///
-/// Element-for-element the same expression as the store transform fused into
-/// the format kernels (`block::rescaled_store`), so rescaling a tile of raw
-/// products afterwards (as the tiled engine's `RescaledOp` row kernel does)
-/// yields bitwise-identical results to the fused store.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn rescale_inplace(h: &mut [f64], x: &[f64], a_plus: f64, inv_a_minus: f64) {
-    assert_eq!(h.len(), x.len(), "rescale_inplace: length mismatch");
-    for (hv, &xv) in h.iter_mut().zip(x) {
-        *hv = (*hv - a_plus * xv) * inv_a_minus;
+    /// Fuses [`chebyshev_combine_inplace`] with the moment dot product: updates
+    /// `prev[i] = 2 * hx[i] - prev[i]` and returns `dot(r0, prev_new)` in a
+    /// single pass over the three vectors.
+    ///
+    /// The KPM recursion computes the combine and then immediately dots the
+    /// result against the seed vector, which re-reads the freshly written block
+    /// from memory; fusing the two keeps each element in registers between the
+    /// update and the multiply. The reduction replicates [`dot`]'s exact
+    /// four-way-unrolled summation order, so the returned moment is bitwise
+    /// identical to `chebyshev_combine_inplace(hx, prev); dot(r0, prev)`.
+    ///
+    /// # Panics
+    /// Panics if the three slices differ in length.
+    pub fn chebyshev_combine_dot(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
+        assert_eq!(hx.len(), prev.len(), "chebyshev_combine_dot: length mismatch");
+        assert_eq!(r0.len(), prev.len(), "chebyshev_combine_dot: length mismatch");
+        let mut acc = [0.0f64; 4];
+        let split = prev.len() - prev.len() % 4;
+        let (pc, pr) = prev.split_at_mut(split);
+        let (hc, hr) = hx.split_at(split);
+        let (rc, rr) = r0.split_at(split);
+        for ((ps, hs), rs) in pc.chunks_exact_mut(4).zip(hc.chunks_exact(4)).zip(rc.chunks_exact(4)) {
+            ps[0] = 2.0 * hs[0] - ps[0];
+            ps[1] = 2.0 * hs[1] - ps[1];
+            ps[2] = 2.0 * hs[2] - ps[2];
+            ps[3] = 2.0 * hs[3] - ps[3];
+            acc[0] += rs[0] * ps[0];
+            acc[1] += rs[1] * ps[1];
+            acc[2] += rs[2] * ps[2];
+            acc[3] += rs[3] * ps[3];
+        }
+        let tail: f64 = rr
+            .iter()
+            .zip(pr.iter_mut())
+            .zip(hr)
+            .map(|((&r, p), &h)| {
+                *p = 2.0 * h - *p;
+                r * *p
+            })
+            .sum();
+        pairwise_sum(&acc) + tail
+    }
+
+    /// In-place spectral rescale of a computed product segment:
+    /// `h[i] = (h[i] - a_plus * x[i]) * inv_a_minus`.
+    ///
+    /// Element-for-element the same expression as the store transform fused into
+    /// the format kernels (`block::rescaled_store`), so rescaling a tile of raw
+    /// products afterwards (as the tiled engine's `RescaledOp` row kernel does)
+    /// yields bitwise-identical results to the fused store.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn rescale_inplace(h: &mut [f64], x: &[f64], a_plus: f64, inv_a_minus: f64) {
+        assert_eq!(h.len(), x.len(), "rescale_inplace: length mismatch");
+        for (hv, &xv) in h.iter_mut().zip(x) {
+            *hv = (*hv - a_plus * xv) * inv_a_minus;
+        }
     }
 }
 
@@ -388,38 +396,40 @@ pub fn kernel_variant() -> KernelVariant {
     }
 }
 
-/// Eight-way unrolled [`chebyshev_combine_dot`]. The in-place combine
-/// stores are element-wise identical to the 4-way kernel; only the dot
-/// reduction associates differently
-/// (`((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7)) + tail`), so `prev` ends
-/// bitwise equal while the returned moment agrees to rounding.
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-pub fn chebyshev_combine_dot8(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
-    assert_eq!(hx.len(), prev.len(), "chebyshev_combine_dot8: length mismatch");
-    assert_eq!(r0.len(), prev.len(), "chebyshev_combine_dot8: length mismatch");
-    let mut acc = [0.0f64; 8];
-    let split = prev.len() - prev.len() % 8;
-    let (pc, pr) = prev.split_at_mut(split);
-    let (hc, hr) = hx.split_at(split);
-    let (rc, rr) = r0.split_at(split);
-    for ((ps, hs), rs) in pc.chunks_exact_mut(8).zip(hc.chunks_exact(8)).zip(rc.chunks_exact(8)) {
-        for lane in 0..8 {
-            ps[lane] = 2.0 * hs[lane] - ps[lane];
-            acc[lane] += rs[lane] * ps[lane];
+crate::isa::kernels! {
+    /// Eight-way unrolled [`chebyshev_combine_dot`]. The in-place combine
+    /// stores are element-wise identical to the 4-way kernel; only the dot
+    /// reduction associates differently
+    /// (`((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7)) + tail`), so `prev` ends
+    /// bitwise equal while the returned moment agrees to rounding.
+    ///
+    /// # Panics
+    /// Panics if the three slices differ in length.
+    pub fn chebyshev_combine_dot8(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
+        assert_eq!(hx.len(), prev.len(), "chebyshev_combine_dot8: length mismatch");
+        assert_eq!(r0.len(), prev.len(), "chebyshev_combine_dot8: length mismatch");
+        let mut acc = [0.0f64; 8];
+        let split = prev.len() - prev.len() % 8;
+        let (pc, pr) = prev.split_at_mut(split);
+        let (hc, hr) = hx.split_at(split);
+        let (rc, rr) = r0.split_at(split);
+        for ((ps, hs), rs) in pc.chunks_exact_mut(8).zip(hc.chunks_exact(8)).zip(rc.chunks_exact(8)) {
+            for lane in 0..8 {
+                ps[lane] = 2.0 * hs[lane] - ps[lane];
+                acc[lane] += rs[lane] * ps[lane];
+            }
         }
+        let tail: f64 = rr
+            .iter()
+            .zip(pr.iter_mut())
+            .zip(hr)
+            .map(|((&r, p), &h)| {
+                *p = 2.0 * h - *p;
+                r * *p
+            })
+            .sum();
+        pairwise_sum(&acc) + tail
     }
-    let tail: f64 = rr
-        .iter()
-        .zip(pr.iter_mut())
-        .zip(hr)
-        .map(|((&r, p), &h)| {
-            *p = 2.0 * h - *p;
-            r * *p
-        })
-        .sum();
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
 /// Eight-way unrolled [`rescaled_chebyshev_combine_dot`]; same contract as
