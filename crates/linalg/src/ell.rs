@@ -212,8 +212,22 @@ impl EllMatrix {
         }
     }
 
+    // Row kernel of the tiled engine, with the contract of
+    // `csr::rows_interleaved`: rows `rows` of `A X` for a
+    // row-interleaved `k`-column block, stored into the row-interleaved tile
+    // `out`. Slots accumulate in ascending order from `0.0` and padding is
+    // never read, as in `spmv`.
+    pub(crate) fn rows_interleaved(
+        &self,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+    }
+
     // Columns `j0..j0 + W` of `rows_interleaved`.
-    #[inline(always)]
     fn rows_chunk<const W: usize>(
         &self,
         x: &[f64],
@@ -251,23 +265,6 @@ impl EllMatrix {
         }
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("ELL round-trip produced invalid CSR — internal bug")
-    }
-}
-
-crate::isa::kernels! {
-    /// Row kernel of the tiled engine, with the contract of
-    /// `csr::rows_interleaved`: rows `rows` of `A X` for a row-interleaved
-    /// `k`-column block, stored into the row-interleaved tile `out`. Slots
-    /// accumulate in ascending order from `0.0` and padding is never read,
-    /// as in `spmv`.
-    pub(crate) fn rows_interleaved(
-        m: &EllMatrix,
-        x: &[f64],
-        k: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| m.rows_chunk::<W>(x, k, j0, rows.clone(), out));
     }
 }
 

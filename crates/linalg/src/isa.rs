@@ -1,13 +1,16 @@
 //! Runtime instruction-set dispatch for the moment kernels.
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
-//! two `f64` lanes. The kernels the moment engine spends its time in — the
-//! CSR, ELL and stencil row kernels of the tiled engine, its three per-tile
-//! dot kernels, and the one-vector [`vecops`](crate::vecops) kernels — are
-//! therefore each compiled twice by `kernels!`: a baseline copy, and a copy
-//! under `#[target_feature(enable = "avx2")]`, with four lanes, that runs
-//! when the CPU has AVX2. Each call picks its copy; off x86-64 only the
-//! baseline copy exists.
+//! two `f64` lanes. The kernels the benchmark workloads spend their moment
+//! stages in — the tiled engine's CSR row kernel and its three per-tile dot
+//! kernels, and the [`vecops`](crate::vecops) kernels `dot`, `axpy`,
+//! `scale`, `norm2`, `chebyshev_combine_dot`, `chebyshev_combine_dot8` and
+//! `rescale_inplace` — are therefore each compiled twice by `kernels!`: a
+//! baseline copy, and a copy under `#[target_feature(enable = "avx2")]`,
+//! with four lanes, that runs when the CPU has AVX2. Each call picks its
+//! copy; off x86-64 only the baseline copy exists. The ELL and stencil row
+//! kernels, `chebyshev_combine` and `chebyshev_combine_inplace` run in no
+//! benchmark workload and have one copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -19,7 +22,7 @@
 /// `true` when the CPU has AVX2, so that every dispatched kernel runs its
 /// AVX2 copy. Always `false` off x86-64.
 #[inline]
-pub fn has_avx2() -> bool {
+pub(crate) fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
@@ -66,6 +69,8 @@ macro_rules! kernels {
 
             pub(crate) fn baseline($($arg: $ty),*) $(-> $ret)? $body
 
+            /// # Safety
+            /// The CPU must have AVX2.
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
             pub(crate) fn avx2($($arg: $ty),*) $(-> $ret)? $body
@@ -81,7 +86,7 @@ pub(crate) use kernels;
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use crate::vecops::{self, KernelVariant};
-    use crate::{csr, ell, stencil, tiled, EllMatrix, StencilGeometry, StencilOp};
+    use crate::{csr, tiled, StencilGeometry, StencilOp};
 
     /// `true` when the AVX2 copies can run; prints why the test is skipped
     /// otherwise.
@@ -146,18 +151,16 @@ mod tests {
     }
 
     #[test]
-    fn row_kernels_agree_across_isas() {
+    fn csr_row_kernel_agrees_across_isas() {
         if !avx2_available() {
             return;
         }
-        // A disordered periodic 5 x 4 x 3 lattice: D = 60, with interior
-        // rows (the stencil's fast path) beside wrapping boundary rows.
+        // A disordered periodic 5 x 4 x 3 lattice, D = 60, in CSR.
         let d = 60;
         let onsite = lcg_values(7, d).into_iter().map(|v| 0.2 * v).collect();
         let geometry = StencilGeometry::Hypercubic { dims: vec![5, 4, 3], periodic: vec![true; 3] };
         let stencil_op = StencilOp::new(geometry, 0.125, onsite, false);
         let csr_op = stencil_op.to_csr();
-        let ell_op = EllMatrix::from_csr(&csr_op);
         // The whole operator, one row, and 7-row ranges from mid-operator
         // to a ragged end.
         let ranges: Vec<_> = [0..d, 0..1]
@@ -169,21 +172,10 @@ mod tests {
             let x = lcg_values(k as u64, d * k);
             for rows in &ranges {
                 let what = format!("k = {k}, rows {rows:?}");
-                let tile = vec![f64::NAN; rows.len() * k];
                 assert_copies_agree!(
                     format!("csr, {what}"),
                     csr::rows_interleaved(&csr_op, &x, k, rows.clone(), &mut out),
-                    out = tile.clone()
-                );
-                assert_copies_agree!(
-                    format!("ell, {what}"),
-                    ell::rows_interleaved(&ell_op, &x, k, rows.clone(), &mut out),
-                    out = tile.clone()
-                );
-                assert_copies_agree!(
-                    format!("stencil, {what}"),
-                    stencil::rows_interleaved(&stencil_op, &x, k, rows.clone(), &mut out),
-                    out = tile.clone()
+                    out = vec![f64::NAN; rows.len() * k]
                 );
             }
         }
@@ -239,16 +231,6 @@ mod tests {
             assert_copies_agree!(what("norm2"), vecops::norm2(&a),);
             assert_copies_agree!(what("axpy"), vecops::axpy(0.7, &a, &mut y), y = b.clone());
             assert_copies_agree!(what("scale"), vecops::scale(-1.3, &mut y), y = a.clone());
-            assert_copies_agree!(
-                what("chebyshev_combine"),
-                vecops::chebyshev_combine(&a, &b, &mut out),
-                out = vec![f64::NAN; n]
-            );
-            assert_copies_agree!(
-                what("chebyshev_combine_inplace"),
-                vecops::chebyshev_combine_inplace(&a, &mut p),
-                p = b.clone()
-            );
             assert_copies_agree!(
                 what("chebyshev_combine_dot"),
                 vecops::chebyshev_combine_dot(&a, &mut p, &c),

@@ -457,8 +457,24 @@ impl StencilOp {
         }
     }
 
-    /// Columns `j0..j0 + W` of `stencil::rows_interleaved`.
-    #[inline(always)]
+    /// Row kernel of the tiled engine, with the contract of
+    /// `csr::rows_interleaved`: rows `rows` of `A X` for a
+    /// row-interleaved `k`-column block, stored into the row-interleaved
+    /// tile `out`. Interior and boundary rows accumulate in ascending-column
+    /// order exactly as in `StencilOp::stream_rows`, and the odometer is
+    /// seeded at `rows.start`, so a range starting mid-operator computes the
+    /// same bits as a sweep from row 0.
+    pub(crate) fn rows_interleaved(
+        &self,
+        x: &[f64],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f64],
+    ) {
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+    }
+
+    /// Columns `j0..j0 + W` of `StencilOp::rows_interleaved`.
     fn rows_chunk<const W: usize>(
         &self,
         x: &[f64],
@@ -523,7 +539,7 @@ impl StencilOp {
     }
 
     /// One generic (boundary / honeycomb) row of `StencilOp::rows_chunk`.
-    #[inline(always)]
+    #[inline]
     fn row_generic_interleaved<const W: usize>(
         &self,
         i: usize,
@@ -541,25 +557,6 @@ impl StencilOp {
             }
         }
         acc
-    }
-}
-
-crate::isa::kernels! {
-    /// Row kernel of the tiled engine, with the contract of
-    /// `csr::rows_interleaved`: rows `rows` of `A X` for a row-interleaved
-    /// `k`-column block, stored into the row-interleaved tile `out`.
-    /// Interior and boundary rows accumulate in ascending-column order
-    /// exactly as in `StencilOp::stream_rows`, and the odometer is seeded at
-    /// `rows.start`, so a range starting mid-operator computes the same bits
-    /// as a sweep from row 0.
-    pub(crate) fn rows_interleaved(
-        m: &StencilOp,
-        x: &[f64],
-        k: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| m.rows_chunk::<W>(x, k, j0, rows.clone(), out));
     }
 }
 

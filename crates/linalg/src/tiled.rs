@@ -26,9 +26,9 @@
 //! The column count is a compile-time constant inside every row loop: the
 //! row kernels and the combine-and-dot kernels are const-generic in their
 //! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
-//! run in const-width column chunks. Each dispatching function is compiled
-//! twice, for baseline x86-64 and for AVX2, with the same bits
-//! ([`crate::isa`]).
+//! run in const-width column chunks. The CSR row kernel and the three
+//! per-tile dot kernels are compiled twice, for baseline x86-64 and for
+//! AVX2, with the same bits ([`crate::isa`]).
 //!
 //! # Determinism
 //!
@@ -139,14 +139,14 @@ impl TiledOp for CsrMatrix {
 impl TiledOp for EllMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         check_rows(self.dim(), x, k, &rows, out);
-        crate::ell::rows_interleaved(self, x, k, rows, out);
+        self.rows_interleaved(x, k, rows, out);
     }
 }
 
 impl TiledOp for StencilOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         check_rows(self.dim(), x, k, &rows, out);
-        crate::stencil::rows_interleaved(self, x, k, rows, out);
+        self.rows_interleaved(x, k, rows, out);
     }
 }
 

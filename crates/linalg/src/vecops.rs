@@ -3,9 +3,10 @@
 //! These are the innermost loops of the KPM recursion. They are written over
 //! slices with iterator zips so the compiler can elide bounds checks and
 //! vectorize; all panic on length mismatch (a programming error, not a
-//! recoverable condition). The kernels the moment engine and the Lanczos
-//! probe call run a second copy compiled for AVX2 where the CPU has it,
-//! with the same bits ([`crate::isa`]).
+//! recoverable condition). [`dot`], [`axpy`], [`scale`], [`norm2`],
+//! [`chebyshev_combine_dot`], [`chebyshev_combine_dot8`] and
+//! [`rescale_inplace`] run a second copy compiled for AVX2 where the CPU
+//! has it, with the same bits ([`crate::isa`]).
 
 /// Default for [`par_min_dim`]: the smallest operator dimension at which
 /// realization-level rayon parallelism pays for its fork-join overhead.
@@ -81,7 +82,7 @@ crate::isa::kernels! {
             acc[3] += xs[3] * ys[3];
         }
         let tail: f64 = xr.iter().zip(yr).map(|(a, b)| a * b).sum();
-        pairwise_sum(&acc) + tail
+        pairwise_sum_out_of_line(&acc) + tail
     }
 }
 
@@ -124,19 +125,24 @@ pub(crate) fn lane_dots<const W: usize, const L: usize>(
 /// `(a0 + a1) + (a2 + a3)` for four lanes, `((a0 + a1) + (a2 + a3)) +
 /// ((a4 + a5) + (a6 + a7))` for eight: the lane reduction of the unrolled
 /// kernels.
-///
-/// Kept out of line on purpose. Spelled out inline after the fused combine
-/// loop, the pairing led the vectorizer to split the accumulators into
-/// even and odd lanes and shuffle every element: `chebyshev_combine_dot`'s
-/// AVX2 copy ran 1.7x slower than its baseline copy, and both ran slower
-/// than with this call.
-#[inline(never)]
 fn pairwise_sum(lanes: &[f64]) -> f64 {
     if lanes.len() == 1 {
         return lanes[0];
     }
     let (lo, hi) = lanes.split_at(lanes.len() / 2);
     pairwise_sum(lo) + pairwise_sum(hi)
+}
+
+/// [`pairwise_sum`] behind an out-of-line call, for the lane reduction of
+/// the one-vector kernels [`dot`], [`chebyshev_combine_dot`] and
+/// [`chebyshev_combine_dot8`]. Spelled out inline after the fused combine
+/// loop, the pairing led the vectorizer to split the accumulators into even
+/// and odd lanes and shuffle every element: `chebyshev_combine_dot`'s AVX2
+/// copy ran 1.7x slower than its baseline copy, and both ran slower than
+/// with this call.
+#[inline(never)]
+fn pairwise_sum_out_of_line(lanes: &[f64]) -> f64 {
+    pairwise_sum(lanes)
 }
 
 crate::isa::kernels! {
@@ -180,34 +186,38 @@ crate::isa::kernels! {
         let ssq: f64 = x.iter().map(|&v| (v * inv) * (v * inv)).sum();
         amax * ssq.sqrt()
     }
+}
 
-    /// Fused Chebyshev step: `out[i] = 2.0 * hx[i] - prev[i]`.
-    ///
-    /// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
-    /// `hx = H~ r_{n+1}` already formed. Fusing the scale and subtract halves the
-    /// memory traffic relative to two separate BLAS-1 passes.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn chebyshev_combine(hx: &[f64], prev: &[f64], out: &mut [f64]) {
-        assert_eq!(hx.len(), prev.len(), "chebyshev_combine: length mismatch");
-        assert_eq!(hx.len(), out.len(), "chebyshev_combine: length mismatch");
-        for ((o, &h), &p) in out.iter_mut().zip(hx).zip(prev) {
-            *o = 2.0 * h - p;
-        }
+/// Fused Chebyshev step: `out[i] = 2.0 * hx[i] - prev[i]`.
+///
+/// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
+/// `hx = H~ r_{n+1}` already formed. Fusing the scale and subtract halves the
+/// memory traffic relative to two separate BLAS-1 passes.
+///
+/// # Panics
+/// Panics on length mismatch.
+#[inline]
+pub fn chebyshev_combine(hx: &[f64], prev: &[f64], out: &mut [f64]) {
+    assert_eq!(hx.len(), prev.len(), "chebyshev_combine: length mismatch");
+    assert_eq!(hx.len(), out.len(), "chebyshev_combine: length mismatch");
+    for ((o, &h), &p) in out.iter_mut().zip(hx).zip(prev) {
+        *o = 2.0 * h - p;
     }
+}
 
-    /// In-place fused Chebyshev step: `prev[i] = 2.0 * hx[i] - prev[i]`.
-    ///
-    /// Lets the caller recycle the `r_n` buffer as the `r_{n+2}` buffer, which is
-    /// exactly the pointer-swap scheme the paper uses on the GPU (Sec. III-B-1).
-    pub fn chebyshev_combine_inplace(hx: &[f64], prev: &mut [f64]) {
-        assert_eq!(hx.len(), prev.len(), "chebyshev_combine_inplace: length mismatch");
-        for (p, &h) in prev.iter_mut().zip(hx) {
-            *p = 2.0 * h - *p;
-        }
+/// In-place fused Chebyshev step: `prev[i] = 2.0 * hx[i] - prev[i]`.
+///
+/// Lets the caller recycle the `r_n` buffer as the `r_{n+2}` buffer, which is
+/// exactly the pointer-swap scheme the paper uses on the GPU (Sec. III-B-1).
+#[inline]
+pub fn chebyshev_combine_inplace(hx: &[f64], prev: &mut [f64]) {
+    assert_eq!(hx.len(), prev.len(), "chebyshev_combine_inplace: length mismatch");
+    for (p, &h) in prev.iter_mut().zip(hx) {
+        *p = 2.0 * h - *p;
     }
+}
 
+crate::isa::kernels! {
     /// Fuses [`chebyshev_combine_inplace`] with the moment dot product: updates
     /// `prev[i] = 2 * hx[i] - prev[i]` and returns `dot(r0, prev_new)` in a
     /// single pass over the three vectors.
@@ -248,7 +258,7 @@ crate::isa::kernels! {
                 r * *p
             })
             .sum();
-        pairwise_sum(&acc) + tail
+        pairwise_sum_out_of_line(&acc) + tail
     }
 
     /// In-place spectral rescale of a computed product segment:
@@ -428,7 +438,7 @@ crate::isa::kernels! {
                 r * *p
             })
             .sum();
-        pairwise_sum(&acc) + tail
+        pairwise_sum_out_of_line(&acc) + tail
     }
 }
 
