@@ -1,0 +1,156 @@
+//! Pins the tiled engine's moments for start blocks of exact ±1 entries.
+//!
+//! Every front-door job starts from Rademacher vectors, whose entries are all
+//! `±1.0`, and the plain engine keeps such a block as signs rather than as
+//! an `f64` copy. `tiled_bits.rs` cannot see that path: it starts from LCG
+//! values in `(-1, 1)`. This test hashes every moment's `to_bits()` for ±1
+//! start blocks over the full configuration matrix — four formats, bare and
+//! rescaled, six block widths (one column, and 17 = 16 + 1), on- and
+//! off-grid tile heights, one and three threads, both recursions and both
+//! kernel variants — against constants recorded from the engine that kept
+//! an `f64` copy of every start block. The sign path must reproduce them
+//! unchanged.
+//!
+//! It is the only test in its binary because it sets the process-global
+//! kernel variant; it restores `Unrolled4` before returning.
+
+use kpm_linalg::op::RescaledOp;
+use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
+use kpm_linalg::vecops::{set_kernel_variant, KernelVariant};
+use kpm_linalg::{DenseMatrix, EllMatrix, SparseMatrix, StencilGeometry, StencilOp};
+
+const MOMENTS: usize = 7;
+const WIDTHS: [usize; 6] = [1, 2, 3, 8, 14, 17];
+/// 128 and 256 lie on the canonical-segment grid; 200 does not and keeps
+/// per-tile dot slots.
+const TILE_ROWS: [usize; 3] = [128, 256, 200];
+const THREADS: [usize; 2] = [1, 3];
+
+/// `(format, recursion, variant)` → FNV-1a-64 over every moment's bits.
+const EXPECTED: [(&str, &str, &str, u64); 16] = [
+    ("csr", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
+    ("csr", "plain", "unrolled8", 0x2449_717f_8422_96fd),
+    ("csr", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
+    ("csr", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
+    ("ell", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
+    ("ell", "plain", "unrolled8", 0x2449_717f_8422_96fd),
+    ("ell", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
+    ("ell", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
+    ("stencil", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
+    ("stencil", "plain", "unrolled8", 0x2449_717f_8422_96fd),
+    ("stencil", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
+    ("stencil", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
+    ("dense", "plain", "unrolled4", 0x088c_e430_32fa_2a69),
+    ("dense", "plain", "unrolled8", 0x7184_ea93_0e4e_e171),
+    ("dense", "doubling", "unrolled4", 0x2f11_bf0c_729f_6f5d),
+    ("dense", "doubling", "unrolled8", 0x2f11_bf0c_729f_6f5d),
+];
+
+/// 64-bit LCG states from `seed`.
+fn lcg(seed: u64, len: usize) -> impl Iterator<Item = u64> {
+    let mut state = seed;
+    (0..len).map(move |_| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state
+    })
+}
+
+/// Deterministic values in `(-1, 1)`.
+fn lcg_values(seed: u64, len: usize) -> Vec<f64> {
+    lcg(seed, len).map(|s| ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0).collect()
+}
+
+/// Deterministic `±1.0` entries, the sign taken from each state's top bit.
+fn lcg_signs(seed: u64, len: usize) -> Vec<f64> {
+    lcg(seed, len).map(|s| if s >> 63 == 1 { 1.0 } else { -1.0 }).collect()
+}
+
+/// A disordered periodic cubic lattice with spectrum inside `[-1, 1]`
+/// (hopping 1/8, on-site energies in `(-0.2, 0.2)`).
+fn lattice(l: usize) -> StencilOp {
+    let d = l * l * l;
+    let onsite = lcg_values(7, d).into_iter().map(|v| 0.2 * v).collect();
+    StencilOp::new(
+        StencilGeometry::Hypercubic { dims: vec![l; 3], periodic: vec![true; 3] },
+        0.125,
+        onsite,
+        true,
+    )
+}
+
+fn fnv1a(hash: &mut u64, bits: u64) {
+    for byte in bits.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds every moment of every configuration of `op` into `hash`.
+fn hash_runs<A: TiledOp + Sync>(op: &A, doubling: bool, hash: &mut u64) {
+    let d = op.dim();
+    for k in WIDTHS {
+        let r0 = lcg_signs(k as u64, d * k);
+        for tile_rows in TILE_ROWS {
+            for threads in THREADS {
+                let (mu, _) = if doubling {
+                    fused_block_moments_doubling(op, &r0, k, MOMENTS, threads, tile_rows)
+                } else {
+                    fused_block_moments_plain(op, &r0, k, MOMENTS, threads, tile_rows)
+                };
+                assert_eq!(mu.len(), k);
+                for col in &mu {
+                    assert_eq!(col.len(), MOMENTS);
+                    for m in col {
+                        fnv1a(hash, m.to_bits());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The bare operator, then the same operator behind a non-trivial rescale.
+fn hash_format<A: TiledOp + Sync + Clone>(op: &A, doubling: bool) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    hash_runs(op, doubling, &mut hash);
+    hash_runs(&RescaledOp::new(op.clone(), 0.03, 1.1), doubling, &mut hash);
+    hash
+}
+
+#[test]
+fn signed_start_moments_keep_their_bits() {
+    // D = 729 = 5 * 128 + 89: the last canonical segment is ragged against
+    // both the 4- and the 8-lane unroll.
+    let stencil = lattice(9);
+    let csr = stencil.to_csr();
+    let ell = SparseMatrix::Ell(EllMatrix::from_csr(&csr));
+    // Dense on a smaller lattice keeps the debug-build run short:
+    // D = 343 = 2 * 128 + 87, again ragged against both unrolls.
+    let dense: DenseMatrix = lattice(7).to_csr().to_dense();
+    let mut got = Vec::new();
+    for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
+        set_kernel_variant(variant);
+        for (recursion, doubling) in [("plain", false), ("doubling", true)] {
+            for (format, hash) in [
+                ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
+                ("ell", hash_format(&ell, doubling)),
+                ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
+                ("dense", hash_format(&dense, doubling)),
+            ] {
+                got.push((format, recursion, variant.name(), hash));
+            }
+        }
+    }
+    set_kernel_variant(KernelVariant::Unrolled4);
+    let mut mismatches = Vec::new();
+    for &(format, recursion, variant, want) in &EXPECTED {
+        let (.., hash) = got
+            .iter()
+            .find(|(f, r, v, _)| (*f, *r, *v) == (format, recursion, variant))
+            .expect("every expected configuration is run");
+        if *hash != want {
+            mismatches.push(format!("{format}/{recursion}/{variant}: got {hash:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "signed-start bits moved:\n{}", mismatches.join("\n"));
+}
