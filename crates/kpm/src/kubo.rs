@@ -28,7 +28,7 @@ use crate::error::KpmError;
 use crate::kernels::KernelType;
 use crate::moments::KpmParams;
 use crate::random::fill_random_vector;
-use kpm_linalg::csr::CsrMatrix;
+use kpm_linalg::csr::{self, CsrMatrix};
 use kpm_linalg::op::LinearOp;
 use kpm_linalg::tiled::TiledOp;
 use kpm_linalg::vecops;
@@ -60,11 +60,11 @@ pub fn velocity_operator(h: &CsrMatrix, positions: &[f64], period: Option<f64>) 
             }
             let w = dx * v;
             if w != 0.0 {
-                col_idx.push(j);
+                col_idx.push(csr::index(j));
                 values.push(w);
             }
         }
-        row_ptr.push(col_idx.len());
+        row_ptr.push(csr::index(col_idx.len()));
     }
     CsrMatrix::from_raw(h.nrows(), h.ncols(), row_ptr, col_idx, values)
         .expect("velocity operator construction")

@@ -6,7 +6,7 @@
 //! exactly what a tight-binding builder wants when multiple bonds hit the
 //! same `(i, j)` pair (e.g. a periodic dimension of length 2).
 
-use crate::csr::CsrMatrix;
+use crate::csr::{self, CsrMatrix};
 use crate::error::LinalgError;
 
 /// An unassembled sparse matrix: a bag of `(row, col, value)` triplets.
@@ -126,16 +126,16 @@ impl CooMatrix {
                     if c == cur_c {
                         cur_v += v;
                     } else {
-                        col_idx.push(cur_c);
+                        col_idx.push(csr::index(cur_c));
                         values.push(cur_v);
                         cur_c = c;
                         cur_v = v;
                     }
                 }
-                col_idx.push(cur_c);
+                col_idx.push(csr::index(cur_c));
                 values.push(cur_v);
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(csr::index(col_idx.len()));
         }
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("COO assembly produced invalid CSR — internal bug")

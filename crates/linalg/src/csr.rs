@@ -3,6 +3,13 @@
 //! The KPM's `O(D)` complexity claim rests on the Hamiltonian being sparse
 //! with `O(1)` entries per row; CSR makes the matvec `O(nnz)` and is the
 //! format both our CPU reference and the simulated-GPU kernels consume.
+//!
+//! Row pointers and column indices are stored as `u32`: an entry costs
+//! 12 B (an `f64` value and a 32-bit column) and a row 4 B, against 16 B
+//! and 8 B with `usize` indices, and the moment sweep streams every byte of
+//! them once per step. Builders convert with [`index`], which panics rather
+//! than truncate; the kernels widen each index back with `as usize`, so no
+//! accumulation order changes.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -20,9 +27,18 @@ use crate::op::LinearOp;
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<u32>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
+}
+
+/// `v` as a stored CSR index: a column, or an entry offset in `row_ptr`.
+///
+/// # Panics
+/// Panics if `v` exceeds `u32::MAX`, the largest index a [`CsrMatrix`]
+/// stores.
+pub fn index(v: usize) -> u32 {
+    u32::try_from(v).unwrap_or_else(|_| panic!("CSR index {v} exceeds the 32-bit index range"))
 }
 
 impl CsrMatrix {
@@ -33,8 +49,8 @@ impl CsrMatrix {
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self, LinalgError> {
         if row_ptr.len() != nrows + 1 {
@@ -57,7 +73,7 @@ impl CsrMatrix {
                 values.len()
             )));
         }
-        if row_ptr[nrows] != col_idx.len() {
+        if row_ptr[nrows] as usize != col_idx.len() {
             return Err(LinalgError::InvalidStructure(format!(
                 "row_ptr[nrows] = {} != nnz = {}",
                 row_ptr[nrows],
@@ -68,7 +84,7 @@ impl CsrMatrix {
             if row_ptr[r] > row_ptr[r + 1] {
                 return Err(LinalgError::InvalidStructure(format!("row_ptr decreases at row {r}")));
             }
-            let seg = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            let seg = &col_idx[row_ptr[r] as usize..row_ptr[r + 1] as usize];
             for w in seg.windows(2) {
                 if w[0] >= w[1] {
                     return Err(LinalgError::InvalidStructure(format!(
@@ -77,7 +93,7 @@ impl CsrMatrix {
                 }
             }
             if let Some(&last) = seg.last() {
-                if last >= ncols {
+                if last as usize >= ncols {
                     return Err(LinalgError::InvalidStructure(format!(
                         "column {last} out of range in row {r} (ncols = {ncols})"
                     )));
@@ -103,13 +119,19 @@ impl CsrMatrix {
     }
 
     /// The `row_ptr` array.
-    pub fn row_ptr(&self) -> &[usize] {
+    pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
     /// The column-index array.
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
+    }
+
+    /// The entry range of row `i` in `col_idx` and `values`.
+    #[inline(always)]
+    fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize
     }
 
     /// The value array.
@@ -123,8 +145,8 @@ impl CsrMatrix {
     /// Panics if `i >= nrows`.
     pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         assert!(i < self.nrows, "row {i} out of bounds");
-        let seg = self.row_ptr[i]..self.row_ptr[i + 1];
-        self.col_idx[seg.clone()].iter().copied().zip(self.values[seg].iter().copied())
+        let seg = self.row_range(i);
+        self.col_idx[seg.clone()].iter().map(|&c| c as usize).zip(self.values[seg].iter().copied())
     }
 
     /// Value at `(i, j)`; `0.0` for entries not stored.
@@ -133,10 +155,10 @@ impl CsrMatrix {
     /// Panics if out of bounds.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.nrows && j < self.ncols, "({i}, {j}) out of bounds");
-        let seg = self.row_ptr[i]..self.row_ptr[i + 1];
-        match self.col_idx[seg.clone()].binary_search(&j) {
-            Ok(k) => self.values[seg.start + k],
-            Err(_) => 0.0,
+        let seg = self.row_range(i);
+        match u32::try_from(j).map(|j| self.col_idx[seg.clone()].binary_search(&j)) {
+            Ok(Ok(k)) => self.values[seg.start + k],
+            _ => 0.0,
         }
     }
 
@@ -165,10 +187,10 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
         for (i, yi) in y.iter_mut().enumerate() {
-            let seg = self.row_ptr[i]..self.row_ptr[i + 1];
+            let seg = self.row_range(i);
             let mut acc = 0.0;
             for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
-                acc += v * x[c];
+                acc += v * x[c as usize];
             }
             *yi = f(acc, i);
         }
@@ -229,7 +251,7 @@ impl CsrMatrix {
     ) {
         const CHUNK: usize = 4;
         for i in rows {
-            let seg = self.row_ptr[i]..self.row_ptr[i + 1];
+            let seg = self.row_range(i);
             let cols = &self.col_idx[seg.clone()];
             let vals = &self.values[seg];
             let mut j = 0;
@@ -237,7 +259,7 @@ impl CsrMatrix {
                 let mut acc = [0.0f64; CHUNK];
                 for (&c, &v) in cols.iter().zip(vals) {
                     for (u, a) in acc.iter_mut().enumerate() {
-                        *a += v * x[(j + u) * self.ncols + c];
+                        *a += v * x[(j + u) * self.ncols + c as usize];
                     }
                 }
                 for (u, &a) in acc.iter().enumerate() {
@@ -249,7 +271,7 @@ impl CsrMatrix {
                 let xcol = &x[j * self.ncols..(j + 1) * self.ncols];
                 let mut acc = 0.0;
                 for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * xcol[c];
+                    acc += v * xcol[c as usize];
                 }
                 sink(acc, i, j);
                 j += 1;
@@ -269,10 +291,10 @@ impl CsrMatrix {
     ) {
         let row0 = rows.start;
         for i in rows {
-            let seg = self.row_ptr[i]..self.row_ptr[i + 1];
+            let seg = self.row_range(i);
             let mut acc = [0.0f64; W];
             for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
-                for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
+                for (a, &xv) in acc.iter_mut().zip(&x[c as usize * k + j0..][..W]) {
                     *a += v * xv;
                 }
             }
@@ -295,25 +317,24 @@ impl CsrMatrix {
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in &self.col_idx {
-            counts[c + 1] += 1;
+            counts[c as usize + 1] += 1;
         }
         for i in 0..self.ncols {
             counts[i + 1] += counts[i];
         }
-        let mut row_ptr = counts.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut row_ptr: Vec<u32> = counts[..self.ncols].iter().map(|&p| index(p)).collect();
+        row_ptr.push(index(self.nnz()));
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
         let mut next = counts;
         for r in 0..self.nrows {
             for (c, v) in self.row_entries(r) {
                 let slot = next[c];
-                col_idx[slot] = r;
+                col_idx[slot] = index(r);
                 values[slot] = v;
                 next[c] += 1;
             }
         }
-        row_ptr.truncate(self.ncols);
-        row_ptr.push(self.nnz());
         // Rows were visited in increasing order, so each transposed row's
         // columns are already sorted.
         CsrMatrix::from_raw(self.ncols, self.nrows, row_ptr, col_idx, values)
@@ -350,11 +371,11 @@ impl CsrMatrix {
         for i in 0..self.nrows {
             for (j, v) in self.row_entries(i) {
                 if v.abs() > threshold {
-                    col_idx.push(j);
+                    col_idx.push(index(j));
                     values.push(v);
                 }
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(index(col_idx.len()));
         }
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("prune produced invalid CSR — internal bug")
@@ -362,7 +383,7 @@ impl CsrMatrix {
 
     /// Maximum number of stored entries in any row.
     pub fn max_row_nnz(&self) -> usize {
-        (0..self.nrows).map(|i| self.row_ptr[i + 1] - self.row_ptr[i]).max().unwrap_or(0)
+        (0..self.nrows).map(|i| self.row_range(i).len()).max().unwrap_or(0)
     }
 }
 

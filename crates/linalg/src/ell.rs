@@ -258,10 +258,10 @@ impl EllMatrix {
         row_ptr.push(0);
         for i in 0..self.nrows {
             for (c, v) in self.row_entries(i) {
-                col_idx.push(c);
+                col_idx.push(crate::csr::index(c));
                 values.push(v);
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(crate::csr::index(col_idx.len()));
         }
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("ELL round-trip produced invalid CSR — internal bug")

@@ -314,10 +314,10 @@ impl StencilOp {
         for i in 0..n {
             self.row_cols_into(i, &mut cols);
             for &c in &cols {
-                col_idx.push(c);
+                col_idx.push(crate::csr::index(c));
                 values.push(self.entry(i, c));
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(crate::csr::index(col_idx.len()));
         }
         CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
             .expect("stencil produced invalid CSR — internal bug")
