@@ -201,10 +201,19 @@ mod tests {
                         slots = vec![f64::NAN; nsegs * nslots * k]
                     );
                 }
+                let signs: Vec<i8> = c.iter().map(|&v| if v < 0.0 { -1 } else { 1 }).collect();
                 for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
                     assert_copies_agree!(
                         format!("plain_step_dots, {variant:?}, {what}"),
                         tiled::plain_step_dots(variant, &a, &mut p, &c, k, slot_rows, &mut slots),
+                        p = b.clone(),
+                        slots = vec![f64::NAN; nsegs * 2 * k]
+                    );
+                    assert_copies_agree!(
+                        format!("plain_step_dots_i8, {variant:?}, {what}"),
+                        tiled::plain_step_dots_i8(
+                            variant, &a, &mut p, &signs, k, slot_rows, &mut slots
+                        ),
                         p = b.clone(),
                         slots = vec![f64::NAN; nsegs * 2 * k]
                     );

@@ -249,6 +249,62 @@ fn interleave(block: &[f64], d: usize, k: usize) -> Vec<f64> {
     out
 }
 
+/// The start block the later plain steps dot against, row-interleaved.
+enum StartDots {
+    Values(Vec<f64>),
+    Signs(Vec<i8>),
+}
+
+impl StartDots {
+    /// Signs when the row-interleaved `k`-column block `r0` has `k >= 2`
+    /// columns and only exact `±1.0` entries, a copy of its values
+    /// otherwise. One-column blocks keep the contiguous `vecops` kernels,
+    /// which read `f64`.
+    fn new(r0: &[f64], k: usize) -> Self {
+        let signs = || {
+            r0.iter()
+                .map(|&v| match v {
+                    1.0 => Some(1),
+                    -1.0 => Some(-1),
+                    _ => None,
+                })
+                .collect::<Option<Vec<i8>>>()
+        };
+        match (k >= 2).then(signs).flatten() {
+            Some(signs) => StartDots::Signs(signs),
+            None => StartDots::Values(r0.to_vec()),
+        }
+    }
+
+    fn kind(&self) -> StartBlock {
+        match self {
+            StartDots::Values(_) => StartBlock::F64,
+            StartDots::Signs(_) => StartBlock::I8,
+        }
+    }
+}
+
+/// How an engine run held its start block.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StartBlock {
+    /// Row-interleaved `f64` values.
+    #[default]
+    F64,
+    /// Row-interleaved `i8` signs: a plain run whose block of `k >= 2`
+    /// columns held only exact `±1.0` entries.
+    I8,
+}
+
+impl StartBlock {
+    /// `"f64"` or `"i8"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            StartBlock::F64 => "f64",
+            StartBlock::I8 => "i8",
+        }
+    }
+}
+
 /// Counters reported by one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TiledStats {
@@ -258,6 +314,8 @@ pub struct TiledStats {
     pub steals: u64,
     /// Full sweeps over the operator (one per fused step).
     pub sweeps: u64,
+    /// How the start block was held.
+    pub start: StartBlock,
 }
 
 /// A generation-counted spinning barrier for the step loop.
@@ -414,8 +472,12 @@ fn run_parallel<P>(
 where
     P: Fn(usize, usize, usize) + Sync,
 {
-    let stats =
-        |steals: u64| TiledStats { tiles: (nsteps * ntiles) as u64, steals, sweeps: nsteps as u64 };
+    let stats = |steals: u64| TiledStats {
+        tiles: (nsteps * ntiles) as u64,
+        steals,
+        sweeps: nsteps as u64,
+        ..TiledStats::default()
+    };
     if workers <= 1 {
         // Single-worker fast path: tiles in ascending order, same slots,
         // same reduction — bitwise identical to the threaded run by
@@ -594,12 +656,14 @@ fn column_dots<const W: usize>(
 
 /// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
 /// `<r0|p>`: per column, `vecops::chebyshev_combine_dot` (`L = 4`) or
-/// `vecops::chebyshev_combine_dot8` (`L = 8`).
+/// `vecops::chebyshev_combine_dot8` (`L = 8`). `r0` holds `f64` values or
+/// `i8` signs; `f64::from` turns a sign into the exact `±1.0` the `f64`
+/// block would hold, so both multiply by the same value.
 #[inline(always)]
-fn combine_dots<const W: usize, const L: usize>(
+fn combine_dots<T: Copy + Into<f64>, const W: usize, const L: usize>(
     h: &[f64],
     p: &mut [f64],
-    r0: &[f64],
+    r0: &[T],
     k: usize,
     j0: usize,
     seg: Range<usize>,
@@ -611,10 +675,34 @@ fn combine_dots<const W: usize, const L: usize>(
             terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
         {
             *p = 2.0 * h - *p;
-            *t = r0 * *p;
+            *t = r0.into() * *p;
         }
         terms
     })
+}
+
+/// The const-width body of [`plain_step_dots`] and [`plain_step_dots_i8`]:
+/// [`combine_dots`] per segment and column chunk.
+#[inline(always)]
+fn combine_step_dots<T: Copy + Into<f64>>(
+    variant: KernelVariant,
+    h: &[f64],
+    p: &mut [f64],
+    r0: &[T],
+    k: usize,
+    slot_rows: usize,
+    slots: &mut [f64],
+) {
+    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
+        for_each_chunk!(k, |j0, W| {
+            let mu = match variant {
+                KernelVariant::Unrolled4 => combine_dots::<T, W, 4>(h, p, r0, k, j0, seg.clone()),
+                KernelVariant::Unrolled8 => combine_dots::<T, W, 8>(h, p, r0, k, j0, seg.clone()),
+            };
+            slot[j0..][..W].copy_from_slice(&mu);
+        });
+    }
 }
 
 // The three per-tile dot kernels below take whole tiles of row-interleaved
@@ -664,21 +752,29 @@ crate::isa::kernels! {
         slot_rows: usize,
         slots: &mut [f64],
     ) {
-        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-            let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
-            if k == 1 {
+        if k == 1 {
+            for (s, seg) in segments(p.len(), slot_rows).enumerate() {
                 let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-                slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
-                continue;
+                slots[s * PLAIN_SLOTS] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
             }
-            for_each_chunk!(k, |j0, W| {
-                let mu = match variant {
-                    KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
-                    KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
-                };
-                slot[j0..][..W].copy_from_slice(&mu);
-            });
+            return;
         }
+        combine_step_dots(variant, h, p, r0, k, slot_rows, slots);
+    }
+
+    /// [`plain_step_dots`] for a start block held as `i8` signs, with the
+    /// same bits as that kernel on the block's `±1.0` values. The engine
+    /// runs it for blocks of `k >= 2` columns.
+    fn plain_step_dots_i8(
+        variant: KernelVariant,
+        h: &[f64],
+        p: &mut [f64],
+        signs: &[i8],
+        k: usize,
+        slot_rows: usize,
+        slots: &mut [f64],
+    ) {
+        combine_step_dots(variant, h, p, signs, k, slot_rows, slots);
     }
 
     /// A later doubling step on one tile, once its rows of `A x` are in `h`:
@@ -758,9 +854,11 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     let variant = vecops::kernel_variant();
     // Buffer `a` starts as r0 (= T_0 x), `b` receives T_1 x in step 0; from
     // then on the roles alternate by step parity and the previous vector is
-    // overwritten in place. All three blocks are row-interleaved.
-    let r0 = interleave(r0, d, k);
-    let mut a = r0.clone();
+    // overwritten in place. The later steps dot against `start`, held as
+    // signs when it can be. Every block is row-interleaved.
+    let mut a = interleave(r0, d, k);
+    let start = StartDots::new(&a, k);
+    let start_block = start.kind();
     let mut b = vec![0.0f64; d * k];
     const NSLOTS: usize = PLAIN_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
@@ -787,10 +885,13 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
         if step == 0 {
             // r1 = A r0, straight into this tile's rows of `b`; then
             // <r0|r0> and <r0|r1> per canonical segment of the hot tile.
+            // SAFETY: step 0 writes only `b`, so all of `a` may be read
+            // concurrently.
+            let r0 = unsafe { std::slice::from_raw_parts(buffers.a.cast_const(), d * k) };
             // SAFETY: this tile alone writes these rows of `b`, and nothing
             // reads `b` before the end-of-step barrier.
             let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
-            op.block_rows(&r0, k, rows, r1);
+            op.block_rows(r0, k, rows, r1);
             start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
         } else {
             // (A x)[tile] into the worker's scratch, then
@@ -809,7 +910,14 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
             // at a time.
             let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
             op.block_rows(x, k, rows, h);
-            plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots);
+            match &start {
+                StartDots::Values(r0) => {
+                    plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots)
+                }
+                StartDots::Signs(s) => {
+                    plain_step_dots_i8(variant, h, p, &s[elems], k, slot_rows, slots)
+                }
+            }
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
@@ -833,7 +941,7 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
         }
     };
     let stats = run_parallel(workers, ntiles, nsteps, process, reduce);
-    (mu, stats)
+    (mu, TiledStats { start: start_block, ..stats })
 }
 
 /// Tiled fused doubling-recursion moments — the `2n`-moments-from-`n`-sweeps
@@ -870,8 +978,8 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     // Canonical segment slots, as in the plain engine.
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
-    let r0 = interleave(r0, d, k);
-    let mut a = r0.clone();
+    // Only step 0 reads r0, from buffer `a`, which the later steps overwrite.
+    let mut a = interleave(r0, d, k);
     let mut b = vec![0.0f64; d * k];
     const NSLOTS: usize = DOUBLING_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
@@ -897,9 +1005,11 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
         if step == 0 {
             // r1 = A r0 into this tile's rows of `b`; then <r0|r0>, <r0|r1>
             // and <r1|r1> per canonical segment.
+            // SAFETY: as in the plain engine — `a` is read-only in step 0.
+            let r0 = unsafe { std::slice::from_raw_parts(buffers.a.cast_const(), d * k) };
             // SAFETY: as in the plain engine — this tile's own rows of `b`.
             let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
-            op.block_rows(&r0, k, rows, r1);
+            op.block_rows(r0, k, rows, r1);
             start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
         } else {
             // r_{t+1} = 2 A r_t - r_{t-1} via the scratch stripe; then
@@ -1182,6 +1292,60 @@ mod tests {
         // allowed to differ in the last bits.
         assert!(!tile_rows_is_value_safe(200));
         assert!(!tile_rows_is_value_safe(64));
+    }
+
+    /// `len` deterministic values in `(-1, 1)`.
+    fn wave(seed: usize, len: usize) -> Vec<f64> {
+        (0..len).map(|i| ((i * 7 + seed) as f64 * 0.37).sin()).collect()
+    }
+
+    #[test]
+    fn sign_kernel_matches_f64_kernel_bitwise() {
+        // 16-row segments: tiles of 1..=40 rows end in a segment of every
+        // length mod 8.
+        let slot_rows = 16;
+        for k in 2..=17 {
+            for len in 1..=40 {
+                let signs: Vec<i8> =
+                    wave(k, len * k).iter().map(|&v| if v < 0.0 { -1 } else { 1 }).collect();
+                let values: Vec<f64> = signs.iter().map(|&s| f64::from(s)).collect();
+                let (h, p0) = (wave(k + 1, len * k), wave(k + 2, len * k));
+                let nslots = len.div_ceil(slot_rows) * PLAIN_SLOTS * k;
+                for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
+                    let (mut p_f64, mut slots_f64) = (p0.clone(), vec![f64::NAN; nslots]);
+                    plain_step_dots(variant, &h, &mut p_f64, &values, k, slot_rows, &mut slots_f64);
+                    let (mut p_i8, mut slots_i8) = (p0.clone(), vec![f64::NAN; nslots]);
+                    plain_step_dots_i8(variant, &h, &mut p_i8, &signs, k, slot_rows, &mut slots_i8);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let what = format!("k = {k}, {len} rows, {variant:?}");
+                    assert_eq!(bits(&p_f64), bits(&p_i8), "{what}: p");
+                    assert_eq!(bits(&slots_f64), bits(&slots_i8), "{what}: slots");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_runs_hold_sign_blocks_as_i8() {
+        let d = 40;
+        let op = ring(d);
+        let start = |k, n, doubling| {
+            let r0 = start_block(d, k);
+            let (_, stats) = if doubling {
+                fused_block_moments_doubling(&op, &r0, k, n, 1, 8)
+            } else {
+                fused_block_moments_plain(&op, &r0, k, n, 1, 8)
+            };
+            stats.start
+        };
+        assert_eq!(start(2, 5, false), StartBlock::I8);
+        assert_eq!(start(17, 5, false), StartBlock::I8);
+        assert_eq!(start(1, 5, false), StartBlock::F64, "one column keeps the vecops kernels");
+        assert_eq!(start(2, 5, true), StartBlock::F64, "only step 0 reads a doubling start");
+        let mut r0 = start_block(d, 2);
+        r0[d + 3] = 0.5;
+        let (_, stats) = fused_block_moments_plain(&op, &r0, 2, 5, 1, 8);
+        assert_eq!(stats.start, StartBlock::F64, "one entry off ±1");
     }
 
     #[test]
