@@ -155,6 +155,54 @@ impl HypercubicLattice {
         out
     }
 
+    /// Calls `f` with each site of [`Self::axial_neighbors`]`(index, step)`,
+    /// in the same order, without allocating: the lattice assembly's walk.
+    /// `coords` must be [`Self::coordinates`]`(index)`, and `step > 0`.
+    ///
+    /// Per dimension the `+step` site comes before the `-step` site. A site
+    /// is skipped when it is `index` itself (extent 1, or a wrap back onto
+    /// the site) or when both directions reach it (a periodic extent
+    /// dividing `2 * step`). Two dimensions never reach the same site, since
+    /// each changes only its own coordinate, so no site is repeated. The
+    /// `kpm-lattice` proptests check the assembly against
+    /// [`Self::axial_neighbors`].
+    pub(crate) fn for_each_axial_neighbor(
+        &self,
+        index: usize,
+        coords: &[usize],
+        step: usize,
+        mut f: impl FnMut(usize),
+    ) {
+        let mut stride = 1;
+        for (k, (&l, &c)) in self.dims.iter().zip(coords).enumerate() {
+            let periodic = self.boundary[k] == Boundary::Periodic;
+            let plus = if c + step < l {
+                Some(c + step)
+            } else if periodic {
+                Some((c + step) % l)
+            } else {
+                None
+            };
+            let minus = if c >= step {
+                Some(c - step)
+            } else if periodic {
+                Some((c + l - step % l) % l)
+            } else {
+                None
+            };
+            // The site at coordinate `c_new` along `k`; `index - c * stride`
+            // is the site at coordinate 0 there.
+            let site = |c_new: usize| index - c * stride + c_new * stride;
+            if let Some(p) = plus.filter(|&p| p != c) {
+                f(site(p));
+            }
+            if let Some(m) = minus.filter(|&m| m != c && Some(m) != plus) {
+                f(site(m));
+            }
+            stride *= l;
+        }
+    }
+
     /// Total number of undirected nearest-neighbour bonds.
     pub fn num_bonds(&self) -> usize {
         let degree_sum: usize = (0..self.num_sites()).map(|i| self.neighbors(i).len()).sum();

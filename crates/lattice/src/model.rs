@@ -6,8 +6,7 @@
 //! nearest-neighbour hopping amplitude `t`.
 
 use crate::hypercubic::{Boundary, HypercubicLattice};
-use kpm_linalg::coo::CooMatrix;
-use kpm_linalg::csr::CsrMatrix;
+use kpm_linalg::csr::{self, CsrMatrix};
 use kpm_linalg::ell::EllMatrix;
 use kpm_linalg::sparse::{MatrixFormat, SparseMatrix};
 use kpm_linalg::stencil::{StencilGeometry, StencilOp};
@@ -95,27 +94,59 @@ impl TightBinding {
     }
 
     /// Assembles the Hamiltonian in CSR form.
+    ///
+    /// Row by row, in one pass: the diagonal (when stored), then `-t` for
+    /// each nearest neighbour and `-t'` for each axial next-nearest one,
+    /// sorted by column, with the entries of a column summed, straight into
+    /// the CSR arrays. Each undirected bond is visited from both endpoints,
+    /// so a row holds only its own directed entries. A column gets two
+    /// entries only where a `t'` bond lands on a nearest neighbour (a
+    /// periodic extent of 3), and their sum does not depend on the order.
     pub fn build_csr(&self) -> CsrMatrix {
-        let n = self.lattice.num_sites();
+        let lattice = &self.lattice;
+        let n = lattice.num_sites();
         let energies = self.onsite_energies();
-        let mut coo = CooMatrix::with_capacity(n, n, n * (2 * self.lattice.ndim() + 1));
+        let nn = (1, -self.hopping);
+        let nnn = (2, -self.next_nearest);
+        let bonds: &[(usize, f64)] = if self.next_nearest != 0.0 { &[nn, nnn] } else { &[nn] };
+        let row_len = 1 + 2 * lattice.ndim() * bonds.len();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(n * row_len);
+        let mut values = Vec::with_capacity(n * row_len);
+        row_ptr.push(0);
+        let mut row: Vec<(usize, f64)> = Vec::with_capacity(row_len);
+        let mut coords = vec![0usize; lattice.ndim()];
         for (i, &e) in energies.iter().enumerate() {
+            row.clear();
             if e != 0.0 || self.store_zero_diagonal {
-                coo.push(i, i, e).expect("diagonal in range");
+                row.push((i, e));
             }
-            for j in self.lattice.neighbors(i) {
-                // Each undirected bond is visited from both endpoints, so we
-                // push only the directed (i, j) entry here; (j, i) arrives
-                // when the loop reaches site j.
-                coo.push(i, j, -self.hopping).expect("neighbor in range");
+            for &(step, v) in bonds {
+                lattice.for_each_axial_neighbor(i, &coords, step, |j| row.push((j, v)));
             }
-            if self.next_nearest != 0.0 {
-                for j in self.lattice.axial_neighbors(i, 2) {
-                    coo.push(i, j, -self.next_nearest).expect("neighbor in range");
+            row.sort_by_key(|&(c, _)| c);
+            let mut last = None;
+            for &(c, v) in &row {
+                if last == Some(c) {
+                    *values.last_mut().expect("a column was pushed") += v;
+                } else {
+                    col_idx.push(csr::index(c));
+                    values.push(v);
+                    last = Some(c);
                 }
             }
+            row_ptr.push(csr::index(col_idx.len()));
+            // The next site's coordinates: x_0 runs fastest.
+            for (c, &l) in coords.iter_mut().zip(lattice.dims()) {
+                *c += 1;
+                if *c < l {
+                    break;
+                }
+                *c = 0;
+            }
         }
-        coo.to_csr()
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
+            .expect("lattice assembly produced invalid CSR — internal bug")
     }
 
     /// Assembles the Hamiltonian in padded ELL form (same entries as

@@ -1,6 +1,8 @@
 //! Property-based tests for lattice geometry and Hamiltonian assembly.
 
 use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
+use kpm_linalg::coo::CooMatrix;
+use kpm_linalg::csr::CsrMatrix;
 use proptest::prelude::*;
 
 fn boundary() -> impl Strategy<Value = Boundary> {
@@ -9,6 +11,44 @@ fn boundary() -> impl Strategy<Value = Boundary> {
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..5, 1..4)
+}
+
+/// 1 to 4 dimensions of extent 1 to 5, each with its own boundary.
+fn mixed_lattice() -> impl Strategy<Value = HypercubicLattice> {
+    proptest::collection::vec((1usize..=5, boundary()), 1..=4).prop_map(|axes| {
+        let (dims, bcs): (Vec<usize>, Vec<Boundary>) = axes.into_iter().unzip();
+        HypercubicLattice::with_boundaries(&dims, &bcs)
+    })
+}
+
+fn onsite() -> impl Strategy<Value = OnSite> {
+    prop_oneof![
+        Just(OnSite::Uniform(0.0)),
+        Just(OnSite::Uniform(0.4)),
+        (0u64..100).prop_map(|seed| OnSite::Disorder { width: 2.0, seed }),
+    ]
+}
+
+/// The model assembled from triplets: the diagonal, then per site its
+/// `axial_neighbors` at steps 1 and 2, through `CooMatrix::to_csr`.
+fn coo_reference(tb: &TightBinding, t_prime: f64, store_zero_diagonal: bool) -> CsrMatrix {
+    let lat = tb.lattice();
+    let n = lat.num_sites();
+    let mut coo = CooMatrix::new(n, n);
+    for (i, &e) in tb.onsite_energies().iter().enumerate() {
+        if e != 0.0 || store_zero_diagonal {
+            coo.push(i, i, e).unwrap();
+        }
+        for j in lat.axial_neighbors(i, 1) {
+            coo.push(i, j, -tb.hopping()).unwrap();
+        }
+        if t_prime != 0.0 {
+            for j in lat.axial_neighbors(i, 2) {
+                coo.push(i, j, -t_prime).unwrap();
+            }
+        }
+    }
+    coo.to_csr()
 }
 
 proptest! {
@@ -89,5 +129,23 @@ proptest! {
             .store_zero_diagonal(true)
             .build_csr();
         prop_assert_eq!(stored.nnz(), plain.nnz() + lat.num_sites());
+    }
+
+    #[test]
+    fn one_pass_assembly_matches_coo_reference(
+        lat in mixed_lattice(),
+        t_prime in prop_oneof![Just(0.0), Just(0.3)],
+        onsite in onsite(),
+        store_zero_diagonal in any::<bool>(),
+    ) {
+        let tb = TightBinding::new(lat, 0.7, onsite)
+            .with_next_nearest(t_prime)
+            .store_zero_diagonal(store_zero_diagonal);
+        let got = tb.build_csr();
+        let want = coo_reference(&tb, t_prime, store_zero_diagonal);
+        prop_assert_eq!(got.row_ptr(), want.row_ptr());
+        prop_assert_eq!(got.col_idx(), want.col_idx());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }
