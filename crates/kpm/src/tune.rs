@@ -563,8 +563,9 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
     let (k, n) = (PROBE_COLUMNS, PROBE_MOMENTS);
     let mut r0 = vec![0.0f64; d * k];
     for (j, col) in r0.chunks_exact_mut(d).enumerate() {
-        // Seed spells "probe" in ASCII.
-        fill_random_vector(Distribution::Gaussian, 0x0070_726f_6265, 0, j, col);
+        // Rademacher, as every job's start block, so the probe times the
+        // kernels the jobs run. Seed spells "probe" in ASCII.
+        fill_random_vector(Distribution::Rademacher, 0x0070_726f_6265, 0, j, col);
     }
 
     // Canonical-grid tile heights only (value-safe by construction); larger

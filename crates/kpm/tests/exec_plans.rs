@@ -226,6 +226,28 @@ fn traced_tiled_run_counts_the_kernel_isa_once_per_chunk() {
     assert_eq!(report.counter(&format!("kpm.exec.isa.{other}")), None);
 }
 
+/// A traced tiled run with the default (Rademacher) distribution holds
+/// every start block as signs: `kpm.exec.start.i8` once per realization
+/// chunk, and no `kpm.exec.start.f64`.
+#[test]
+fn traced_tiled_run_counts_sign_start_blocks_once_per_chunk() {
+    let _g = policy_guard();
+    set_exec_policy(ExecPolicy::Rows);
+    set_thread_budget(1);
+    let h = lattice("chain:600", MatrixFormat::Csr);
+    let op = RescaledOp::new(h, 0.0, 3.0);
+    let params = KpmParams::new(16).with_random_vectors(3, 2).with_seed(3);
+    let chunks = realization_chunk_count(&params, 0..params.total_realizations());
+    assert_eq!(chunks, 2, "one chunk per realization set");
+
+    let handle = TraceHandle::begin();
+    stochastic_moments(&op, &params);
+    let report = handle.finish();
+
+    assert_eq!(report.counter("kpm.exec.start.i8"), Some(chunks as u64));
+    assert_eq!(report.counter("kpm.exec.start.f64"), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
