@@ -322,8 +322,7 @@ impl CsrMatrix {
         for i in 0..self.ncols {
             counts[i + 1] += counts[i];
         }
-        let mut row_ptr: Vec<u32> = counts[..self.ncols].iter().map(|&p| index(p)).collect();
-        row_ptr.push(index(self.nnz()));
+        let row_ptr: Vec<u32> = counts.iter().map(|&p| index(p)).collect();
         let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
         let mut next = counts;

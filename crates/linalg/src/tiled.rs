@@ -21,7 +21,7 @@
 //! a tile's rows of a buffer are one contiguous slice, and every per-row
 //! loop over the vectors has a unit stride. Callers pass column-major
 //! blocks (the [`BlockOp`] layout); the engine interleaves the start block
-//! once per call.
+//! once per call, into the first recursion buffer.
 //!
 //! The column count is a compile-time constant inside every row loop: the
 //! row kernels and the combine-and-dot kernels are const-generic in their
@@ -60,14 +60,22 @@
 //!
 //! # Memory traffic
 //!
-//! A fused step reads each matrix row once for all `k` columns. Per column
-//! it reads `x` (8 B/row), reads and writes `p` in place (16 B/row), and
-//! reads `r0` for the dot (8 B/row) — `32 k` B/row plus the matrix row; the
-//! raw product only ever lands in a tile-sized per-worker scratch that
-//! stays cache-resident. The split pipeline (SpMM into a `D x k`
-//! intermediate, then combine+dot) moves the raw product through memory an
-//! extra time: 48 B/row per column plus the matrix. See DESIGN.md §9 for
-//! the full accounting.
+//! A fused step reads each matrix row once for all `k` columns: for CSR,
+//! 12 B per entry and a 4 B row pointer (32-bit indices). Per column it
+//! reads `x` (8 B/row), reads and writes `p` in place (16 B/row), and reads
+//! the start block for the plain recursion's dot: 1 B/row when the block
+//! is held as `i8` signs, 8 B/row as `f64` — `25 k` or `32 k` B/row plus
+//! the matrix row. A start block of `k >= 2` columns whose entries are all
+//! exactly `±1.0` (every Rademacher job's) is held as signs, and
+//! `plain_step_dots_i8` multiplies by the same `±1.0` as the `f64`
+//! kernel, so the bits do not change; other blocks, and `k = 1`, keep an
+//! `f64` copy. Step 0 reads `r0` from buffer `a`, which holds it until
+//! step 1 overwrites it, so neither recursion keeps an `f64` copy only for
+//! step 0. The raw product only ever lands in a tile-sized per-worker
+//! scratch that stays cache-resident. The split pipeline (SpMM into a
+//! `D x k` intermediate, then combine+dot) moves the raw product through
+//! memory an extra time: 48 B/row per column plus the matrix. See
+//! DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1329,19 +1337,19 @@ mod tests {
     fn plain_runs_hold_sign_blocks_as_i8() {
         let d = 40;
         let op = ring(d);
-        let start = |k, n, doubling| {
+        let start = |k, doubling| {
             let r0 = start_block(d, k);
             let (_, stats) = if doubling {
-                fused_block_moments_doubling(&op, &r0, k, n, 1, 8)
+                fused_block_moments_doubling(&op, &r0, k, 5, 1, 8)
             } else {
-                fused_block_moments_plain(&op, &r0, k, n, 1, 8)
+                fused_block_moments_plain(&op, &r0, k, 5, 1, 8)
             };
             stats.start
         };
-        assert_eq!(start(2, 5, false), StartBlock::I8);
-        assert_eq!(start(17, 5, false), StartBlock::I8);
-        assert_eq!(start(1, 5, false), StartBlock::F64, "one column keeps the vecops kernels");
-        assert_eq!(start(2, 5, true), StartBlock::F64, "only step 0 reads a doubling start");
+        assert_eq!(start(2, false), StartBlock::I8);
+        assert_eq!(start(17, false), StartBlock::I8);
+        assert_eq!(start(1, false), StartBlock::F64, "one column keeps the vecops kernels");
+        assert_eq!(start(2, true), StartBlock::F64, "only step 0 reads a doubling start");
         let mut r0 = start_block(d, 2);
         r0[d + 3] = 0.5;
         let (_, stats) = fused_block_moments_plain(&op, &r0, 2, 5, 1, 8);
