@@ -2,7 +2,7 @@
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
-//! stages in — the tiled engine's CSR row kernel and its three per-tile dot
+//! stages in — the tiled engine's CSR row kernel and its per-tile dot
 //! kernels, and the [`vecops`](crate::vecops) kernels `dot`, `axpy`,
 //! `scale`, `norm2`, `chebyshev_combine_dot`, `chebyshev_combine_dot8` and
 //! `rescale_inplace` — are therefore each compiled twice by `kernels!`: a

@@ -713,7 +713,7 @@ fn combine_step_dots<T: Copy + Into<f64>>(
     }
 }
 
-// The three per-tile dot kernels below take whole tiles of row-interleaved
+// The per-tile dot kernels below take whole tiles of row-interleaved
 // `k`-column blocks and the tile's slots (`nslots * k` per canonical
 // segment). They are generic in nothing, so each is compiled once per
 // instruction set (`crate::isa`) however many operator types instantiate
