@@ -31,7 +31,7 @@
 use crate::error::KpmError;
 use crate::exec::{self, ExecPlan};
 use crate::kernels::KernelType;
-use crate::random::{fill_random_vector, Distribution};
+use crate::random::{fill_random_rows, fill_random_vector, Distribution};
 use crate::rescale::BoundsMethod;
 use kpm_linalg::block::BlockOp;
 use kpm_linalg::op::LinearOp;
@@ -384,28 +384,22 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
 
     // Same chunk, but through the row-tiled fused engine: the recursion,
     // the Chebyshev combine, and the moment dots run in one pass per sweep,
-    // parallelized across the matrix dimension.
+    // parallelized across the matrix dimension. The block is drawn in the
+    // engine's row-interleaved layout and becomes its first recursion
+    // buffer.
     let run_chunk_tiled = |(s, rs): &(usize, std::ops::Range<usize>),
                            threads: usize,
                            tile_rows: usize|
      -> Vec<Vec<f64>> {
         let k = rs.len();
         let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
+        fill_random_rows(params.distribution, params.seed, *s, rs.clone(), &mut block);
         let (mut per_column, stats) = match params.recursion {
             Recursion::Plain => {
-                tiled::fused_block_moments_plain(op, &block, k, n, threads, tile_rows)
+                tiled::fused_interleaved_moments_plain(op, block, k, n, threads, tile_rows)
             }
             Recursion::Doubling => {
-                tiled::fused_block_moments_doubling(op, &block, k, n, threads, tile_rows)
+                tiled::fused_interleaved_moments_doubling(op, block, k, n, threads, tile_rows)
             }
         };
         let inv_d = 1.0 / d as f64;

@@ -12,6 +12,13 @@
 //! independently of the others — the property the GPU implementation relies
 //! on to generate vectors inside the kernel, and the reason CPU and GPU
 //! paths can be compared vector-for-vector.
+//!
+//! A block of realizations can be drawn column by column
+//! ([`fill_random_vector`] per column) or straight into the row-interleaved
+//! layout of the tiled engine ([`fill_random_rows`]), whose `k` streams
+//! advance in lockstep, one component each per row. Either way column `j`
+//! is the stream of its own `(master_seed, s, r)`, so the layout of a block
+//! never changes a bit of it and the frozen stream contract holds.
 
 /// Component distribution for random vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +159,38 @@ pub fn fill_random_vector(
     }
 }
 
+/// Fills `out` with the realizations `(s, r)`, `r` in `rs`, as one
+/// row-interleaved `D x k` block (`k = rs.len()`): component `i` of
+/// realization `(s, rs.start + j)` at `out[i * k + j]`.
+///
+/// The `k` streams advance in lockstep, one component each per row, so
+/// column `j` is bitwise equal to what [`fill_random_vector`] writes for
+/// `(s, rs.start + j)`.
+///
+/// # Panics
+/// Panics if `rs` is empty or `out.len()` is not a multiple of `rs.len()`.
+pub fn fill_random_rows(
+    dist: Distribution,
+    master_seed: u64,
+    s: usize,
+    rs: std::ops::Range<usize>,
+    out: &mut [f64],
+) {
+    let k = rs.len();
+    assert!(
+        k > 0 && out.len().is_multiple_of(k),
+        "fill_random_rows: {} values for {k} columns",
+        out.len()
+    );
+    let mut streams: Vec<RandomStream> =
+        rs.map(|r| RandomStream::new(dist, master_seed, s, r)).collect();
+    for row in out.chunks_exact_mut(k) {
+        for (v, stream) in row.iter_mut().zip(&mut streams) {
+            *v = stream.next();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +328,27 @@ mod tests {
             let mut stream = RandomStream::new(dist, 31, 4, 9);
             for (i, &e) in expect.iter().enumerate() {
                 assert_eq!(stream.next(), e, "{dist:?} element {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_fill_columns_match_fill_random_vector_bitwise() {
+        // An odd D leaves each Gaussian stream holding a pending Box–Muller
+        // value at the end; rs starts past 0 and past a chunk's first set.
+        let d = 37;
+        for dist in DISTS {
+            for k in [1, 2, 8, 14, 17] {
+                let rs = 5..5 + k;
+                let mut block = vec![f64::NAN; d * k];
+                fill_random_rows(dist, 31, 3, rs.clone(), &mut block);
+                for (j, r) in rs.enumerate() {
+                    let mut col = vec![0.0; d];
+                    fill_random_vector(dist, 31, 3, r, &mut col);
+                    let got: Vec<u64> = (0..d).map(|i| block[i * k + j].to_bits()).collect();
+                    let want: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{dist:?}, k = {k}, column {j}");
+                }
             }
         }
     }

@@ -54,7 +54,7 @@ use kpm_linalg::vecops::{self, KernelVariant};
 use kpm_linalg::DEFAULT_TILE_ROWS;
 
 use crate::exec::{self, ExecPlan, ExecPolicy, ROW_MIN_DIM};
-use crate::random::{fill_random_vector, Distribution};
+use crate::random::{fill_random_rows, Distribution};
 
 /// FNV-1a 64-bit — the same constants as serve's `JobSpec` content hashes,
 /// so profile keys live in the operator `content_hash` family.
@@ -562,11 +562,10 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
     let d = shape.dim;
     let (k, n) = (PROBE_COLUMNS, PROBE_MOMENTS);
     let mut r0 = vec![0.0f64; d * k];
-    for (j, col) in r0.chunks_exact_mut(d).enumerate() {
-        // Rademacher, as every job's start block, so the probe times the
-        // kernels the jobs run. Seed spells "probe" in ASCII.
-        fill_random_vector(Distribution::Rademacher, 0x0070_726f_6265, 0, j, col);
-    }
+    // Rademacher and row-interleaved, as every job's start block, so the
+    // probe times the kernels the jobs run; each run takes a copy of it.
+    // Seed spells "probe" in ASCII.
+    fill_random_rows(Distribution::Rademacher, 0x0070_726f_6265, 0, 0..k, &mut r0);
 
     // Canonical-grid tile heights only (value-safe by construction); larger
     // multiples are pointless once a tile spans the whole operator.
@@ -595,7 +594,14 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     let time_candidate = |c: &Candidate| -> Duration {
         let run_rows = |threads: usize, tr: usize| {
-            std::hint::black_box(tiled::fused_block_moments_plain(op, &r0, k, n, threads, tr));
+            std::hint::black_box(tiled::fused_interleaved_moments_plain(
+                op,
+                r0.clone(),
+                k,
+                n,
+                threads,
+                tr,
+            ));
         };
         let run = || match c.policy {
             ExecPolicy::Hybrid => {
@@ -624,9 +630,9 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     // One untimed warmup on the default shape pulls the operator through
     // the cache hierarchy so candidate order doesn't bias the sweep.
-    std::hint::black_box(tiled::fused_block_moments_plain(
+    std::hint::black_box(tiled::fused_interleaved_moments_plain(
         op,
-        &r0,
+        r0.clone(),
         k,
         n,
         shape.threads,

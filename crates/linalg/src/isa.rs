@@ -2,15 +2,18 @@
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
-//! stages in — the tiled engine's CSR row kernel and its per-tile dot
-//! kernels, and the [`vecops`](crate::vecops) kernels `dot`, `axpy`,
-//! `scale`, `norm2`, `chebyshev_combine_dot`, `chebyshev_combine_dot8` and
-//! `rescale_inplace` — are therefore each compiled twice by `kernels!`: a
-//! baseline copy, and a copy under `#[target_feature(enable = "avx2")]`,
-//! with four lanes, that runs when the CPU has AVX2. Each call picks its
-//! copy; off x86-64 only the baseline copy exists. The ELL and stencil row
-//! kernels, `chebyshev_combine` and `chebyshev_combine_inplace` run in no
-//! benchmark workload and have one copy.
+//! stages in — the tiled engine's CSR row kernel and the per-tile dot
+//! kernels of its plain sign-start runs (`start_dots`,
+//! `plain_step_dots_i8`), and the [`vecops`](crate::vecops) kernels `dot`,
+//! `axpy`, `scale`, `norm2`, `chebyshev_combine_dot`,
+//! `chebyshev_combine_dot8` and `rescale_inplace` — are therefore each
+//! compiled twice by `kernels!`: a baseline copy, and a copy under
+//! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when the
+//! CPU has AVX2. Each call picks its copy; off x86-64 only the baseline copy
+//! exists. The ELL and stencil row kernels, the tiled dot kernels of `f64`
+//! starts and of the doubling recursion, `chebyshev_combine` and
+//! `chebyshev_combine_inplace` run in no benchmark workload and have one
+//! copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -46,7 +49,8 @@ pub fn active() -> &'static str {
 /// The functions take no generic parameters, so each copy is compiled once,
 /// however many operator types reach it. A helper the body calls is compiled
 /// into the AVX2 copy only if it is inlined there, so the const-width
-/// helpers the bodies instantiate are `#[inline(always)]`.
+/// helpers the bodies instantiate, and the per-row closures those pass on,
+/// are `#[inline(always)]`.
 macro_rules! kernels {
     ($(
         $(#[$attr:meta])*
@@ -204,12 +208,6 @@ mod tests {
                 let signs: Vec<i8> = c.iter().map(|&v| if v < 0.0 { -1 } else { 1 }).collect();
                 for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
                     assert_copies_agree!(
-                        format!("plain_step_dots, {variant:?}, {what}"),
-                        tiled::plain_step_dots(variant, &a, &mut p, &c, k, slot_rows, &mut slots),
-                        p = b.clone(),
-                        slots = vec![f64::NAN; nsegs * 2 * k]
-                    );
-                    assert_copies_agree!(
                         format!("plain_step_dots_i8, {variant:?}, {what}"),
                         tiled::plain_step_dots_i8(
                             variant, &a, &mut p, &signs, k, slot_rows, &mut slots
@@ -218,12 +216,6 @@ mod tests {
                         slots = vec![f64::NAN; nsegs * 2 * k]
                     );
                 }
-                assert_copies_agree!(
-                    format!("doubling_step_dots, {what}"),
-                    tiled::doubling_step_dots(&a, &mut p, &c, k, slot_rows, &mut slots),
-                    p = b.clone(),
-                    slots = vec![f64::NAN; nsegs * 3 * k]
-                );
             }
         }
     }

@@ -19,16 +19,21 @@
 //! `i * k + j`. Row `i` of all `k` vectors is then one contiguous run, so a
 //! matrix entry `(i, c)` meets its `k` inputs in one load of `x[c * k..]`,
 //! a tile's rows of a buffer are one contiguous slice, and every per-row
-//! loop over the vectors has a unit stride. Callers pass column-major
-//! blocks (the [`BlockOp`] layout); the engine interleaves the start block
-//! once per call, into the first recursion buffer.
+//! loop over the vectors has a unit stride. The moment jobs draw their
+//! start block straight into this layout and hand it over by value
+//! ([`fused_interleaved_moments_plain`],
+//! [`fused_interleaved_moments_doubling`]), so it becomes the first
+//! recursion buffer without a copy. Callers holding a column-major block
+//! (the [`BlockOp`] layout) call [`fused_block_moments_plain`] or
+//! [`fused_block_moments_doubling`], which interleave a copy of it.
 //!
 //! The column count is a compile-time constant inside every row loop: the
 //! row kernels and the combine-and-dot kernels are const-generic in their
 //! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
-//! run in const-width column chunks. The CSR row kernel and the three
-//! per-tile dot kernels are compiled twice, for baseline x86-64 and for
-//! AVX2, with the same bits ([`crate::isa`]).
+//! run in const-width column chunks. The CSR row kernel and the per-tile
+//! dot kernels the moment jobs run (`start_dots`, `plain_step_dots_i8`) are
+//! compiled twice, for baseline x86-64 and for AVX2, with the same bits
+//! ([`crate::isa`]).
 //!
 //! # Determinism
 //!
@@ -263,24 +268,25 @@ enum StartDots {
     Signs(Vec<i8>),
 }
 
+/// Entries per chunk of the sign scan: each chunk is checked without a
+/// branch per entry, and the scan stops after the first chunk that fails.
+const SIGN_SCAN_CHUNK: usize = 256;
+
 impl StartDots {
     /// Signs when the row-interleaved `k`-column block `r0` has `k >= 2`
     /// columns and only exact `±1.0` entries, a copy of its values
     /// otherwise. One-column blocks keep the contiguous `vecops` kernels,
     /// which read `f64`.
     fn new(r0: &[f64], k: usize) -> Self {
-        let signs = || {
-            r0.iter()
-                .map(|&v| match v {
-                    1.0 => Some(1),
-                    -1.0 => Some(-1),
-                    _ => None,
-                })
-                .collect::<Option<Vec<i8>>>()
+        let all_signs = || {
+            r0.chunks(SIGN_SCAN_CHUNK)
+                .all(|c| c.iter().fold(true, |ok, &v| ok & ((v == 1.0) | (v == -1.0))))
         };
-        match (k >= 2).then(signs).flatten() {
-            Some(signs) => StartDots::Signs(signs),
-            None => StartDots::Values(r0.to_vec()),
+        if k >= 2 && all_signs() {
+            // Every entry is exactly 1.0 or -1.0, which convert exactly.
+            StartDots::Signs(r0.iter().map(|&v| v as i8).collect())
+        } else {
+            StartDots::Values(r0.to_vec())
         }
     }
 
@@ -610,21 +616,22 @@ pub fn tile_rows_is_value_safe(tile_rows: usize) -> bool {
     slot_rows_for(tile_rows) == DEFAULT_TILE_ROWS
 }
 
-/// `mu[j][0] = <r0_j|r0_j>` accumulated per canonical segment in ascending
-/// order — the degenerate `n == 1` case shared by both recursions.
+/// `mu[j][0] = <r0_j|r0_j>` of a row-interleaved block, accumulated per
+/// canonical segment in ascending order — the degenerate `n == 1` case
+/// shared by both recursions.
 fn tile_ordered_norms(r0: &[f64], d: usize, k: usize, tile_rows: usize) -> Vec<Vec<f64>> {
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
+    // Step 0's kernel over the whole block as one tile, so mu_0 has the
+    // same per-segment association whichever path computes it. Slot 1
+    // (`<r0|r0>` again) goes unused.
+    let mut slots = vec![0.0f64; nsegs * PLAIN_SLOTS * k];
+    start_dots(r0, r0, k, slot_rows, PLAIN_SLOTS, &mut slots);
     (0..k)
         .map(|j| {
-            let col = &r0[j * d..(j + 1) * d];
             let mut total = 0.0;
             for seg in 0..nsegs {
-                let seg = &col[tile_range(seg, slot_rows, d)];
-                // Same per-segment `vecops::dot` association as step 0 of
-                // the engines, so mu_0 is identical whichever path computes
-                // it.
-                total += vecops::dot(seg, seg);
+                total += slots[seg * PLAIN_SLOTS * k + j];
             }
             vec![total]
         })
@@ -652,14 +659,20 @@ fn column_dots<const W: usize>(
     j0: usize,
     seg: Range<usize>,
 ) -> [f64; W] {
-    vecops::lane_dots::<W, 4>(seg.len(), |r| {
-        let o = (seg.start + r) * k + j0;
-        let mut terms = [0.0; W];
-        for ((t, &a), &b) in terms.iter_mut().zip(&a[o..o + W]).zip(&b[o..o + W]) {
-            *t = a * b;
-        }
-        terms
-    })
+    // The per-row closures of the dot kernels are inlined too: called out
+    // of line, the AVX2 copy of a kernel ran their baseline code.
+    vecops::lane_dots::<W, 4>(
+        seg.len(),
+        #[inline(always)]
+        |r| {
+            let o = (seg.start + r) * k + j0;
+            let mut terms = [0.0; W];
+            for ((t, &a), &b) in terms.iter_mut().zip(&a[o..o + W]).zip(&b[o..o + W]) {
+                *t = a * b;
+            }
+            terms
+        },
+    )
 }
 
 /// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
@@ -676,17 +689,21 @@ fn combine_dots<T: Copy + Into<f64>, const W: usize, const L: usize>(
     j0: usize,
     seg: Range<usize>,
 ) -> [f64; W] {
-    vecops::lane_dots::<W, L>(seg.len(), |r| {
-        let o = (seg.start + r) * k + j0;
-        let mut terms = [0.0; W];
-        for (((t, p), &h), &r0) in
-            terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
-        {
-            *p = 2.0 * h - *p;
-            *t = r0.into() * *p;
-        }
-        terms
-    })
+    vecops::lane_dots::<W, L>(
+        seg.len(),
+        #[inline(always)]
+        |r| {
+            let o = (seg.start + r) * k + j0;
+            let mut terms = [0.0; W];
+            for (((t, p), &h), &r0) in
+                terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
+            {
+                *p = 2.0 * h - *p;
+                *t = r0.into() * *p;
+            }
+            terms
+        },
+    )
 }
 
 /// The const-width body of [`plain_step_dots`] and [`plain_step_dots_i8`]:
@@ -715,9 +732,9 @@ fn combine_step_dots<T: Copy + Into<f64>>(
 
 // The per-tile dot kernels below take whole tiles of row-interleaved
 // `k`-column blocks and the tile's slots (`nslots * k` per canonical
-// segment). They are generic in nothing, so each is compiled once per
-// instruction set (`crate::isa`) however many operator types instantiate
-// the engine.
+// segment). They are generic in nothing, so each is compiled once (the
+// two in `kernels!` once per instruction set, `crate::isa`) however many
+// operator types instantiate the engine.
 
 crate::isa::kernels! {
     /// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
@@ -744,32 +761,6 @@ crate::isa::kernels! {
         }
     }
 
-    // A one-column block is laid out the same interleaved or not, so at
-    // `k = 1` the two later-step kernels run the contiguous `vecops` kernels
-    // on each segment: the same association, and faster there than one-wide
-    // const kernels, which cannot vectorize across rows.
-
-    /// A later plain step on one tile, once its rows of `A x` are in `h`:
-    /// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
-    fn plain_step_dots(
-        variant: KernelVariant,
-        h: &[f64],
-        p: &mut [f64],
-        r0: &[f64],
-        k: usize,
-        slot_rows: usize,
-        slots: &mut [f64],
-    ) {
-        if k == 1 {
-            for (s, seg) in segments(p.len(), slot_rows).enumerate() {
-                let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-                slots[s * PLAIN_SLOTS] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
-            }
-            return;
-        }
-        combine_step_dots(variant, h, p, r0, k, slot_rows, slots);
-    }
-
     /// [`plain_step_dots`] for a start block held as `i8` signs, with the
     /// same bits as that kernel on the block's `±1.0` values. The engine
     /// runs it for blocks of `k >= 2` columns.
@@ -784,47 +775,96 @@ crate::isa::kernels! {
     ) {
         combine_step_dots(variant, h, p, signs, k, slot_rows, slots);
     }
+}
 
-    /// A later doubling step on one tile, once its rows of `A x` are in `h`:
-    /// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
-    /// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
-    fn doubling_step_dots(
-        h: &[f64],
-        p: &mut [f64],
-        x: &[f64],
-        k: usize,
-        slot_rows: usize,
-        slots: &mut [f64],
-    ) {
-        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
-            if k == 1 {
-                let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
-                vecops::chebyshev_combine_inplace(h, p);
-                slot[0] = vecops::dot(x, p);
-                slot[1] = vecops::dot(p, p);
-                continue;
-            }
-            for_each_chunk!(k, |j0, W| {
-                for r in seg.clone() {
-                    let o = r * k + j0;
-                    for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
-                        *p = 2.0 * h - *p;
-                    }
-                }
-                slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
-                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
-            });
+// The two later-step kernels below serve `f64` starts, one-column blocks
+// and the doubling recursion. No benchmark workload runs them (both start
+// from Rademacher blocks of several columns, and so does the tune probe),
+// so they have one copy.
+//
+// A one-column block is laid out the same interleaved or not, so at `k = 1`
+// they run the contiguous `vecops` kernels on each segment: the same
+// association, and faster there than one-wide const kernels, which cannot
+// vectorize across rows.
+
+/// A later plain step on one tile, once its rows of `A x` are in `h`:
+/// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
+fn plain_step_dots(
+    variant: KernelVariant,
+    h: &[f64],
+    p: &mut [f64],
+    r0: &[f64],
+    k: usize,
+    slot_rows: usize,
+    slots: &mut [f64],
+) {
+    if k == 1 {
+        for (s, seg) in segments(p.len(), slot_rows).enumerate() {
+            let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
+            slots[s * PLAIN_SLOTS] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
         }
+        return;
+    }
+    combine_step_dots(variant, h, p, r0, k, slot_rows, slots);
+}
+
+/// A later doubling step on one tile, once its rows of `A x` are in `h`:
+/// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
+/// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
+fn doubling_step_dots(
+    h: &[f64],
+    p: &mut [f64],
+    x: &[f64],
+    k: usize,
+    slot_rows: usize,
+    slots: &mut [f64],
+) {
+    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+        if k == 1 {
+            let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
+            vecops::chebyshev_combine_inplace(h, p);
+            slot[0] = vecops::dot(x, p);
+            slot[1] = vecops::dot(p, p);
+            continue;
+        }
+        for_each_chunk!(k, |j0, W| {
+            for r in seg.clone() {
+                let o = r * k + j0;
+                for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
+                    *p = 2.0 * h - *p;
+                }
+            }
+            slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
+            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
+        });
     }
 }
 
-/// Tiled fused plain-recursion moments for a `D x k` block of start vectors.
+/// [`fused_interleaved_moments_plain`] for a `D x k` block of start vectors
+/// in the column-major [`BlockOp`] layout, on a row-interleaved copy of it.
+///
+/// # Panics
+/// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
+pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
+    op: &A,
+    r0: &[f64],
+    k: usize,
+    n: usize,
+    threads: usize,
+    tile_rows: usize,
+) -> (Vec<Vec<f64>>, TiledStats) {
+    assert_eq!(r0.len(), op.dim() * k, "fused moments: r0 length");
+    fused_interleaved_moments_plain(op, interleave(r0, op.dim(), k), k, n, threads, tile_rows)
+}
+
+/// Tiled fused plain-recursion moments for a `D x k` block of start vectors,
+/// handed over row-interleaved: element `(i, j)` at `r0[i * k + j]`.
 ///
 /// Returns the raw (unnormalized) moments `mu[j][m] = <r0_j | T_m(A) r0_j>`
 /// for `m < n` per column, plus the engine counters; callers divide by `D`.
-/// `A` must already be rescaled into `[-1, 1]`. `r0` is column-major (the
-/// [`BlockOp`] layout); the engine works on a row-interleaved copy.
+/// `A` must already be rescaled into `[-1, 1]`. The block becomes the
+/// engine's first recursion buffer, so the call keeps no copy of it.
 ///
 /// Every step streams the operator exactly once: the tile's rows of `A x`
 /// land in an L1-resident per-worker scratch, and the in-place Chebyshev
@@ -834,9 +874,9 @@ crate::isa::kernels! {
 ///
 /// # Panics
 /// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
-pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
+pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
     op: &A,
-    r0: &[f64],
+    r0: Vec<f64>,
     k: usize,
     n: usize,
     threads: usize,
@@ -850,7 +890,7 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
         return (vec![vec![0.0; n]; k], TiledStats::default());
     }
     if n == 1 {
-        return (tile_ordered_norms(r0, d, k, tile_rows), TiledStats::default());
+        return (tile_ordered_norms(&r0, d, k, tile_rows), TiledStats::default());
     }
     let ntiles = d.div_ceil(tile_rows);
     let workers = threads.clamp(1, ntiles);
@@ -864,7 +904,7 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     // then on the roles alternate by step parity and the previous vector is
     // overwritten in place. The later steps dot against `start`, held as
     // signs when it can be. Every block is row-interleaved.
-    let mut a = interleave(r0, d, k);
+    let mut a = r0;
     let start = StartDots::new(&a, k);
     let start_block = start.kind();
     let mut b = vec![0.0f64; d * k];
@@ -952,20 +992,39 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     (mu, TiledStats { start: start_block, ..stats })
 }
 
-/// Tiled fused doubling-recursion moments — the `2n`-moments-from-`n`-sweeps
-/// trick, with `<r_m|r_m>` and `<r_{m+1}|r_m>` accumulated inside the fused
-/// step.
-///
-/// Same contract and determinism guarantees as
-/// [`fused_block_moments_plain`]; uses the identities
-/// `mu_{2m} = 2 <r_m|r_m> - mu_0` and `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`,
-/// matching the untiled doubling path to rounding.
+/// [`fused_interleaved_moments_doubling`] for a `D x k` block of start
+/// vectors in the column-major [`BlockOp`] layout, on a row-interleaved copy
+/// of it.
 ///
 /// # Panics
 /// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
 pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     op: &A,
     r0: &[f64],
+    k: usize,
+    n: usize,
+    threads: usize,
+    tile_rows: usize,
+) -> (Vec<Vec<f64>>, TiledStats) {
+    assert_eq!(r0.len(), op.dim() * k, "fused moments: r0 length");
+    fused_interleaved_moments_doubling(op, interleave(r0, op.dim(), k), k, n, threads, tile_rows)
+}
+
+/// Tiled fused doubling-recursion moments — the `2n`-moments-from-`n`-sweeps
+/// trick, with `<r_m|r_m>` and `<r_{m+1}|r_m>` accumulated inside the fused
+/// step.
+///
+/// Same contract (a row-interleaved block handed over by value) and
+/// determinism guarantees as [`fused_interleaved_moments_plain`]; uses the
+/// identities `mu_{2m} = 2 <r_m|r_m> - mu_0` and
+/// `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`, matching the untiled doubling path
+/// to rounding.
+///
+/// # Panics
+/// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
+pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
+    op: &A,
+    r0: Vec<f64>,
     k: usize,
     n: usize,
     threads: usize,
@@ -979,7 +1038,7 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
         return (vec![vec![0.0; n]; k], TiledStats::default());
     }
     if n == 1 {
-        return (tile_ordered_norms(r0, d, k, tile_rows), TiledStats::default());
+        return (tile_ordered_norms(&r0, d, k, tile_rows), TiledStats::default());
     }
     let ntiles = d.div_ceil(tile_rows);
     let workers = threads.clamp(1, ntiles);
@@ -987,7 +1046,7 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
     // Only step 0 reads r0, from buffer `a`, which the later steps overwrite.
-    let mut a = interleave(r0, d, k);
+    let mut a = r0;
     let mut b = vec![0.0f64; d * k];
     const NSLOTS: usize = DOUBLING_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
@@ -1354,6 +1413,94 @@ mod tests {
         r0[d + 3] = 0.5;
         let (_, stats) = fused_block_moments_plain(&op, &r0, 2, 5, 1, 8);
         assert_eq!(stats.start, StartBlock::F64, "one entry off ±1");
+    }
+
+    #[test]
+    fn interleaved_entry_points_match_column_major_bitwise() {
+        // D = 300 = 2 * 128 + 44: ragged against the canonical segment and
+        // both unrolls; 24-row tiles keep per-tile slots.
+        let d = 300;
+        let op = ring(d);
+        let bits = |mu: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            mu.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for k in 1..=17 {
+            for r0 in [start_block(d, k), wave(k, d * k)] {
+                for (n, threads, tile_rows) in
+                    [1, 2, 9].into_iter().flat_map(|n| [(n, 1, 128), (n, 3, 128), (n, 3, 24)])
+                {
+                    let what = format!("k = {k}, n = {n}, {threads} threads, {tile_rows} rows");
+                    let owned = || interleave(&r0, d, k);
+                    // Steal counts vary with the scheduling; the moments and
+                    // the start block may not.
+                    let (plain, stats) =
+                        fused_interleaved_moments_plain(&op, owned(), k, n, threads, tile_rows);
+                    let (plain_cm, stats_cm) =
+                        fused_block_moments_plain(&op, &r0, k, n, threads, tile_rows);
+                    assert_eq!(bits(&plain), bits(&plain_cm), "plain, {what}");
+                    assert_eq!(stats.start, stats_cm.start, "plain start, {what}");
+                    let (doubling, _) =
+                        fused_interleaved_moments_doubling(&op, owned(), k, n, threads, tile_rows);
+                    let (doubling_cm, _) =
+                        fused_block_moments_doubling(&op, &r0, k, n, threads, tile_rows);
+                    assert_eq!(bits(&doubling), bits(&doubling_cm), "doubling, {what}");
+                    if n == 1 {
+                        // Per column, `vecops::dot` per slot segment, summed
+                        // in ascending order.
+                        let slot_rows = slot_rows_for(tile_rows);
+                        let norms: Vec<Vec<f64>> = r0
+                            .chunks_exact(d)
+                            .map(|col| {
+                                let mut total = 0.0;
+                                for seg in col.chunks(slot_rows) {
+                                    total += vecops::dot(seg, seg);
+                                }
+                                vec![total]
+                            })
+                            .collect();
+                        assert_eq!(bits(&plain), bits(&norms), "plain norms, {what}");
+                        assert_eq!(bits(&doubling), bits(&norms), "doubling norms, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn start_blocks_are_signs_iff_every_entry_is_exactly_pm_one() {
+        // 139 * 3 = 417 = 256 + 161 entries: the last scan chunk is ragged.
+        let (d, k) = (139, 3);
+        let len = d * k;
+        assert!(len > SIGN_SCAN_CHUNK && !len.is_multiple_of(SIGN_SCAN_CHUNK));
+        let signs = start_block(d, k);
+        match StartDots::new(&signs, k) {
+            StartDots::Signs(s) => {
+                assert!(s.iter().zip(&signs).all(|(&s, &v)| f64::from(s) == v), "sign map");
+            }
+            StartDots::Values(_) => panic!("an all-±1 block is held as signs"),
+        }
+        assert_eq!(StartDots::new(&signs[..d], 1).kind(), StartBlock::F64, "k = 1");
+        let off = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON,
+            -1.0 + f64::EPSILON,
+            -1.0 - f64::EPSILON,
+        ];
+        for v in off {
+            for at in [0, len / 2, len - 1] {
+                let mut block = signs.clone();
+                block[at] = v;
+                let StartDots::Values(values) = StartDots::new(&block, k) else {
+                    panic!("{v} at {at} must keep the f64 block");
+                };
+                assert_eq!(values[at].to_bits(), v.to_bits(), "{v} at {at}: values kept");
+            }
+        }
     }
 
     #[test]
