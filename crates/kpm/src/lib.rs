@@ -10,7 +10,8 @@
 //! 2. **Moments** ([`moments`]) — `mu_n = Tr[T_n(H~)]/D`, estimated
 //!    stochastically with `S * R` random vectors (Eq. 13–19) through the
 //!    three-term Chebyshev recursion; both the paper's plain recursion and
-//!    the moment-doubling optimization are provided.
+//!    the moment-doubling optimization are provided, and doubling, two
+//!    moments per matrix sweep, is the default.
 //! 3. **Kernel damping** ([`kernels`]) — Jackson (the paper's choice),
 //!    Lorentz, Fejér, and Dirichlet kernels `g_n` against Gibbs
 //!    oscillations.

@@ -540,8 +540,9 @@ pub fn prior_profile(shape: ProbeShape) -> ExecProfile {
     }
 }
 
-/// Probe workload: two start columns, eight moments — enough sweeps to
-/// leave the cache-cold regime, short enough to stay a micro-benchmark.
+/// Probe workload: two start columns, eight moments (four doubling sweeps,
+/// as the jobs run) — enough to leave the cache-cold regime, short enough
+/// to stay a micro-benchmark.
 const PROBE_COLUMNS: usize = 2;
 const PROBE_MOMENTS: usize = 8;
 
@@ -594,7 +595,7 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     let time_candidate = |c: &Candidate| -> Duration {
         let run_rows = |threads: usize, tr: usize| {
-            std::hint::black_box(tiled::fused_interleaved_moments_plain(
+            std::hint::black_box(tiled::fused_interleaved_moments_doubling(
                 op,
                 r0.clone(),
                 k,
@@ -630,7 +631,7 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     // One untimed warmup on the default shape pulls the operator through
     // the cache hierarchy so candidate order doesn't bias the sweep.
-    std::hint::black_box(tiled::fused_interleaved_moments_plain(
+    std::hint::black_box(tiled::fused_interleaved_moments_doubling(
         op,
         r0.clone(),
         k,

@@ -3,17 +3,16 @@
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
 //! stages in — the tiled engine's CSR row kernel and the per-tile dot
-//! kernels of its plain sign-start runs (`start_dots`,
-//! `plain_step_dots_i8`), and the [`vecops`](crate::vecops) kernels `dot`,
-//! `axpy`, `scale`, `norm2`, `chebyshev_combine_dot`,
-//! `chebyshev_combine_dot8` and `rescale_inplace` — are therefore each
-//! compiled twice by `kernels!`: a baseline copy, and a copy under
-//! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when the
-//! CPU has AVX2. Each call picks its copy; off x86-64 only the baseline copy
-//! exists. The ELL and stencil row kernels, the tiled dot kernels of `f64`
-//! starts and of the doubling recursion, `chebyshev_combine` and
-//! `chebyshev_combine_inplace` run in no benchmark workload and have one
-//! copy.
+//! kernels of its doubling runs (`start_dots`, `doubling_step_dots`), and
+//! the [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2`,
+//! `chebyshev_combine_dot`, `chebyshev_combine_dot8` and `rescale_inplace`
+//! — are therefore each compiled twice by `kernels!`: a baseline copy, and
+//! a copy under `#[target_feature(enable = "avx2")]`, with four lanes, that
+//! runs when the CPU has AVX2. Each call picks its copy; off x86-64 only
+//! the baseline copy exists. The ELL and stencil row kernels, the tiled dot
+//! kernels of the plain recursion (`plain_step_dots`, `plain_step_dots_i8`),
+//! `chebyshev_combine` and `chebyshev_combine_inplace` run in no benchmark
+//! workload and have one copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -89,7 +88,7 @@ pub(crate) use kernels;
 /// they skip with a message.
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
-    use crate::vecops::{self, KernelVariant};
+    use crate::vecops;
     use crate::{csr, tiled, StencilGeometry, StencilOp};
 
     /// `true` when the AVX2 copies can run; prints why the test is skipped
@@ -205,17 +204,12 @@ mod tests {
                         slots = vec![f64::NAN; nsegs * nslots * k]
                     );
                 }
-                let signs: Vec<i8> = c.iter().map(|&v| if v < 0.0 { -1 } else { 1 }).collect();
-                for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
-                    assert_copies_agree!(
-                        format!("plain_step_dots_i8, {variant:?}, {what}"),
-                        tiled::plain_step_dots_i8(
-                            variant, &a, &mut p, &signs, k, slot_rows, &mut slots
-                        ),
-                        p = b.clone(),
-                        slots = vec![f64::NAN; nsegs * 2 * k]
-                    );
-                }
+                assert_copies_agree!(
+                    format!("doubling_step_dots, {what}"),
+                    tiled::doubling_step_dots(&a, &mut p, &c, k, slot_rows, &mut slots),
+                    p = b.clone(),
+                    slots = vec![f64::NAN; nsegs * 3 * k]
+                );
             }
         }
     }

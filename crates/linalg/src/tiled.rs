@@ -31,7 +31,7 @@
 //! row kernels and the combine-and-dot kernels are const-generic in their
 //! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
 //! run in const-width column chunks. The CSR row kernel and the per-tile
-//! dot kernels the moment jobs run (`start_dots`, `plain_step_dots_i8`) are
+//! dot kernels the moment jobs run (`start_dots`, `doubling_step_dots`) are
 //! compiled twice, for baseline x86-64 and for AVX2, with the same bits
 //! ([`crate::isa`]).
 //!
@@ -67,20 +67,22 @@
 //!
 //! A fused step reads each matrix row once for all `k` columns: for CSR,
 //! 12 B per entry and a 4 B row pointer (32-bit indices). Per column it
-//! reads `x` (8 B/row), reads and writes `p` in place (16 B/row), and reads
-//! the start block for the plain recursion's dot: 1 B/row when the block
-//! is held as `i8` signs, 8 B/row as `f64` — `25 k` or `32 k` B/row plus
-//! the matrix row. A start block of `k >= 2` columns whose entries are all
-//! exactly `±1.0` (every Rademacher job's) is held as signs, and
-//! `plain_step_dots_i8` multiplies by the same `±1.0` as the `f64`
-//! kernel, so the bits do not change; other blocks, and `k = 1`, keep an
-//! `f64` copy. Step 0 reads `r0` from buffer `a`, which holds it until
-//! step 1 overwrites it, so neither recursion keeps an `f64` copy only for
-//! step 0. The raw product only ever lands in a tile-sized per-worker
-//! scratch that stays cache-resident. The split pipeline (SpMM into a
-//! `D x k` intermediate, then combine+dot) moves the raw product through
-//! memory an extra time: 48 B/row per column plus the matrix. See
-//! DESIGN.md §9 for the full accounting.
+//! reads `x` (8 B/row) and reads and writes `p` in place (16 B/row). The
+//! doubling recursion dots `p` against `x` and itself, so a step moves no
+//! other vector: `24 k` B/row plus the matrix row, for two moments. The
+//! plain recursion also reads the start block for its dot: 1 B/row when
+//! the block is held as `i8` signs, 8 B/row as `f64` — `25 k` or `32 k`
+//! B/row plus the matrix row, for one moment. A plain start block of
+//! `k >= 2` columns whose entries are all exactly `±1.0` (every Rademacher
+//! job's) is held as signs, and `plain_step_dots_i8` multiplies by the
+//! same `±1.0` as the `f64` kernel, so the bits do not change; other
+//! blocks, and `k = 1`, keep an `f64` copy. Step 0 reads `r0` from buffer
+//! `a`, which holds it until step 1 overwrites it, so the doubling
+//! recursion keeps no start block at all. The raw product only ever lands
+//! in a tile-sized per-worker scratch that stays cache-resident. The split
+//! pipeline (SpMM into a `D x k` intermediate, then combine+dot) moves the
+//! raw product through memory an extra time: 48 B/row per column plus the
+//! matrix. See DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -301,8 +303,11 @@ impl StartDots {
 /// How an engine run held its start block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StartBlock {
-    /// Row-interleaved `f64` values.
+    /// No start block kept after step 0: a doubling run (only step 0 reads
+    /// `r0`, from buffer `a`), or a run that needed no step.
     #[default]
+    None,
+    /// Row-interleaved `f64` values: a plain run of other starts or `k = 1`.
     F64,
     /// Row-interleaved `i8` signs: a plain run whose block of `k >= 2`
     /// columns held only exact `±1.0` entries.
@@ -310,9 +315,10 @@ pub enum StartBlock {
 }
 
 impl StartBlock {
-    /// `"f64"` or `"i8"`.
+    /// `"none"`, `"f64"` or `"i8"`.
     pub fn name(self) -> &'static str {
         match self {
+            StartBlock::None => "none",
             StartBlock::F64 => "f64",
             StartBlock::I8 => "i8",
         }
@@ -735,6 +741,11 @@ fn combine_step_dots<T: Copy + Into<f64>>(
 // segment). They are generic in nothing, so each is compiled once (the
 // two in `kernels!` once per instruction set, `crate::isa`) however many
 // operator types instantiate the engine.
+//
+// A one-column block is laid out the same interleaved or not, so at `k = 1`
+// the later-step kernels run the contiguous `vecops` kernels on each
+// segment: the same association, and faster there than a one-wide const
+// kernel, which cannot vectorize across rows.
 
 crate::isa::kernels! {
     /// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
@@ -761,31 +772,47 @@ crate::isa::kernels! {
         }
     }
 
-    /// [`plain_step_dots`] for a start block held as `i8` signs, with the
-    /// same bits as that kernel on the block's `±1.0` values. The engine
-    /// runs it for blocks of `k >= 2` columns.
-    fn plain_step_dots_i8(
-        variant: KernelVariant,
+    /// A later doubling step on one tile, once its rows of `A x` are in `h`:
+    /// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
+    /// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
+    ///
+    /// The combine and the two dots are separate passes over the cache-hot
+    /// tile: one pass producing both dots would keep two `W x 4`
+    /// accumulator sets live at once (DESIGN.md §9).
+    fn doubling_step_dots(
         h: &[f64],
         p: &mut [f64],
-        signs: &[i8],
+        x: &[f64],
         k: usize,
         slot_rows: usize,
         slots: &mut [f64],
     ) {
-        combine_step_dots(variant, h, p, signs, k, slot_rows, slots);
+        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            if k == 1 {
+                let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
+                vecops::chebyshev_combine_inplace(h, p);
+                slot[0] = vecops::dot(x, p);
+                slot[1] = vecops::dot(p, p);
+                continue;
+            }
+            for_each_chunk!(k, |j0, W| {
+                for r in seg.clone() {
+                    let o = r * k + j0;
+                    for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
+                        *p = 2.0 * h - *p;
+                    }
+                }
+                slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
+                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
+            });
+        }
     }
 }
 
-// The two later-step kernels below serve `f64` starts, one-column blocks
-// and the doubling recursion. No benchmark workload runs them (both start
-// from Rademacher blocks of several columns, and so does the tune probe),
-// so they have one copy.
-//
-// A one-column block is laid out the same interleaved or not, so at `k = 1`
-// they run the contiguous `vecops` kernels on each segment: the same
-// association, and faster there than one-wide const kernels, which cannot
-// vectorize across rows.
+// The two later-step kernels below serve the plain recursion, which no
+// front door runs by default (the tune probe runs the doubling recursion
+// too), so they have one copy.
 
 /// A later plain step on one tile, once its rows of `A x` are in `h`:
 /// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
@@ -808,37 +835,19 @@ fn plain_step_dots(
     combine_step_dots(variant, h, p, r0, k, slot_rows, slots);
 }
 
-/// A later doubling step on one tile, once its rows of `A x` are in `h`:
-/// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
-/// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
-fn doubling_step_dots(
+/// [`plain_step_dots`] for a start block held as `i8` signs, with the same
+/// bits as that kernel on the block's `±1.0` values. The plain engine runs
+/// it for blocks of `k >= 2` columns.
+fn plain_step_dots_i8(
+    variant: KernelVariant,
     h: &[f64],
     p: &mut [f64],
-    x: &[f64],
+    signs: &[i8],
     k: usize,
     slot_rows: usize,
     slots: &mut [f64],
 ) {
-    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
-        if k == 1 {
-            let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
-            vecops::chebyshev_combine_inplace(h, p);
-            slot[0] = vecops::dot(x, p);
-            slot[1] = vecops::dot(p, p);
-            continue;
-        }
-        for_each_chunk!(k, |j0, W| {
-            for r in seg.clone() {
-                let o = r * k + j0;
-                for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
-                    *p = 2.0 * h - *p;
-                }
-            }
-            slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
-            slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
-        });
-    }
+    combine_step_dots(variant, h, p, signs, k, slot_rows, slots);
 }
 
 /// [`fused_interleaved_moments_plain`] for a `D x k` block of start vectors
@@ -1128,7 +1137,7 @@ pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
         }
     };
     let stats = run_parallel(workers, ntiles, nsteps, process, reduce);
-    (mu, stats)
+    (mu, TiledStats { start: StartBlock::None, ..stats })
 }
 
 #[cfg(test)]
@@ -1408,7 +1417,7 @@ mod tests {
         assert_eq!(start(2, false), StartBlock::I8);
         assert_eq!(start(17, false), StartBlock::I8);
         assert_eq!(start(1, false), StartBlock::F64, "one column keeps the vecops kernels");
-        assert_eq!(start(2, true), StartBlock::F64, "only step 0 reads a doubling start");
+        assert_eq!(start(2, true), StartBlock::None, "only step 0 reads a doubling start");
         let mut r0 = start_block(d, 2);
         r0[d + 3] = 0.5;
         let (_, stats) = fused_block_moments_plain(&op, &r0, 2, 5, 1, 8);

@@ -15,13 +15,18 @@
 //! `<dir>/<key as hex>.csv` using Rust's shortest-round-trip float
 //! formatting, and `load` restores them, so a warm cache survives process
 //! restarts; the files double as human-readable artifacts under
-//! `results/cache/`.
+//! `results/cache/`. The header line names the moment family: `v2` files
+//! hold moment-doubling moments, and `load` skips files of any other
+//! version (the plain loop's `v1`), whose bits differ at rounding level.
 
 use kpm::MomentStats;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+
+/// First line of a spill file; its version names the moment family.
+const SPILL_HEADER: &str = "# kpm-serve moment cache v2";
 
 /// A cache hit: enough moments for the request, plus the rescaling that
 /// produced them (needed for reconstruction on the original energy axis).
@@ -200,7 +205,7 @@ impl MomentCache {
         for (key, entry) in &inner.entries {
             let path = dir.join(format!("{key:016x}.csv"));
             let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-            writeln!(f, "# kpm-serve moment cache v1")?;
+            writeln!(f, "{SPILL_HEADER}")?;
             writeln!(f, "key,{key:016x}")?;
             writeln!(f, "samples,{}", entry.stats.samples)?;
             writeln!(f, "a_plus,{}", entry.a_plus)?;
@@ -245,7 +250,7 @@ impl MomentCache {
 fn parse_entry(path: &Path) -> Option<(u64, CachedMoments)> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut lines = text.lines();
-    if lines.next()? != "# kpm-serve moment cache v1" {
+    if lines.next()? != SPILL_HEADER {
         return None;
     }
     let key = u64::from_str_radix(lines.next()?.strip_prefix("key,")?, 16).ok()?;
@@ -365,6 +370,26 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn load_skips_spill_files_of_the_plain_loop() {
+        let dir = std::env::temp_dir().join(format!("kpm_cache_v1_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = MomentCache::new(8, Some(dir.clone()));
+        cache.insert(0xdead_beef, stats(24, 0.7), 0.125, 3.5);
+        assert_eq!(cache.flush().unwrap(), 1);
+        // The same entry as the previous format wrote it: only the header
+        // line differs.
+        let path = dir.join(format!("{:016x}.csv", 0xdead_beef_u64));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let v1 = text.replacen(SPILL_HEADER, "# kpm-serve moment cache v1", 1);
+        assert_ne!(v1, text);
+        std::fs::write(&path, v1).unwrap();
+        let restored = MomentCache::new(8, Some(dir.clone()));
+        assert_eq!(restored.load().unwrap(), 0);
+        assert!(restored.is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
 

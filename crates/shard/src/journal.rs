@@ -15,17 +15,26 @@
 //! different order, and duplicate submissions of the same spec share one
 //! journal key. A torn final frame (the crash happened mid-append) is
 //! tolerated: replay stops at the last whole frame, exactly the rows that
-//! were never acknowledged.
+//! were never acknowledged, and [`Journal::open`] cuts the file back to
+//! that frame before appending, so the next frame starts where a reader
+//! looks for it.
+//!
+//! The codec version names the moment family of the rows. Version 2 rows
+//! come from the moment-doubling recursion, whose bits differ at rounding
+//! level from the plain loop's version 1 rows, so a version 1 journal must
+//! not be merged with new rows: [`Journal::open`] renames it to
+//! `journal.log.v1` (keeping it for inspection) and starts an empty one.
 
 use crate::error::FleetError;
-use kpm_wire::{put_f64s, put_str, put_u32, put_u64, Codec, Reader};
+use kpm_wire::{put_f64s, put_str, put_u32, put_u64, Codec, Reader, HEADER_LEN};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Write as _};
-use std::path::Path;
+use std::io::{BufReader, Read as _, Write as _};
+use std::path::{Path, PathBuf};
 
-/// Journal codec: own magic, version 1.
-const CODEC: Codec = Codec { magic: *b"KPFJ", version: 1 };
+/// Journal codec: own magic, version 2 (rows of the moment-doubling
+/// recursion).
+const CODEC: Codec = Codec { magic: *b"KPFJ", version: 2 };
 
 /// Frame: a job's identity — content hash plus canonical shard-job line.
 const TYPE_JOB: u8 = 1;
@@ -57,24 +66,39 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if needed) `dir/journal.log`, replaying any frames a
-    /// previous coordinator left behind. Appends land after the replayed
-    /// tail, so a journal survives any number of restarts.
+    /// previous coordinator left behind. Bytes after the last whole frame
+    /// are cut off, and appends land right after it, so a journal survives
+    /// any number of restarts. A journal of another codec version is
+    /// renamed to `journal.log.v<version>` (`.v<version>.<n>` when that
+    /// name is taken) and replaced by an empty one.
     ///
     /// # Errors
     /// [`FleetError::Journal`] on directory or file I/O failure.
     pub fn open(dir: &Path) -> Result<(Journal, Replayed), FleetError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| FleetError::Journal(format!("create {}: {e}", dir.display())))?;
+        let io_error = |what: &str, path: &Path, e: std::io::Error| {
+            FleetError::Journal(format!("{what} {}: {e}", path.display()))
+        };
+        std::fs::create_dir_all(dir).map_err(|e| io_error("create", dir, e))?;
         let path = dir.join("journal.log");
-        let replayed = match File::open(&path) {
+        if let Some(version) = first_frame_version(&path).filter(|&v| v != CODEC.version) {
+            let aside = aside_path(dir, version);
+            std::fs::rename(&path, &aside).map_err(|e| io_error("move aside", &path, e))?;
+        }
+        let (replayed, whole) = match File::open(&path) {
             Ok(f) => replay(BufReader::new(f)),
-            Err(_) => Replayed::default(), // fresh journal
+            Err(_) => (Replayed::default(), 0), // fresh journal
         };
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| FleetError::Journal(format!("open {}: {e}", path.display())))?;
+            .map_err(|e| io_error("open", &path, e))?;
+        let len = file.metadata().map_err(|e| io_error("stat", &path, e))?.len();
+        if len > whole {
+            // A torn tail: a header left here would claim the next frame's
+            // bytes as its payload.
+            file.set_len(whole).map_err(|e| io_error("truncate", &path, e))?;
+        }
         kpm_obs::counter_add("fleet.journal.replayed_rows", replayed.row_count());
         Ok((Journal { file, bytes: 0 }, replayed))
     }
@@ -131,12 +155,33 @@ impl Journal {
     }
 }
 
+/// The codec version in the first frame header of the journal at `path`,
+/// if the file starts with the journal's magic.
+fn first_frame_version(path: &Path) -> Option<u16> {
+    let mut head = [0u8; 6];
+    File::open(path).ok()?.read_exact(&mut head).ok()?;
+    (head[..4] == CODEC.magic).then(|| u16::from_le_bytes([head[4], head[5]]))
+}
+
+/// The first free name for a set-aside journal of codec `version`.
+fn aside_path(dir: &Path, version: u16) -> PathBuf {
+    (0..)
+        .map(|n| match n {
+            0 => dir.join(format!("journal.log.v{version}")),
+            n => dir.join(format!("journal.log.v{version}.{n}")),
+        })
+        .find(|p| !p.exists())
+        .expect("an unbounded range of names")
+}
+
 /// Replays every whole frame; stops silently at the first torn or foreign
-/// byte (the tail a crash may leave). Later rows for the same `(hash, idx)`
-/// overwrite earlier ones — they are bitwise identical by construction, so
-/// the choice is immaterial.
-fn replay(mut reader: BufReader<File>) -> Replayed {
+/// byte (the tail a crash may leave). Returns the replayed image and the
+/// byte length of the whole frames it read. Later rows for the same
+/// `(hash, idx)` overwrite earlier ones — they are bitwise identical by
+/// construction, so the choice is immaterial.
+fn replay(mut reader: BufReader<File>) -> (Replayed, u64) {
     let mut out = Replayed::default();
+    let mut whole = 0u64;
     while let Ok((ty, payload)) = CODEC.read_frame(&mut reader) {
         let mut r = Reader::new(&payload);
         let parsed = (|| -> Result<(), kpm_wire::WireError> {
@@ -151,11 +196,9 @@ fn replay(mut reader: BufReader<File>) -> Replayed {
                     let hash = r.u64()?;
                     let start = r.u64()?;
                     let count = r.u32()?;
-                    let per_job = out.rows.entry(hash).or_default();
-                    for i in 0..count as u64 {
-                        per_job.insert(start + i, r.f64s()?);
-                    }
+                    let rows = (0..count).map(|_| r.f64s()).collect::<Result<Vec<_>, _>>()?;
                     r.finish()?;
+                    out.rows.entry(hash).or_default().extend((start..).zip(rows));
                 }
                 _ => {} // unknown frame type from a newer writer: skip
             }
@@ -164,8 +207,9 @@ fn replay(mut reader: BufReader<File>) -> Replayed {
         if parsed.is_err() {
             break; // torn payload: everything after it was never acked
         }
+        whole += (HEADER_LEN + payload.len()) as u64;
     }
-    out
+    (out, whole)
 }
 
 #[cfg(test)]
@@ -259,6 +303,77 @@ mod tests {
         let (_, replayed) = Journal::open(&dir).unwrap();
         assert_eq!(replayed.row_count(), 1);
         assert_eq!(replayed.rows[&1][&0], vec![1.0, 2.0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The restart drill: a crash tears the last frame, the restarted
+    /// coordinator records that row again and one more, and the next
+    /// restart replays every row recorded after the first one bit for bit,
+    /// with no row assembled from the torn frame and the new bytes.
+    #[test]
+    fn rows_recorded_after_a_torn_tail_replay_bitwise() {
+        let dir = tmp_dir("torn-append");
+        let rows = [vec![1.0, 2.0], vec![3.0, 4.0], vec![-0.0, f64::MIN_POSITIVE]];
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            j.record_rows(1, 0, &rows[..1]).unwrap();
+            j.record_rows(1, 1, &rows[1..2]).unwrap();
+        }
+        let path = dir.join("journal.log");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+        {
+            let (mut j, replayed) = Journal::open(&dir).unwrap();
+            assert_eq!(replayed.row_count(), 1, "only idx 0 was whole");
+            j.record_rows(1, 1, &rows[1..2]).unwrap();
+            j.record_rows(1, 2, &rows[2..]).unwrap();
+        }
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        let got = &replayed.rows[&1];
+        assert_eq!(got.len(), 3, "{got:?}");
+        for (idx, row) in rows.iter().enumerate() {
+            assert_eq!(bits(&got[&(idx as u64)]), bits(row), "idx {idx}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A journal written by the plain-recursion binary (codec version 1) is
+    /// renamed aside whole, neither replayed nor appended to; rows recorded
+    /// after opening it replay on the next open. A second one does not
+    /// overwrite the first.
+    #[test]
+    fn version_1_journals_are_set_aside_not_replayed() {
+        let dir = tmp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1 = |value: f64| {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, 5);
+            put_u64(&mut payload, 0);
+            put_u32(&mut payload, 1);
+            put_f64s(&mut payload, &[value, 2.0]);
+            Codec { magic: *b"KPFJ", version: 1 }.frame(TYPE_ROWS, payload)
+        };
+        let path = dir.join("journal.log");
+        std::fs::write(&path, v1(1.0)).unwrap();
+        {
+            let (mut j, replayed) = Journal::open(&dir).unwrap();
+            assert_eq!(replayed.row_count(), 0, "v1 rows are not replayed");
+            j.record_rows(5, 0, &[vec![7.0, 8.0]]).unwrap();
+        }
+        assert_eq!(std::fs::read(dir.join("journal.log.v1")).unwrap(), v1(1.0));
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        assert_eq!(replayed.row_count(), 1);
+        assert_eq!(replayed.rows[&5][&0], vec![7.0, 8.0]);
+
+        std::fs::write(&path, v1(3.0)).unwrap();
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        assert_eq!(replayed.row_count(), 0);
+        assert_eq!(std::fs::read(dir.join("journal.log.v1")).unwrap(), v1(1.0));
+        assert_eq!(std::fs::read(dir.join("journal.log.v1.1")).unwrap(), v1(3.0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
