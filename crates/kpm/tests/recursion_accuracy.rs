@@ -14,7 +14,7 @@ use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
 const TOLERANCE: f64 = 1e-13;
 
 /// Mean moments (already divided by `D`) of `params` on `tb`, through the
-/// same bounds, rescale and stochastic driver as the jobs.
+/// same bounds, rescale and stochastic estimator as the jobs.
 fn moments(tb: &TightBinding, params: &KpmParams) -> Vec<f64> {
     let h = tb.build_csr();
     let bounds = h.spectral_bounds(params.bounds).expect("bounds");
