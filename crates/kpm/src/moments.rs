@@ -416,7 +416,6 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
             kpm_obs::counter_add("kpm.spmm.rows", stats.sweeps * d as u64);
             kpm_obs::counter_add(&format!("kpm.spmm.width.{k}"), stats.sweeps);
             kpm_obs::counter_add(&format!("kpm.exec.isa.{}", kpm_linalg::isa::active()), 1);
-            kpm_obs::counter_add(&format!("kpm.exec.start.{}", stats.start.name()), 1);
         }
         kpm_obs::counter_add("kpm.realizations", k as u64);
         per_column

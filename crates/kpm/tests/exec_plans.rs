@@ -202,60 +202,28 @@ fn rows_and_hybrid_policies_are_bitwise_identical() {
     }
 }
 
-/// Traces a one-thread `Rows` run of `params` on a 600-site chain and
-/// returns the report with the number of realization chunks it ran.
-fn traced_tiled_run(params: &KpmParams) -> (kpm_obs::TraceReport, u64) {
-    set_exec_policy(ExecPolicy::Rows);
-    set_thread_budget(1);
-    let h = lattice("chain:600", MatrixFormat::Csr);
-    let op = RescaledOp::new(h, 0.0, 3.0);
-    let chunks = realization_chunk_count(params, 0..params.total_realizations());
-    assert_eq!(chunks, 2, "one chunk per realization set");
-
-    let handle = TraceHandle::begin();
-    stochastic_moments(&op, params);
-    (handle.finish(), chunks as u64)
-}
-
 /// A traced tiled run names the copies of the moment kernels that ran:
 /// `kpm.exec.isa.avx2` or `kpm.exec.isa.baseline`, once per realization
 /// chunk, and never both.
 #[test]
 fn traced_tiled_run_counts_the_kernel_isa_once_per_chunk() {
     let _g = policy_guard();
+    set_exec_policy(ExecPolicy::Rows);
+    set_thread_budget(1);
+    let h = lattice("chain:600", MatrixFormat::Csr);
+    let op = RescaledOp::new(h, 0.0, 3.0);
     let params = KpmParams::new(16).with_random_vectors(3, 2).with_seed(3);
-    let (report, chunks) = traced_tiled_run(&params);
+    let chunks = realization_chunk_count(&params, 0..params.total_realizations());
+    assert_eq!(chunks, 2, "one chunk per realization set");
+
+    let handle = TraceHandle::begin();
+    stochastic_moments(&op, &params);
+    let report = handle.finish();
+
     let ran = kpm_linalg::isa::active();
     let other = if ran == "avx2" { "baseline" } else { "avx2" };
-    assert_eq!(report.counter(&format!("kpm.exec.isa.{ran}")), Some(chunks));
+    assert_eq!(report.counter(&format!("kpm.exec.isa.{ran}")), Some(chunks as u64));
     assert_eq!(report.counter(&format!("kpm.exec.isa.{other}")), None);
-}
-
-/// A traced plain-recursion run with the default (Rademacher) distribution
-/// holds every start block as signs: `kpm.exec.start.i8` once per
-/// realization chunk, and no `kpm.exec.start.f64`.
-#[test]
-fn traced_tiled_run_counts_sign_start_blocks_once_per_chunk() {
-    let _g = policy_guard();
-    let params =
-        KpmParams::new(16).with_random_vectors(3, 2).with_seed(3).with_recursion(Recursion::Plain);
-    let (report, chunks) = traced_tiled_run(&params);
-    assert_eq!(report.counter("kpm.exec.start.i8"), Some(chunks));
-    assert_eq!(report.counter("kpm.exec.start.f64"), None);
-}
-
-/// A traced run with the default recursion (moment doubling) keeps no start
-/// block after step 0: `kpm.exec.start.none` once per realization chunk, and
-/// no `.i8` or `.f64`.
-#[test]
-fn traced_default_run_counts_no_start_block_once_per_chunk() {
-    let _g = policy_guard();
-    let params = KpmParams::new(16).with_random_vectors(3, 2).with_seed(3);
-    assert_eq!(params.recursion, Recursion::Doubling);
-    let (report, chunks) = traced_tiled_run(&params);
-    assert_eq!(report.counter("kpm.exec.start.none"), Some(chunks));
-    assert_eq!(report.counter("kpm.exec.start.i8"), None);
-    assert_eq!(report.counter("kpm.exec.start.f64"), None);
 }
 
 proptest! {

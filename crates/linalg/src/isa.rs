@@ -10,9 +10,9 @@
 //! a copy under `#[target_feature(enable = "avx2")]`, with four lanes, that
 //! runs when the CPU has AVX2. Each call picks its copy; off x86-64 only
 //! the baseline copy exists. The ELL and stencil row kernels, the tiled dot
-//! kernels of the plain recursion (`plain_step_dots`, `plain_step_dots_i8`),
-//! `chebyshev_combine` and `chebyshev_combine_inplace` run in no benchmark
-//! workload and have one copy.
+//! kernel of the plain recursion (`plain_step_dots`), `chebyshev_combine`
+//! and `chebyshev_combine_inplace` run in no benchmark workload and have
+//! one copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the

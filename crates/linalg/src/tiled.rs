@@ -70,19 +70,14 @@
 //! reads `x` (8 B/row) and reads and writes `p` in place (16 B/row). The
 //! doubling recursion dots `p` against `x` and itself, so a step moves no
 //! other vector: `24 k` B/row plus the matrix row, for two moments. The
-//! plain recursion also reads the start block for its dot: 1 B/row when
-//! the block is held as `i8` signs, 8 B/row as `f64` — `25 k` or `32 k`
-//! B/row plus the matrix row, for one moment. A plain start block of
-//! `k >= 2` columns whose entries are all exactly `±1.0` (every Rademacher
-//! job's) is held as signs, and `plain_step_dots_i8` multiplies by the
-//! same `±1.0` as the `f64` kernel, so the bits do not change; other
-//! blocks, and `k = 1`, keep an `f64` copy. Step 0 reads `r0` from buffer
-//! `a`, which holds it until step 1 overwrites it, so the doubling
-//! recursion keeps no start block at all. The raw product only ever lands
-//! in a tile-sized per-worker scratch that stays cache-resident. The split
-//! pipeline (SpMM into a `D x k` intermediate, then combine+dot) moves the
-//! raw product through memory an extra time: 48 B/row per column plus the
-//! matrix. See DESIGN.md §9 for the full accounting.
+//! plain recursion also reads an `f64` copy of the start block for its
+//! dot: `32 k` B/row plus the matrix row, for one moment. Step 0 reads
+//! `r0` from buffer `a`, which holds it until step 1 overwrites it, so the
+//! doubling recursion keeps no start block at all. The raw product only
+//! ever lands in a tile-sized per-worker scratch that stays cache-resident.
+//! The split pipeline (SpMM into a `D x k` intermediate, then combine+dot)
+//! moves the raw product through memory an extra time: 48 B/row per column
+//! plus the matrix. See DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -264,67 +259,6 @@ fn interleave(block: &[f64], d: usize, k: usize) -> Vec<f64> {
     out
 }
 
-/// The start block the later plain steps dot against, row-interleaved.
-enum StartDots {
-    Values(Vec<f64>),
-    Signs(Vec<i8>),
-}
-
-/// Entries per chunk of the sign scan: each chunk is checked without a
-/// branch per entry, and the scan stops after the first chunk that fails.
-const SIGN_SCAN_CHUNK: usize = 256;
-
-impl StartDots {
-    /// Signs when the row-interleaved `k`-column block `r0` has `k >= 2`
-    /// columns and only exact `±1.0` entries, a copy of its values
-    /// otherwise. One-column blocks keep the contiguous `vecops` kernels,
-    /// which read `f64`.
-    fn new(r0: &[f64], k: usize) -> Self {
-        let all_signs = || {
-            r0.chunks(SIGN_SCAN_CHUNK)
-                .all(|c| c.iter().fold(true, |ok, &v| ok & ((v == 1.0) | (v == -1.0))))
-        };
-        if k >= 2 && all_signs() {
-            // Every entry is exactly 1.0 or -1.0, which convert exactly.
-            StartDots::Signs(r0.iter().map(|&v| v as i8).collect())
-        } else {
-            StartDots::Values(r0.to_vec())
-        }
-    }
-
-    fn kind(&self) -> StartBlock {
-        match self {
-            StartDots::Values(_) => StartBlock::F64,
-            StartDots::Signs(_) => StartBlock::I8,
-        }
-    }
-}
-
-/// How an engine run held its start block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StartBlock {
-    /// No start block kept after step 0: a doubling run (only step 0 reads
-    /// `r0`, from buffer `a`), or a run that needed no step.
-    #[default]
-    None,
-    /// Row-interleaved `f64` values: a plain run of other starts or `k = 1`.
-    F64,
-    /// Row-interleaved `i8` signs: a plain run whose block of `k >= 2`
-    /// columns held only exact `±1.0` entries.
-    I8,
-}
-
-impl StartBlock {
-    /// `"none"`, `"f64"` or `"i8"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            StartBlock::None => "none",
-            StartBlock::F64 => "f64",
-            StartBlock::I8 => "i8",
-        }
-    }
-}
-
 /// Counters reported by one engine run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TiledStats {
@@ -334,8 +268,6 @@ pub struct TiledStats {
     pub steals: u64,
     /// Full sweeps over the operator (one per fused step).
     pub sweeps: u64,
-    /// How the start block was held.
-    pub start: StartBlock,
 }
 
 /// A generation-counted spinning barrier for the step loop.
@@ -492,12 +424,8 @@ fn run_parallel<P>(
 where
     P: Fn(usize, usize, usize) + Sync,
 {
-    let stats = |steals: u64| TiledStats {
-        tiles: (nsteps * ntiles) as u64,
-        steals,
-        sweeps: nsteps as u64,
-        ..TiledStats::default()
-    };
+    let stats =
+        |steals: u64| TiledStats { tiles: (nsteps * ntiles) as u64, steals, sweeps: nsteps as u64 };
     if workers <= 1 {
         // Single-worker fast path: tiles in ascending order, same slots,
         // same reduction — bitwise identical to the threaded run by
@@ -683,14 +611,12 @@ fn column_dots<const W: usize>(
 
 /// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
 /// `<r0|p>`: per column, `vecops::chebyshev_combine_dot` (`L = 4`) or
-/// `vecops::chebyshev_combine_dot8` (`L = 8`). `r0` holds `f64` values or
-/// `i8` signs; `f64::from` turns a sign into the exact `±1.0` the `f64`
-/// block would hold, so both multiply by the same value.
+/// `vecops::chebyshev_combine_dot8` (`L = 8`).
 #[inline(always)]
-fn combine_dots<T: Copy + Into<f64>, const W: usize, const L: usize>(
+fn combine_dots<const W: usize, const L: usize>(
     h: &[f64],
     p: &mut [f64],
-    r0: &[T],
+    r0: &[f64],
     k: usize,
     j0: usize,
     seg: Range<usize>,
@@ -705,35 +631,11 @@ fn combine_dots<T: Copy + Into<f64>, const W: usize, const L: usize>(
                 terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
             {
                 *p = 2.0 * h - *p;
-                *t = r0.into() * *p;
+                *t = r0 * *p;
             }
             terms
         },
     )
-}
-
-/// The const-width body of [`plain_step_dots`] and [`plain_step_dots_i8`]:
-/// [`combine_dots`] per segment and column chunk.
-#[inline(always)]
-fn combine_step_dots<T: Copy + Into<f64>>(
-    variant: KernelVariant,
-    h: &[f64],
-    p: &mut [f64],
-    r0: &[T],
-    k: usize,
-    slot_rows: usize,
-    slots: &mut [f64],
-) {
-    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
-        for_each_chunk!(k, |j0, W| {
-            let mu = match variant {
-                KernelVariant::Unrolled4 => combine_dots::<T, W, 4>(h, p, r0, k, j0, seg.clone()),
-                KernelVariant::Unrolled8 => combine_dots::<T, W, 8>(h, p, r0, k, j0, seg.clone()),
-            };
-            slot[j0..][..W].copy_from_slice(&mu);
-        });
-    }
 }
 
 // The per-tile dot kernels below take whole tiles of row-interleaved
@@ -810,12 +712,11 @@ crate::isa::kernels! {
     }
 }
 
-// The two later-step kernels below serve the plain recursion, which no
-// front door runs by default (the tune probe runs the doubling recursion
-// too), so they have one copy.
-
 /// A later plain step on one tile, once its rows of `A x` are in `h`:
 /// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
+///
+/// It serves only the plain recursion, which neither a front door nor the
+/// tune probe runs, so it has one copy.
 fn plain_step_dots(
     variant: KernelVariant,
     h: &[f64],
@@ -825,29 +726,21 @@ fn plain_step_dots(
     slot_rows: usize,
     slots: &mut [f64],
 ) {
-    if k == 1 {
-        for (s, seg) in segments(p.len(), slot_rows).enumerate() {
+    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
+        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
+        if k == 1 {
             let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-            slots[s * PLAIN_SLOTS] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
+            slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
+            continue;
         }
-        return;
+        for_each_chunk!(k, |j0, W| {
+            let mu = match variant {
+                KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
+                KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
+            };
+            slot[j0..][..W].copy_from_slice(&mu);
+        });
     }
-    combine_step_dots(variant, h, p, r0, k, slot_rows, slots);
-}
-
-/// [`plain_step_dots`] for a start block held as `i8` signs, with the same
-/// bits as that kernel on the block's `±1.0` values. The plain engine runs
-/// it for blocks of `k >= 2` columns.
-fn plain_step_dots_i8(
-    variant: KernelVariant,
-    h: &[f64],
-    p: &mut [f64],
-    signs: &[i8],
-    k: usize,
-    slot_rows: usize,
-    slots: &mut [f64],
-) {
-    combine_step_dots(variant, h, p, signs, k, slot_rows, slots);
 }
 
 /// [`fused_interleaved_moments_plain`] for a `D x k` block of start vectors
@@ -911,11 +804,10 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
     let variant = vecops::kernel_variant();
     // Buffer `a` starts as r0 (= T_0 x), `b` receives T_1 x in step 0; from
     // then on the roles alternate by step parity and the previous vector is
-    // overwritten in place. The later steps dot against `start`, held as
-    // signs when it can be. Every block is row-interleaved.
+    // overwritten in place, so the later steps dot against a copy of r0.
+    // Every block is row-interleaved.
     let mut a = r0;
-    let start = StartDots::new(&a, k);
-    let start_block = start.kind();
+    let r0 = a.clone();
     let mut b = vec![0.0f64; d * k];
     const NSLOTS: usize = PLAIN_SLOTS;
     let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
@@ -967,14 +859,7 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
             // at a time.
             let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
             op.block_rows(x, k, rows, h);
-            match &start {
-                StartDots::Values(r0) => {
-                    plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots)
-                }
-                StartDots::Signs(s) => {
-                    plain_step_dots_i8(variant, h, p, &s[elems], k, slot_rows, slots)
-                }
-            }
+            plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots);
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
@@ -998,7 +883,7 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
         }
     };
     let stats = run_parallel(workers, ntiles, nsteps, process, reduce);
-    (mu, TiledStats { start: start_block, ..stats })
+    (mu, stats)
 }
 
 /// [`fused_interleaved_moments_doubling`] for a `D x k` block of start
@@ -1137,7 +1022,7 @@ pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
         }
     };
     let stats = run_parallel(workers, ntiles, nsteps, process, reduce);
-    (mu, TiledStats { start: StartBlock::None, ..stats })
+    (mu, stats)
 }
 
 #[cfg(test)]
@@ -1376,55 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn sign_kernel_matches_f64_kernel_bitwise() {
-        // 16-row segments: tiles of 1..=40 rows end in a segment of every
-        // length mod 8.
-        let slot_rows = 16;
-        for k in 2..=17 {
-            for len in 1..=40 {
-                let signs: Vec<i8> =
-                    wave(k, len * k).iter().map(|&v| if v < 0.0 { -1 } else { 1 }).collect();
-                let values: Vec<f64> = signs.iter().map(|&s| f64::from(s)).collect();
-                let (h, p0) = (wave(k + 1, len * k), wave(k + 2, len * k));
-                let nslots = len.div_ceil(slot_rows) * PLAIN_SLOTS * k;
-                for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
-                    let (mut p_f64, mut slots_f64) = (p0.clone(), vec![f64::NAN; nslots]);
-                    plain_step_dots(variant, &h, &mut p_f64, &values, k, slot_rows, &mut slots_f64);
-                    let (mut p_i8, mut slots_i8) = (p0.clone(), vec![f64::NAN; nslots]);
-                    plain_step_dots_i8(variant, &h, &mut p_i8, &signs, k, slot_rows, &mut slots_i8);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    let what = format!("k = {k}, {len} rows, {variant:?}");
-                    assert_eq!(bits(&p_f64), bits(&p_i8), "{what}: p");
-                    assert_eq!(bits(&slots_f64), bits(&slots_i8), "{what}: slots");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plain_runs_hold_sign_blocks_as_i8() {
-        let d = 40;
-        let op = ring(d);
-        let start = |k, doubling| {
-            let r0 = start_block(d, k);
-            let (_, stats) = if doubling {
-                fused_block_moments_doubling(&op, &r0, k, 5, 1, 8)
-            } else {
-                fused_block_moments_plain(&op, &r0, k, 5, 1, 8)
-            };
-            stats.start
-        };
-        assert_eq!(start(2, false), StartBlock::I8);
-        assert_eq!(start(17, false), StartBlock::I8);
-        assert_eq!(start(1, false), StartBlock::F64, "one column keeps the vecops kernels");
-        assert_eq!(start(2, true), StartBlock::None, "only step 0 reads a doubling start");
-        let mut r0 = start_block(d, 2);
-        r0[d + 3] = 0.5;
-        let (_, stats) = fused_block_moments_plain(&op, &r0, 2, 5, 1, 8);
-        assert_eq!(stats.start, StartBlock::F64, "one entry off ±1");
-    }
-
-    #[test]
     fn interleaved_entry_points_match_column_major_bitwise() {
         // D = 300 = 2 * 128 + 44: ragged against the canonical segment and
         // both unrolls; 24-row tiles keep per-tile slots.
@@ -1440,14 +1276,11 @@ mod tests {
                 {
                     let what = format!("k = {k}, n = {n}, {threads} threads, {tile_rows} rows");
                     let owned = || interleave(&r0, d, k);
-                    // Steal counts vary with the scheduling; the moments and
-                    // the start block may not.
-                    let (plain, stats) =
+                    let (plain, _) =
                         fused_interleaved_moments_plain(&op, owned(), k, n, threads, tile_rows);
-                    let (plain_cm, stats_cm) =
+                    let (plain_cm, _) =
                         fused_block_moments_plain(&op, &r0, k, n, threads, tile_rows);
                     assert_eq!(bits(&plain), bits(&plain_cm), "plain, {what}");
-                    assert_eq!(stats.start, stats_cm.start, "plain start, {what}");
                     let (doubling, _) =
                         fused_interleaved_moments_doubling(&op, owned(), k, n, threads, tile_rows);
                     let (doubling_cm, _) =
@@ -1471,43 +1304,6 @@ mod tests {
                         assert_eq!(bits(&doubling), bits(&norms), "doubling norms, {what}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn start_blocks_are_signs_iff_every_entry_is_exactly_pm_one() {
-        // 139 * 3 = 417 = 256 + 161 entries: the last scan chunk is ragged.
-        let (d, k) = (139, 3);
-        let len = d * k;
-        assert!(len > SIGN_SCAN_CHUNK && !len.is_multiple_of(SIGN_SCAN_CHUNK));
-        let signs = start_block(d, k);
-        match StartDots::new(&signs, k) {
-            StartDots::Signs(s) => {
-                assert!(s.iter().zip(&signs).all(|(&s, &v)| f64::from(s) == v), "sign map");
-            }
-            StartDots::Values(_) => panic!("an all-±1 block is held as signs"),
-        }
-        assert_eq!(StartDots::new(&signs[..d], 1).kind(), StartBlock::F64, "k = 1");
-        let off = [
-            0.0,
-            -0.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1.0 + f64::EPSILON,
-            1.0 - f64::EPSILON,
-            -1.0 + f64::EPSILON,
-            -1.0 - f64::EPSILON,
-        ];
-        for v in off {
-            for at in [0, len / 2, len - 1] {
-                let mut block = signs.clone();
-                block[at] = v;
-                let StartDots::Values(values) = StartDots::new(&block, k) else {
-                    panic!("{v} at {at} must keep the f64 block");
-                };
-                assert_eq!(values[at].to_bits(), v.to_bits(), "{v} at {at}: values kept");
             }
         }
     }

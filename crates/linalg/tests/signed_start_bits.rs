@@ -1,15 +1,12 @@
 //! Pins the tiled engine's moments for start blocks of exact ±1 entries.
 //!
 //! Every front-door job starts from Rademacher vectors, whose entries are all
-//! `±1.0`, and the plain engine keeps such a block as signs rather than as
-//! an `f64` copy. `tiled_bits.rs` cannot see that path: it starts from LCG
-//! values in `(-1, 1)`. This test hashes every moment's `to_bits()` for ±1
-//! start blocks over the full configuration matrix — four formats, bare and
-//! rescaled, six block widths (one column, and 17 = 16 + 1), on- and
-//! off-grid tile heights, one and three threads, both recursions and both
-//! kernel variants — against constants recorded from the engine that kept
-//! an `f64` copy of every start block. The sign path must reproduce them
-//! unchanged.
+//! `±1.0`; `tiled_bits.rs` starts from LCG values in `(-1, 1)` instead. This
+//! test hashes every moment's `to_bits()` for ±1 start blocks over the full
+//! configuration matrix — four formats, bare and rescaled, six block widths
+//! (one column, and 17 = 16 + 1), on- and off-grid tile heights, one and
+//! three threads, both recursions and both kernel variants — against
+//! recorded constants.
 //!
 //! It is the only test in its binary because it sets the process-global
 //! kernel variant; it restores `Unrolled4` before returning.

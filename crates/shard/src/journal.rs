@@ -21,15 +21,17 @@
 //!
 //! The codec version names the moment family of the rows. Version 2 rows
 //! come from the moment-doubling recursion, whose bits differ at rounding
-//! level from the plain loop's version 1 rows, so a version 1 journal must
-//! not be merged with new rows: [`Journal::open`] renames it to
-//! `journal.log.v1` (keeping it for inspection) and starts an empty one.
+//! level from the plain loop's version 1 rows, so version 1 frames must
+//! not be merged with new rows. A journal holding a whole frame that replay
+//! can not read — one of another version, or corrupt bytes with whole
+//! frames after them — is therefore kept but not used: [`Journal::open`]
+//! renames it to `journal.log.aside` and starts an empty one.
 
 use crate::error::FleetError;
 use kpm_wire::{put_f64s, put_str, put_u32, put_u64, Codec, Reader, HEADER_LEN};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read as _, Write as _};
+use std::io::{BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Journal codec: own magic, version 2 (rows of the moment-doubling
@@ -66,11 +68,12 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if needed) `dir/journal.log`, replaying any frames a
-    /// previous coordinator left behind. Bytes after the last whole frame
-    /// are cut off, and appends land right after it, so a journal survives
-    /// any number of restarts. A journal of another codec version is
-    /// renamed to `journal.log.v<version>` (`.v<version>.<n>` when that
-    /// name is taken) and replaced by an empty one.
+    /// previous coordinator left behind. A torn final frame is cut off, and
+    /// appends land right after the last whole frame, so a journal survives
+    /// any number of restarts. A journal with a whole frame replay can not
+    /// read (another codec version, or corrupt bytes) is renamed to
+    /// `journal.log.aside` (`.aside.<n>` when that name is taken), none of
+    /// it is replayed, and an empty journal replaces it.
     ///
     /// # Errors
     /// [`FleetError::Journal`] on directory or file I/O failure.
@@ -80,21 +83,22 @@ impl Journal {
         };
         std::fs::create_dir_all(dir).map_err(|e| io_error("create", dir, e))?;
         let path = dir.join("journal.log");
-        if let Some(version) = first_frame_version(&path).filter(|&v| v != CODEC.version) {
-            let aside = aside_path(dir, version);
-            std::fs::rename(&path, &aside).map_err(|e| io_error("move aside", &path, e))?;
-        }
-        let (replayed, whole) = match File::open(&path) {
+        let (mut replayed, whole) = match File::open(&path) {
             Ok(f) => replay(BufReader::new(f)),
             Err(_) => (Replayed::default(), 0), // fresh journal
         };
+        let len = std::fs::metadata(&path).map_or(0, |m| m.len());
+        if len > whole && !torn_tail(&path, whole, len).map_err(|e| io_error("read", &path, e))? {
+            let aside = aside_path(dir);
+            std::fs::rename(&path, &aside).map_err(|e| io_error("move aside", &path, e))?;
+            replayed = Replayed::default();
+        }
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(|e| io_error("open", &path, e))?;
-        let len = file.metadata().map_err(|e| io_error("stat", &path, e))?.len();
-        if len > whole {
+        if file.metadata().map_err(|e| io_error("stat", &path, e))?.len() > whole {
             // A torn tail: a header left here would claim the next frame's
             // bytes as its payload.
             file.set_len(whole).map_err(|e| io_error("truncate", &path, e))?;
@@ -155,30 +159,40 @@ impl Journal {
     }
 }
 
-/// The codec version in the first frame header of the journal at `path`,
-/// if the file starts with the journal's magic.
-fn first_frame_version(path: &Path) -> Option<u16> {
-    let mut head = [0u8; 6];
-    File::open(path).ok()?.read_exact(&mut head).ok()?;
-    (head[..4] == CODEC.magic).then(|| u16::from_le_bytes([head[4], head[5]]))
+/// Whether the `len - whole` bytes after the last whole frame of the
+/// journal at `path` are a frame a crash cut short: fewer bytes than a
+/// header, or a header of this codec whose payload runs past the end of
+/// the file. Anything else is a whole frame replay can not read.
+fn torn_tail(path: &Path, whole: u64, len: u64) -> std::io::Result<bool> {
+    let left = len - whole;
+    if left < HEADER_LEN as u64 {
+        return Ok(true);
+    }
+    let mut header = [0u8; HEADER_LEN];
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(whole))?;
+    file.read_exact(&mut header)?;
+    Ok(CODEC
+        .parse_header(&header)
+        .is_ok_and(|(_, payload)| HEADER_LEN as u64 + u64::from(payload) > left))
 }
 
-/// The first free name for a set-aside journal of codec `version`.
-fn aside_path(dir: &Path, version: u16) -> PathBuf {
+/// The first free name for a set-aside journal.
+fn aside_path(dir: &Path) -> PathBuf {
     (0..)
         .map(|n| match n {
-            0 => dir.join(format!("journal.log.v{version}")),
-            n => dir.join(format!("journal.log.v{version}.{n}")),
+            0 => dir.join("journal.log.aside"),
+            n => dir.join(format!("journal.log.aside.{n}")),
         })
         .find(|p| !p.exists())
         .expect("an unbounded range of names")
 }
 
 /// Replays every whole frame; stops silently at the first torn or foreign
-/// byte (the tail a crash may leave). Returns the replayed image and the
-/// byte length of the whole frames it read. Later rows for the same
-/// `(hash, idx)` overwrite earlier ones — they are bitwise identical by
-/// construction, so the choice is immaterial.
+/// byte. Returns the replayed image and the byte length of the whole
+/// frames it read. Later rows for the same `(hash, idx)` overwrite earlier
+/// ones — they are bitwise identical by construction, so the choice is
+/// immaterial.
 fn replay(mut reader: BufReader<File>) -> (Replayed, u64) {
     let mut out = Replayed::default();
     let mut whole = 0u64;
@@ -205,7 +219,7 @@ fn replay(mut reader: BufReader<File>) -> (Replayed, u64) {
             Ok(())
         })();
         if parsed.is_err() {
-            break; // torn payload: everything after it was never acked
+            break; // a whole payload this codec can not read
         }
         whole += (HEADER_LEN + payload.len()) as u64;
     }
@@ -341,6 +355,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A version 1 rows frame, as the plain-recursion binary wrote them.
+    fn v1_rows(value: f64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 5);
+        put_u64(&mut payload, 0);
+        put_u32(&mut payload, 1);
+        put_f64s(&mut payload, &[value, 2.0]);
+        Codec { magic: *b"KPFJ", version: 1 }.frame(TYPE_ROWS, payload)
+    }
+
     /// A journal written by the plain-recursion binary (codec version 1) is
     /// renamed aside whole, neither replayed nor appended to; rows recorded
     /// after opening it replay on the next open. A second one does not
@@ -349,31 +373,63 @@ mod tests {
     fn version_1_journals_are_set_aside_not_replayed() {
         let dir = tmp_dir("v1");
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = |value: f64| {
-            let mut payload = Vec::new();
-            put_u64(&mut payload, 5);
-            put_u64(&mut payload, 0);
-            put_u32(&mut payload, 1);
-            put_f64s(&mut payload, &[value, 2.0]);
-            Codec { magic: *b"KPFJ", version: 1 }.frame(TYPE_ROWS, payload)
-        };
         let path = dir.join("journal.log");
-        std::fs::write(&path, v1(1.0)).unwrap();
+        std::fs::write(&path, v1_rows(1.0)).unwrap();
         {
             let (mut j, replayed) = Journal::open(&dir).unwrap();
             assert_eq!(replayed.row_count(), 0, "v1 rows are not replayed");
             j.record_rows(5, 0, &[vec![7.0, 8.0]]).unwrap();
         }
-        assert_eq!(std::fs::read(dir.join("journal.log.v1")).unwrap(), v1(1.0));
+        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_rows(1.0));
         let (_, replayed) = Journal::open(&dir).unwrap();
         assert_eq!(replayed.row_count(), 1);
         assert_eq!(replayed.rows[&5][&0], vec![7.0, 8.0]);
 
-        std::fs::write(&path, v1(3.0)).unwrap();
+        std::fs::write(&path, v1_rows(3.0)).unwrap();
         let (_, replayed) = Journal::open(&dir).unwrap();
         assert_eq!(replayed.row_count(), 0);
-        assert_eq!(std::fs::read(dir.join("journal.log.v1")).unwrap(), v1(1.0));
-        assert_eq!(std::fs::read(dir.join("journal.log.v1.1")).unwrap(), v1(3.0));
+        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_rows(1.0));
+        assert_eq!(std::fs::read(dir.join("journal.log.aside.1")).unwrap(), v1_rows(3.0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole frame replay can not read is no torn tail, so the journal
+    /// moves aside byte for byte instead of being cut there: a version 1
+    /// frame appended after version 2 frames (a rolled-back binary), and a
+    /// corrupt length prefix with an acknowledged frame after it.
+    #[test]
+    fn unreadable_whole_frames_set_the_journal_aside() {
+        let dir = tmp_dir("unreadable");
+        let path = dir.join("journal.log");
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            j.record_rows(1, 0, &[vec![1.0, 2.0]]).unwrap();
+        }
+        let mut v1_after_v2 = std::fs::read(&path).unwrap();
+        v1_after_v2.extend(v1_rows(3.0));
+        std::fs::write(&path, &v1_after_v2).unwrap();
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        assert_eq!(replayed.row_count(), 0, "a journal set aside replays nothing");
+        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_after_v2);
+        assert!(std::fs::read(&path).unwrap().is_empty());
+
+        {
+            let (mut j, _) = Journal::open(&dir).unwrap();
+            j.record_rows(1, 0, &[vec![1.0, 2.0]]).unwrap();
+            j.record_rows(1, 1, &[vec![3.0, 4.0]]).unwrap();
+        }
+        let mut corrupt = std::fs::read(&path).unwrap();
+        assert_eq!(corrupt[7], 40, "the first frame's payload length");
+        corrupt[7] = 32;
+        std::fs::write(&path, &corrupt).unwrap();
+        let (mut j, replayed) = Journal::open(&dir).unwrap();
+        assert_eq!(replayed.row_count(), 0);
+        assert_eq!(std::fs::read(dir.join("journal.log.aside.1")).unwrap(), corrupt);
+        j.record_rows(1, 1, &[vec![3.0, 4.0]]).unwrap();
+        drop(j);
+        let (_, replayed) = Journal::open(&dir).unwrap();
+        assert_eq!(replayed.row_count(), 1);
+        assert_eq!(replayed.rows[&1][&1], vec![3.0, 4.0]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

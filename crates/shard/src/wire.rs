@@ -19,16 +19,18 @@ use kpm_wire::{put_str, put_u32, put_u64, Codec, Reader, WireError};
 
 /// Frame preamble.
 pub const MAGIC: [u8; 4] = *b"KPSH";
-/// Protocol revision; bump on any change to framing or payload layout.
-/// Version 2 added the spec-deduplicated dispatch frames
-/// ([`Frame::SpecAnnounce`] / [`Frame::RequestRef`]) and the fleet
-/// inventory exchange ([`Frame::InventoryQuery`] / [`Frame::Inventory`]);
-/// every version-1 payload layout is unchanged, so decoding accepts
-/// [`MIN_VERSION`]`..=`[`VERSION`] (new frame types simply cannot appear in
-/// old streams).
-pub const VERSION: u16 = 2;
-/// Oldest protocol revision the decoder still accepts.
-pub const MIN_VERSION: u16 = 1;
+/// Protocol revision; bump on any change to framing or payload layout, or
+/// to the moment family the rows belong to. Version 2 added the
+/// spec-deduplicated dispatch frames ([`Frame::SpecAnnounce`] /
+/// [`Frame::RequestRef`]) and the fleet inventory exchange
+/// ([`Frame::InventoryQuery`] / [`Frame::Inventory`]). Version 3 changes no
+/// layout: its workers compute rows with the moment-doubling recursion,
+/// whose bits differ at rounding level from the plain-loop rows of a
+/// version 1 or 2 worker, and a run merges rows of one family only.
+pub const VERSION: u16 = 3;
+/// Oldest protocol revision the decoder still accepts: [`VERSION`], so a
+/// peer computing plain-loop rows fails loudly instead of joining a run.
+pub const MIN_VERSION: u16 = 3;
 /// Header length: magic + version + type + payload length.
 pub const HEADER_LEN: usize = kpm_wire::HEADER_LEN;
 /// Payloads above this are rejected as protocol violations (a corrupted
@@ -386,47 +388,34 @@ mod tests {
         // golden encoding of a Ping frame, field by field.
         let bytes = encode(&Frame::Ping { nonce: 0x0102_0304_0506_0708 });
         assert_eq!(&bytes[..4], b"KPSH");
-        assert_eq!(bytes[4..6], 2u16.to_le_bytes());
+        assert_eq!(bytes[4..6], 3u16.to_le_bytes());
         assert_eq!(bytes[6], 1); // type byte
         assert_eq!(bytes[7..11], 8u32.to_le_bytes()); // payload length
         assert_eq!(bytes[11..], 0x0102_0304_0506_0708u64.to_le_bytes());
     }
 
+    /// Frames of a version 1 or 2 peer, whose rows come from the plain
+    /// loop, are protocol errors on both decode paths; the same bytes at
+    /// version 3 decode. The result frame is what a version 2 worker sends
+    /// back: its payload layout is unchanged.
     #[test]
-    fn golden_v1_request_frame_still_decodes() {
-        // A version-1 encoder's Request frame, byte for byte: the payload
-        // layout predates the v2 spec-dedup frames and must keep decoding
-        // unchanged. Built by hand so this test fails if either the v1
-        // layout assumption or the compat window regresses.
-        let spec = "dos lattice=chain:32 moments=16";
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 7);
-        put_u32(&mut payload, 3);
-        put_u64(&mut payload, 10);
-        put_u64(&mut payload, 20);
-        put_str(&mut payload, spec);
-        let v1 = Codec { magic: MAGIC, version: 1 };
-        let bytes = v1.frame(3, payload);
-        assert_eq!(bytes[4..6], 1u16.to_le_bytes());
-        let decoded = decode_bytes(&bytes).unwrap();
-        assert_eq!(
-            decoded,
-            Frame::Request(ShardRequest {
-                job: 7,
-                shard: 3,
-                start: 10,
-                end: 20,
-                spec: spec.into(),
-            })
-        );
-        // The stream path applies the same window.
-        let mut cursor = std::io::Cursor::new(&bytes);
-        assert_eq!(read_frame(&mut cursor).unwrap(), decoded);
-        // Versions outside the window stay hard protocol errors.
-        let v0 = Codec { magic: MAGIC, version: 0 }.frame(6, Vec::new());
-        assert!(matches!(decode_bytes(&v0), Err(ShardError::Protocol(_))));
-        let v3 = Codec { magic: MAGIC, version: 3 }.frame(6, Vec::new());
-        assert!(matches!(decode_bytes(&v3), Err(ShardError::Protocol(_))));
+    fn frames_of_plain_loop_peers_are_rejected() {
+        let result = Frame::Result(ShardResult { job: 7, shard: 3, rows: vec![vec![1.0, 0.25]] });
+        let current = encode(&result);
+        assert_eq!(decode_bytes(&current).unwrap(), result);
+        for version in [1u16, 2, 4] {
+            let mut bytes = current.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            match decode_bytes(&bytes) {
+                Err(ShardError::Protocol(msg)) => assert!(msg.contains("version"), "{msg}"),
+                other => panic!("version {version}: expected protocol error, got {other:?}"),
+            }
+            let mut cursor = std::io::Cursor::new(&bytes);
+            assert!(
+                matches!(read_frame(&mut cursor), Err(ShardError::Protocol(_))),
+                "version {version} on the stream path"
+            );
+        }
     }
 
     /// Version tolerance for the bounds provider: a pre-bounds Request
@@ -442,7 +431,7 @@ mod tests {
         put_u64(&mut payload, 10);
         put_u64(&mut payload, 20);
         put_str(&mut payload, spec);
-        let bytes = Codec { magic: MAGIC, version: 1 }.frame(3, payload);
+        let bytes = CODEC.frame(3, payload);
         let Frame::Request(req) = decode_bytes(&bytes).unwrap() else { panic!("expected Request") };
         let job = crate::ShardJob::parse(&req.spec).unwrap();
         assert_eq!(job.spec().bounds, kpm::BoundsMethod::Gershgorin);
