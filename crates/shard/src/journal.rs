@@ -103,6 +103,9 @@ impl Journal {
             // bytes as its payload.
             file.set_len(whole).map_err(|e| io_error("truncate", &path, e))?;
         }
+        // A rename aside or a create is a directory entry: durable before
+        // any frame appended to the new file counts as acknowledged.
+        File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_error("sync", dir, e))?;
         kpm_obs::counter_add("fleet.journal.replayed_rows", replayed.row_count());
         Ok((Journal { file, bytes: 0 }, replayed))
     }
