@@ -563,9 +563,8 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
     let d = shape.dim;
     let (k, n) = (PROBE_COLUMNS, PROBE_MOMENTS);
     let mut r0 = vec![0.0f64; d * k];
-    // Rademacher and row-interleaved, as every job's start block, so the
-    // probe times the kernels the jobs run; each run takes a copy of it.
-    // Seed spells "probe" in ASCII.
+    // Rademacher and row-interleaved, as every job's start block; each run
+    // takes a copy of it. Seed spells "probe" in ASCII.
     fill_random_rows(Distribution::Rademacher, 0x0070_726f_6265, 0, 0..k, &mut r0);
 
     // Canonical-grid tile heights only (value-safe by construction); larger
