@@ -1,35 +1,28 @@
-//! Execution-plan ablation: realization-parallel vs row-tiled vs hybrid.
+//! Execution-plan ablation: row-tiled vs hybrid.
 //!
-//! Sweeps thread budgets {1, 2, 4, 8} across the three explicit policies on
-//! the paper's Fig. 5 lattice (10x10x10, D = 1000 — *below* the old
-//! realization-parallel cutoff, so `realizations` runs fully serial there)
-//! and on a 48x48x48 lattice (D = 110,592, out of cache). A second section
-//! pits the fused single-sweep Chebyshev step against the split
-//! matvec-then-combine schedule at one thread, isolating the memory-traffic
-//! saving (32 B vs 48 B of vector traffic per row per column) from any
-//! parallel speedup.
+//! Sweeps thread budgets {1, 2, 4, 8} across the two explicit policies on
+//! the paper's Fig. 5 lattice (10x10x10, D = 1000) and on a 48x48x48
+//! lattice (D = 110,592, out of cache). Both run the same tiled engine and
+//! give the same bits; they differ only in how the threads are spread over
+//! rows and realization sets.
 //!
 //! Results land in `results/ablation_exec.csv`. The machine may have fewer
 //! cores than the requested budget, so each row records the requested
 //! budget, the worker threads the engine actually spawns, and the host's
-//! core count — speedups should be judged against `cores`, while the
-//! fused-vs-split rows are meaningful even on one core.
+//! core count — speedups should be judged against `cores`.
 
 use criterion::{BenchmarkId, Criterion};
-use kpm::moments::block_vector_moments;
 use kpm::prelude::*;
-use kpm::random::fill_random_vector;
 use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::fused_block_moments_plain;
-use kpm_linalg::{MatrixFormat, SparseMatrix, DEFAULT_TILE_ROWS};
+use kpm_linalg::{MatrixFormat, SparseMatrix};
 use std::hint::black_box;
 use std::time::Instant;
 
 const SEED: u64 = 42;
 const R: usize = 14; // the paper's random vectors per set
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const POLICIES: [ExecPolicy; 3] = [ExecPolicy::Realizations, ExecPolicy::Rows, ExecPolicy::Hybrid];
+const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Rows, ExecPolicy::Hybrid];
 
 fn cubic(l: usize) -> RescaledOp<SparseMatrix> {
     let tb = TightBinding::new(
@@ -43,27 +36,15 @@ fn cubic(l: usize) -> RescaledOp<SparseMatrix> {
     rescale(m, bounds, 0.01).expect("rescale")
 }
 
-fn start_block(dim: usize, r: usize) -> Vec<f64> {
-    let mut block = vec![0.0; dim * r];
-    for (j, col) in block.chunks_exact_mut(dim).enumerate() {
-        fill_random_vector(Distribution::Rademacher, SEED, 0, j, col);
-    }
-    block
-}
-
-/// Min-of-`reps` wall time in seconds.
-fn time_reps(reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
+/// Min-of-3 wall time in seconds.
+fn time_it(mut f: impl FnMut()) -> f64 {
+    (0..3)
         .map(|_| {
             let t = Instant::now();
             f();
             t.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-fn time_it(f: impl FnMut()) -> f64 {
-    time_reps(3, f)
 }
 
 fn write_results_csv() {
@@ -89,7 +70,6 @@ fn write_results_csv() {
                     ExecPlan::Hybrid { inner, tile_rows, .. } => {
                         inner.clamp(1, d.div_ceil(tile_rows))
                     }
-                    _ => 1,
                 };
                 let secs = time_it(|| {
                     black_box(stochastic_moments(&op, &params));
@@ -103,33 +83,6 @@ fn write_results_csv() {
         }
         set_exec_policy(ExecPolicy::Auto);
         set_thread_budget(0);
-    }
-
-    // Fused single-sweep vs split schedule, one worker. At D = 1000 the
-    // vectors are cache-resident, so this isolates kernel quality; at 48^3
-    // they are not, and the fused step's one-fewer pass over the vectors
-    // shows up directly. Interleaved min-of-7 / min-of-3 to ride out
-    // noisy-neighbor drift on shared hosts.
-    for (label, l, n, reps) in
-        [("cubic:10,10,10", 10usize, 256usize, 7usize), ("cubic:48,48,48", 48, 64, 3)]
-    {
-        let op = cubic(l);
-        let d = op.dim();
-        let block = start_block(d, R);
-        let mut split = f64::INFINITY;
-        let mut fused = f64::INFINITY;
-        for _ in 0..reps {
-            split = split.min(time_reps(1, || {
-                black_box(block_vector_moments(&op, &block, R, n, Recursion::Plain));
-            }));
-            fused = fused.min(time_reps(1, || {
-                black_box(fused_block_moments_plain(&op, &block, R, n, 1, DEFAULT_TILE_ROWS));
-            }));
-        }
-        rows.push(format!(
-            "fused_vs_split,{label},{d},split,serial,1,1,{cores},{n},{R},{split:.6}"
-        ));
-        rows.push(format!("fused_vs_split,{label},{d},fused,rows,1,1,{cores},{n},{R},{fused:.6}"));
     }
 
     // `cargo bench` runs with the package directory as cwd; anchor the
@@ -156,15 +109,6 @@ fn bench_exec_plans(c: &mut Criterion) {
     }
     set_exec_policy(ExecPolicy::Auto);
     set_thread_budget(0);
-
-    let d = op.dim();
-    let block = start_block(d, R);
-    group.bench_function("split_1thread", |b| {
-        b.iter(|| black_box(block_vector_moments(&op, &block, R, 256, Recursion::Plain)));
-    });
-    group.bench_function("fused_1thread", |b| {
-        b.iter(|| black_box(fused_block_moments_plain(&op, &block, R, 256, 1, DEFAULT_TILE_ROWS)));
-    });
     group.finish();
 }
 

@@ -1,11 +1,12 @@
 //! Format × block-width ablation on a paper-scale periodic cubic lattice.
 //!
 //! The baseline is the seed pipeline's inner loop: one vector at a time
-//! through CSR (`single_vector_moments`). Against it we run the blocked
-//! recursion (`block_vector_moments`) over CSR, padded ELL, and the
-//! matrix-free stencil at block widths R ∈ {1, 8, 14} (14 is the paper's
-//! `R` per set). Every variant computes bitwise-identical moments; the
-//! sweep isolates pure storage/traversal cost.
+//! through CSR (`single_vector_moments`). Against it we run the tiled
+//! engine's blocked recursion (`tiled::fused_block_moments_plain`, one
+//! thread) over CSR, padded ELL, and the matrix-free stencil at block
+//! widths R ∈ {1, 8, 14} (14 is the paper's `R` per set). The three formats
+//! compute bitwise-identical moments, and the one-vector baseline agrees
+//! with them to rounding; the sweep isolates pure storage/traversal cost.
 //!
 //! The lattice is 48x48x48 (D = 110,592; the bitwise cross-format tests use
 //! the paper's 10x10x10). At this size the ~12 MB CSR arrays no longer fit
@@ -19,13 +20,14 @@
 //! the acceptance criterion refers to.
 
 use criterion::{BenchmarkId, Criterion};
-use kpm::moments::{block_vector_moments, single_vector_moments, Recursion};
+use kpm::moments::{single_vector_moments, Recursion};
 use kpm::prelude::*;
 use kpm::random::fill_random_vector;
 use kpm_lattice::OnSite;
 use kpm_lattice::{Boundary, HypercubicLattice, TightBinding};
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::{MatrixFormat, SparseMatrix};
+use kpm_linalg::tiled::fused_block_moments_plain;
+use kpm_linalg::{MatrixFormat, SparseMatrix, DEFAULT_TILE_ROWS};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -66,8 +68,9 @@ fn one_vector_csr(op: &RescaledOp<SparseMatrix>, block: &[f64], r: usize) -> Vec
         .collect()
 }
 
+/// The tiled engine over one `D x r` block, on one thread.
 fn blocked(op: &RescaledOp<SparseMatrix>, block: &[f64], r: usize) -> Vec<Vec<f64>> {
-    block_vector_moments(op, block, r, NUM_MOMENTS, Recursion::Plain)
+    fused_block_moments_plain(op, block, r, NUM_MOMENTS, 1, DEFAULT_TILE_ROWS).0
 }
 
 /// Min-of-3 wall time in seconds.

@@ -119,7 +119,6 @@ fn write_results_csv() {
 fn plan_tile_rows(plan: &ExecPlan) -> usize {
     match plan {
         ExecPlan::Rows { tile_rows, .. } | ExecPlan::Hybrid { tile_rows, .. } => *tile_rows,
-        _ => 0,
     }
 }
 

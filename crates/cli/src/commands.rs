@@ -184,18 +184,15 @@ COMMON OPTIONS:
                                    sim[:N] routes the same run through the
                                    N-device event-pipeline model (same
                                    numbers, plus a modeled time)
-  --exec     auto | realizations | rows | hybrid   execution plan (default
-             auto: calibrated profile when one exists, static prior otherwise;
-             any other value overrides calibration)
+  --exec     auto | rows | hybrid   execution plan (default auto:
+             calibrated profile when one exists, static prior otherwise; any
+             other value overrides calibration; every plan gives the same bits)
   --threads  N                      worker-thread budget for row-tiled plans
                                     (default 0 = RAYON_NUM_THREADS or all cores)
   --profile-store DIR  persist calibrated execution profiles under DIR, or
                        'none' for memory only (default results/profiles for
                        `kpm tune`, memory-only elsewhere)
   --no-tune            disable calibrated planning (static heuristic only)
-  --precision f64 | mixed    moments arithmetic (default f64; mixed = f32
-                             recursion state with f64 accumulation, opt-in,
-                             value-affecting — see DESIGN §12)
   --out      CSV path               (default none: table to stdout)
   --trace    FILE                   write a span/counter trace as JSON
 
@@ -704,7 +701,6 @@ pub fn tune(args: &Args) -> Result<String, CmdError> {
             String::new()
         },
     );
-    let _ = writeln!(report, "  {:>10} {} (advisory)", "variant", profile.variant_hint.name());
     let _ = writeln!(
         report,
         "  {:>10} {}",
@@ -885,21 +881,14 @@ pub fn run_with_positionals(
 }
 
 /// Applies the process-global execution-plan options (`--exec`,
-/// `--threads`, `--precision`, `--profile-store`, `--no-tune`) before the
-/// command runs. Validation happens before any mutation, so a bad value
-/// leaves the policy untouched.
+/// `--threads`, `--profile-store`, `--no-tune`) before the command runs.
+/// Validation happens before any mutation, so a bad value leaves the
+/// policy untouched.
 fn apply_exec_options(args: &Args) -> Result<(), CmdError> {
     let policy = match args.get("exec") {
         None => None,
         Some(v) => Some(
             v.parse::<ExecPolicy>().map_err(|e: String| CmdError::Other(format!("--exec: {e}")))?,
-        ),
-    };
-    let precision = match args.get("precision") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<MomentPrecision>()
-                .map_err(|e: String| CmdError::Other(format!("--precision: {e}")))?,
         ),
     };
     let threads: usize = args.get_or("threads", 0)?;
@@ -908,9 +897,6 @@ fn apply_exec_options(args: &Args) -> Result<(), CmdError> {
     }
     if threads > 0 {
         set_thread_budget(threads);
-    }
-    if let Some(p) = precision {
-        set_moments_precision(p);
     }
     if args.flag("no-tune") {
         set_tuning_enabled(false);
@@ -1409,7 +1395,7 @@ mod tests {
     fn fleet_errors_convert_and_exit_9() {
         for e in [
             kpm_fleet::FleetError::Journal("disk full".into()),
-            kpm_fleet::FleetError::NoWorkers { pending: 2 },
+            kpm_fleet::FleetError::NoWorkers { pending: 2, last_loss: None },
             kpm_fleet::FleetError::Stopped,
         ] {
             let text = e.to_string();
@@ -1427,7 +1413,7 @@ mod tests {
             kpm_shard::ShardError::Protocol("bad magic".into()),
             kpm_shard::ShardError::Job("bad spec".into()),
             kpm_shard::ShardError::Worker { shard: 1, message: "degenerate".into() },
-            kpm_shard::ShardError::AllWorkersDead { pending: 3 },
+            kpm_shard::ShardError::AllWorkersDead { pending: 3, last_loss: None },
             kpm_shard::ShardError::ShardFailed { shard: 0, attempts: 8 },
         ] {
             let text = e.to_string();
@@ -1764,10 +1750,11 @@ mod tests {
         assert_eq!(exec_policy(), before, "failed parses must not change the policy");
         // The accepted spellings round-trip through FromStr without touching
         // the global (policy application itself is pinned in kpm's tests).
-        for v in ["auto", "realizations", "rows", "hybrid"] {
+        for v in ["auto", "rows", "hybrid"] {
             assert_eq!(v.parse::<ExecPolicy>().unwrap().to_string(), v);
         }
         assert!("warp".parse::<ExecPolicy>().is_err());
+        assert!("realizations".parse::<ExecPolicy>().is_err());
     }
 
     #[test]

@@ -1,58 +1,46 @@
 //! Execution planning: choosing *how* to parallelize a moments run.
 //!
-//! The stochastic estimator has two independent axes of parallelism:
+//! Every realization chunk runs on the row-tiled engine
+//! ([`kpm_linalg::tiled`]), the CPU analogue of the paper's in-kernel GPU
+//! parallelism. The stochastic estimator has two independent axes to spread
+//! it over:
 //!
-//! * **Realizations** — the `R * S` random-vector chunks are embarrassingly
-//!   parallel (the historical behavior, gated on
-//!   [`vecops::par_min_dim`]).
-//! * **Rows** — within one realization block, the matrix dimension can be
-//!   split into tiles whose fused Chebyshev steps run on the row-tiled
-//!   engine ([`kpm_linalg::tiled`]), the CPU analogue of the paper's
-//!   in-kernel GPU parallelism.
+//! * **Rows** — within one realization block, the matrix dimension is split
+//!   into tiles whose fused Chebyshev steps run on several workers.
+//! * **Realizations** — the `R * S` random-vector chunks are independent, so
+//!   several can be in flight at once ([`ExecPlan::Hybrid`]).
 //!
-//! [`plan`] picks a strategy from `(D, chunk count, thread budget)`,
-//! replacing the old all-or-nothing `PAR_MIN_DIM` cliff: a lone fat job
-//! (one realization chunk, large `D`) can now use every core, and the
-//! flagship `D = 1000` lattice — below the realization-parallel threshold,
-//! so previously fully serial — gets in-realization parallelism plus the
-//! single-sweep fused step.
+//! [`plan`] picks a schedule from `(D, chunk count, thread budget)`: a lone
+//! fat job (one realization chunk, large `D`) can use every core, and an
+//! operator below [`ROW_MIN_DIM`] runs its chunks one after another on one
+//! thread.
 //!
 //! # Determinism
 //!
-//! The *value family* of the result depends only on `(dim, policy,
-//! tile rows)` — never on the thread budget or the chunk count:
-//!
-//! * [`ExecPolicy::Realizations`] (and [`ExecPlan::Serial`]) run the
-//!   untiled blocked recursion — bitwise identical to the scalar path.
-//! * [`ExecPolicy::Rows`] and [`ExecPolicy::Hybrid`] run the tiled engine,
-//!   whose canonical tile-order reduction makes results bitwise independent
-//!   of the thread count; Rows and Hybrid are bitwise identical to each
-//!   other (they differ only in scheduling).
-//! * [`ExecPolicy::Auto`] switches family on `dim` alone
-//!   ([`ROW_MIN_DIM`]), so range-sliced shard workers and the single-process
-//!   estimator still agree bitwise for every `dim`.
+//! The tiled engine's canonical segment-order reduction makes results
+//! bitwise independent of the thread count, and Rows and Hybrid differ only
+//! in scheduling, so every plan gives the same bits for a fixed tile height
+//! on the canonical grid. Range-sliced shard workers and the single-process
+//! estimator therefore agree bitwise for every `dim`.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use kpm_linalg::vecops;
 
-/// Smallest operator dimension at which the tiled row-parallel engine is
-/// worth its barrier overhead under [`ExecPolicy::Auto`]. Below this even a
-/// single tile is only a few microseconds of work per sweep.
+/// Smallest operator dimension at which [`ExecPolicy::Auto`] spreads the
+/// tiled engine over several threads. Below this even a single tile is only
+/// a few microseconds of work per sweep, so the barrier would cost more than
+/// it saves.
 pub const ROW_MIN_DIM: usize = 512;
 
 /// User-facing execution-policy selector (the CLI's `--exec` flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPolicy {
     /// Choose per run from `(D, chunks, threads)`: row/hybrid parallelism
-    /// for `D >= ROW_MIN_DIM`, the historical realization-parallel behavior
-    /// otherwise.
+    /// for `D >= ROW_MIN_DIM`, one thread otherwise.
     #[default]
     Auto,
-    /// Realization-level parallelism only (the historical engine; untiled,
-    /// bitwise identical to the scalar recursion).
-    Realizations,
     /// Row-tiled parallelism within each realization chunk; chunks run one
     /// after another.
     Rows,
@@ -66,7 +54,6 @@ impl ExecPolicy {
     pub fn as_str(&self) -> &'static str {
         match self {
             ExecPolicy::Auto => "auto",
-            ExecPolicy::Realizations => "realizations",
             ExecPolicy::Rows => "rows",
             ExecPolicy::Hybrid => "hybrid",
         }
@@ -85,10 +72,9 @@ impl std::str::FromStr for ExecPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "auto" => Ok(ExecPolicy::Auto),
-            "realizations" => Ok(ExecPolicy::Realizations),
             "rows" => Ok(ExecPolicy::Rows),
             "hybrid" => Ok(ExecPolicy::Hybrid),
-            other => Err(format!("unknown exec policy '{other}' (auto|realizations|rows|hybrid)")),
+            other => Err(format!("unknown exec policy '{other}' (auto|rows|hybrid)")),
         }
     }
 }
@@ -103,9 +89,8 @@ static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0); // 0 = auto-detect
 fn policy_to_u8(p: ExecPolicy) -> u8 {
     match p {
         ExecPolicy::Auto => 0,
-        ExecPolicy::Realizations => 1,
-        ExecPolicy::Rows => 2,
-        ExecPolicy::Hybrid => 3,
+        ExecPolicy::Rows => 1,
+        ExecPolicy::Hybrid => 2,
     }
 }
 
@@ -117,9 +102,8 @@ pub fn set_exec_policy(p: ExecPolicy) {
 /// The current process-wide execution policy.
 pub fn exec_policy() -> ExecPolicy {
     match POLICY.load(Ordering::Relaxed) {
-        1 => ExecPolicy::Realizations,
-        2 => ExecPolicy::Rows,
-        3 => ExecPolicy::Hybrid,
+        1 => ExecPolicy::Rows,
+        2 => ExecPolicy::Hybrid,
         _ => ExecPolicy::Auto,
     }
 }
@@ -178,67 +162,9 @@ pub fn resolve_tile_rows(profile: Option<usize>) -> usize {
     env_tile_rows().or(profile).unwrap_or(kpm_linalg::DEFAULT_TILE_ROWS)
 }
 
-/// Arithmetic precision of the moments recursion.
-///
-/// `F64` is the default and the only value family the determinism contract
-/// covers. `MixedF32` stores the recursion vectors in f32 (rounding each
-/// Chebyshev step to storage precision) while accumulating every moment dot
-/// in f64 — the paper's single-precision bandwidth win, modeled on the CPU.
-/// It is value-affecting and therefore strictly opt-in; the error-budget
-/// test in `kpm/tests/exec_plans.rs` pins its deviation from the f64 path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MomentPrecision {
-    /// Full f64 recursion (default).
-    #[default]
-    F64,
-    /// f32 recursion state, f64 dot accumulation (opt-in).
-    MixedF32,
-}
-
-impl MomentPrecision {
-    /// Canonical lower-case name (also the CLI token).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MomentPrecision::F64 => "f64",
-            MomentPrecision::MixedF32 => "mixed",
-        }
-    }
-}
-
-impl std::str::FromStr for MomentPrecision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f64" | "double" => Ok(MomentPrecision::F64),
-            "mixed" | "mixed-f32" => Ok(MomentPrecision::MixedF32),
-            other => Err(format!("unknown precision '{other}' (expected f64|mixed)")),
-        }
-    }
-}
-
-static PRECISION: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide moments precision (e.g. from `--precision`).
-pub fn set_moments_precision(p: MomentPrecision) {
-    PRECISION.store(p as u8, Ordering::Relaxed);
-}
-
-/// The moments precision in effect (default [`MomentPrecision::F64`]).
-pub fn moments_precision() -> MomentPrecision {
-    match PRECISION.load(Ordering::Relaxed) {
-        1 => MomentPrecision::MixedF32,
-        _ => MomentPrecision::F64,
-    }
-}
-
 /// The concrete schedule [`plan`] resolved for one moments run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPlan {
-    /// Untiled recursion, chunks in sequence on the calling thread.
-    Serial,
-    /// Untiled recursion, chunks fanned out realization-parallel.
-    Realizations,
     /// Tiled fused recursion inside each chunk; chunks in sequence.
     Rows {
         /// Worker threads per chunk.
@@ -261,27 +187,9 @@ impl ExecPlan {
     /// Canonical plan name for counters and trace labels.
     pub fn name(&self) -> &'static str {
         match self {
-            ExecPlan::Serial => "serial",
-            ExecPlan::Realizations => "realizations",
             ExecPlan::Rows { .. } => "rows",
             ExecPlan::Hybrid { .. } => "hybrid",
         }
-    }
-
-    /// Whether this plan runs the tiled engine (the tiled value family) as
-    /// opposed to the untiled blocked recursion.
-    pub fn is_tiled(&self) -> bool {
-        matches!(self, ExecPlan::Rows { .. } | ExecPlan::Hybrid { .. })
-    }
-}
-
-/// The historical dispatch: realization-parallel iff the dimension clears
-/// [`vecops::par_min_dim`] and there is more than one chunk.
-fn untiled(dim: usize, chunks: usize) -> ExecPlan {
-    if vecops::use_parallel(dim) && chunks > 1 {
-        ExecPlan::Realizations
-    } else {
-        ExecPlan::Serial
     }
 }
 
@@ -289,11 +197,9 @@ fn untiled(dim: usize, chunks: usize) -> ExecPlan {
 /// chunks of a `dim`-dimensional operator, using [`exec_policy`] /
 /// [`effective_threads`] / [`tile_rows`].
 ///
-/// The choice of value family (tiled vs untiled) is a pure function of
-/// `(dim, policy, tile rows)`: under [`ExecPolicy::Auto`] the family
-/// switches on `dim >= ROW_MIN_DIM` alone, so slicing the realization range
-/// differently (shard workers!) or changing the thread budget can never
-/// change a single bit of the result.
+/// Every plan runs the tiled engine, so slicing the realization range
+/// differently (shard workers!), changing the thread budget or picking
+/// another policy can never change a single bit of the result.
 pub fn plan(dim: usize, chunks: usize) -> ExecPlan {
     plan_with(exec_policy(), dim, chunks, effective_threads(), tile_rows())
 }
@@ -304,10 +210,9 @@ pub fn plan(dim: usize, chunks: usize) -> ExecPlan {
 /// profile for `(dim, model entries, chunks, threads)` and uses its plan
 /// when one exists; the static heuristic in [`plan_with`] is demoted to the
 /// cold-start prior. Any explicit `--exec` policy (non-`Auto`) bypasses the
-/// store entirely — the operator's word beats the tuner's. Profiles only
-/// ever tune *within* the value family `Auto` would pick for `dim` (the
-/// store refuses family-crossing entries), so calibration can never change
-/// a bit of the result.
+/// store entirely — the operator's word beats the tuner's. Profiles choose
+/// only scheduling and canonical-grid tile heights, so calibration can never
+/// change a bit of the result.
 pub fn plan_for(dim: usize, model_entries: usize, chunks: usize) -> ExecPlan {
     let policy = exec_policy();
     let threads = effective_threads();
@@ -330,7 +235,6 @@ pub fn plan_with(
 ) -> ExecPlan {
     let threads = threads.max(1);
     match policy {
-        ExecPolicy::Realizations => untiled(dim, chunks),
         ExecPolicy::Rows => ExecPlan::Rows { threads, tile_rows },
         ExecPolicy::Hybrid => {
             let outer = chunks.clamp(1, threads);
@@ -338,10 +242,9 @@ pub fn plan_with(
         }
         ExecPolicy::Auto => {
             if dim < ROW_MIN_DIM {
-                // Tiny operators: tiles would be pure overhead; keep the
-                // historical behavior (which also keeps small-D results
-                // bitwise identical to previous releases).
-                untiled(dim, chunks)
+                // Tiny operators: a second worker would only add barrier
+                // latency to every sweep.
+                ExecPlan::Rows { threads: 1, tile_rows }
             } else if chunks >= 2 && threads >= 4 {
                 let outer = chunks.clamp(1, threads / 2);
                 ExecPlan::Hybrid { outer, inner: (threads / outer).max(1), tile_rows }
@@ -360,24 +263,21 @@ mod tests {
 
     #[test]
     fn policy_parsing_roundtrips() {
-        for p in [ExecPolicy::Auto, ExecPolicy::Realizations, ExecPolicy::Rows, ExecPolicy::Hybrid]
-        {
+        for p in [ExecPolicy::Auto, ExecPolicy::Rows, ExecPolicy::Hybrid] {
             assert_eq!(p.as_str().parse::<ExecPolicy>().unwrap(), p);
         }
         assert!("gpu".parse::<ExecPolicy>().is_err());
+        assert!("realizations".parse::<ExecPolicy>().is_err());
     }
 
     #[test]
-    fn realizations_policy_reproduces_historical_dispatch() {
-        // Small D or a single chunk: serial. Large D with chunks: parallel.
-        assert_eq!(plan_with(ExecPolicy::Realizations, 1000, 8, 8, TR), ExecPlan::Serial);
-        assert_eq!(plan_with(ExecPolicy::Realizations, 1 << 20, 1, 8, TR), ExecPlan::Serial);
-        assert_eq!(plan_with(ExecPolicy::Realizations, 1 << 20, 8, 8, TR), ExecPlan::Realizations);
-    }
-
-    #[test]
-    fn auto_keeps_tiny_operators_on_the_historical_path() {
-        assert_eq!(plan_with(ExecPolicy::Auto, 256, 8, 8, TR), ExecPlan::Serial);
+    fn auto_runs_tiny_operators_on_one_thread() {
+        for (chunks, threads) in [(1, 1), (8, 8), (64, 32)] {
+            assert_eq!(
+                plan_with(ExecPolicy::Auto, 256, chunks, threads, TR),
+                ExecPlan::Rows { threads: 1, tile_rows: TR }
+            );
+        }
     }
 
     #[test]
@@ -411,35 +311,22 @@ mod tests {
     }
 
     #[test]
-    fn family_is_independent_of_chunks_and_threads() {
-        // The tiled-vs-untiled family for a given (policy, dim) must not
-        // change with chunk count or thread budget — shard range-slicing
-        // bitwise contracts rest on this.
-        for policy in
-            [ExecPolicy::Auto, ExecPolicy::Realizations, ExecPolicy::Rows, ExecPolicy::Hybrid]
-        {
-            for dim in [4, 256, 512, 1000, 1 << 20] {
-                let family = plan_with(policy, dim, 1, 1, TR).is_tiled();
-                for chunks in [1, 2, 7, 64] {
-                    for threads in [1, 2, 8, 32] {
-                        assert_eq!(
-                            plan_with(policy, dim, chunks, threads, TR).is_tiled(),
-                            family,
-                            "{policy} dim={dim} chunks={chunks} threads={threads}"
-                        );
-                    }
-                }
-            }
+    fn explicit_policies_ignore_the_dimension() {
+        for dim in [4, 256, 512, 1 << 20] {
+            assert_eq!(
+                plan_with(ExecPolicy::Rows, dim, 4, 2, TR),
+                ExecPlan::Rows { threads: 2, tile_rows: TR }
+            );
+            assert_eq!(
+                plan_with(ExecPolicy::Hybrid, dim, 4, 2, TR),
+                ExecPlan::Hybrid { outer: 2, inner: 1, tile_rows: TR }
+            );
         }
     }
 
     #[test]
     fn plan_names_are_stable() {
-        assert_eq!(ExecPlan::Serial.name(), "serial");
-        assert_eq!(ExecPlan::Realizations.name(), "realizations");
         assert_eq!(ExecPlan::Rows { threads: 2, tile_rows: TR }.name(), "rows");
         assert_eq!(ExecPlan::Hybrid { outer: 2, inner: 2, tile_rows: TR }.name(), "hybrid");
-        assert!(!ExecPlan::Serial.is_tiled());
-        assert!(ExecPlan::Rows { threads: 1, tile_rows: TR }.is_tiled());
     }
 }

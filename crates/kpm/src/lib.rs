@@ -76,7 +76,7 @@ pub use device::{Device, DeviceClock, DeviceOp, DeviceRun, DeviceSpec, HostDevic
 pub use dos::{Dos, DosEstimator};
 pub use error::KpmError;
 pub use estimator::Estimator;
-pub use exec::{ExecPlan, ExecPolicy, MomentPrecision};
+pub use exec::{ExecPlan, ExecPolicy};
 pub use green::{GreenEstimator, GreensFunction};
 pub use kernels::KernelType;
 pub use kubo::{Conductivity, DoubleMoments, KuboEstimator};
@@ -107,18 +107,14 @@ pub mod prelude {
     pub use crate::dos::{Dos, DosEstimator};
     pub use crate::error::KpmError;
     pub use crate::estimator::Estimator;
-    pub use crate::exec::{
-        exec_policy, moments_precision, set_exec_policy, set_moments_precision, set_thread_budget,
-        ExecPlan, ExecPolicy, MomentPrecision,
-    };
+    pub use crate::exec::{exec_policy, set_exec_policy, set_thread_budget, ExecPlan, ExecPolicy};
     pub use crate::green::{GreenEstimator, GreensFunction};
     pub use crate::kernels::KernelType;
     pub use crate::kubo::{Conductivity, DoubleMoments, KuboEstimator};
     pub use crate::ldos::LdosEstimator;
     pub use crate::moments::{
-        block_vector_moments, block_vector_moments_mixed, per_realization_moments,
-        realization_chunk_count, shard_plan, single_vector_moments, stochastic_moments, KpmParams,
-        MomentStats, Recursion,
+        per_realization_moments, realization_chunk_count, shard_plan, single_vector_moments,
+        stochastic_moments, KpmParams, MomentStats, Recursion,
     };
     pub use crate::random::{realization_stream, Distribution};
     pub use crate::rescale::{rescale, Boundable, BoundsMethod};

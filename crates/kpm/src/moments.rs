@@ -21,24 +21,23 @@
 //!
 //! Stochastic estimation is a multiple-right-hand-side problem: every step
 //! applies the same `H~` to all `R` vectors of a realization set. The
-//! stochastic driver therefore carries each set as one `D x R` column-block
-//! through [`kpm_linalg::BlockOp::apply_block`] — three `D x R` buffers
-//! pointer-swapped exactly like the single-vector scheme, one matrix sweep
-//! amortized over `R` right-hand sides. Per-realization RNG streams are
-//! keyed `(s, r)` as before and every block column performs bitwise the
-//! same arithmetic as the scalar recursion, so results are bitwise
-//! identical to the one-vector-at-a-time path.
+//! stochastic driver therefore carries each set as one row-interleaved
+//! `D x R` block through the row-tiled engine ([`kpm_linalg::tiled`]): one
+//! matrix sweep per step amortized over `R` right-hand sides, with the
+//! Chebyshev combine and the moment dots fused into the sweep.
+//! Per-realization RNG streams are keyed `(s, r)`, so a realization's
+//! moments do not depend on which block carried it. The one-vector
+//! recursions ([`single_vector_moments`], [`pair_vector_moments`]) serve the
+//! local estimators and the tests' references.
 
 use crate::error::KpmError;
 use crate::exec::{self, ExecPlan};
 use crate::kernels::KernelType;
-use crate::random::{fill_random_rows, fill_random_vector, Distribution};
+use crate::random::{fill_random_rows, Distribution};
 use crate::rescale::BoundsMethod;
-use kpm_linalg::block::BlockOp;
 use kpm_linalg::op::LinearOp;
 use kpm_linalg::tiled::{self, TiledOp};
 use kpm_linalg::vecops;
-use rayon::prelude::*;
 
 /// Which Chebyshev recursion to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,11 +327,11 @@ pub fn realization_chunk_count(params: &KpmParams, range: std::ops::Range<usize>
 /// of the full `S x R` ensemble described by `params`.
 ///
 /// Entry `i` of the result is realization `range.start + i`. Realizations
-/// sharing a set `s` advance together as one `D x k` block — and because
-/// each block column is bitwise identical to the scalar recursion
-/// (the [`block_vector_moments`] contract), the values are independent of
-/// how `range` slices through realization sets. This is the worker half of
-/// the distributed estimator; [`MomentStats::merge_realizations`] is the
+/// sharing a set `s` advance together as one `D x k` block on the tiled
+/// engine, whose per-column moments do not depend on the block's width or
+/// on the plan and thread count that ran it — so the values are independent
+/// of how `range` slices through realization sets. This is the worker half
+/// of the distributed estimator; [`MomentStats::merge_realizations`] is the
 /// coordinator half, and [`stochastic_moments`] is literally the two glued
 /// together over the full range.
 ///
@@ -360,37 +359,14 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
     // block exactly as the unsharded driver builds it.
     let chunks = realization_chunks(r_per_s, range);
 
-    let run_chunk = |(s, rs): &(usize, std::ops::Range<usize>)| -> Vec<Vec<f64>> {
-        let k = rs.len();
-        let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
-        let mut per_column = block_vector_moments(op, &block, k, n, params.recursion);
-        let inv_d = 1.0 / d as f64;
-        for mu in per_column.iter_mut() {
-            for m in mu.iter_mut() {
-                *m *= inv_d;
-            }
-        }
-        kpm_obs::counter_add("kpm.realizations", k as u64);
-        per_column
-    };
-
-    // Same chunk, but through the row-tiled fused engine: the recursion,
-    // the Chebyshev combine, and the moment dots run in one pass per sweep,
+    // One chunk through the row-tiled fused engine: the recursion, the
+    // Chebyshev combine, and the moment dots run in one pass per sweep,
     // parallelized across the matrix dimension. The block is drawn in the
     // engine's row-interleaved layout and becomes its first recursion
     // buffer.
-    let run_chunk_tiled = |(s, rs): &(usize, std::ops::Range<usize>),
-                           threads: usize,
-                           tile_rows: usize|
+    let run_chunk = |(s, rs): &(usize, std::ops::Range<usize>),
+                     threads: usize,
+                     tile_rows: usize|
      -> Vec<Vec<f64>> {
         let k = rs.len();
         let mut block = vec![0.0; d * k];
@@ -421,56 +397,17 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
         per_column
     };
 
-    // Mixed precision is value-affecting and opt-in: it runs the untiled
-    // f32-state recursion serially per chunk (one value family, documented
-    // in DESIGN §12), bypassing the calibrated planner entirely.
-    let mixed = exec::moments_precision() == exec::MomentPrecision::MixedF32;
-    let run_chunk_mixed = |(s, rs): &(usize, std::ops::Range<usize>)| -> Vec<Vec<f64>> {
-        let k = rs.len();
-        let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
-        let mut per_column = block_vector_moments_mixed(op, &block, k, n);
-        let inv_d = 1.0 / d as f64;
-        for mu in per_column.iter_mut() {
-            for m in mu.iter_mut() {
-                *m *= inv_d;
-            }
-        }
-        kpm_obs::counter_add("kpm.realizations", k as u64);
-        per_column
-    };
-    if mixed {
-        if kpm_obs::enabled() {
-            kpm_obs::counter_add("kpm.exec.plan.mixed", 1);
-        }
-        let _exec_span = kpm_obs::span_labeled("kpm.exec", "mixed");
-        let per_chunk: Vec<Vec<Vec<f64>>> = chunks.iter().map(run_chunk_mixed).collect();
-        return per_chunk.into_iter().flatten().collect();
-    }
-
     let plan = exec::plan_for(d, op.model_entries(), chunks.len());
     if kpm_obs::enabled() {
         kpm_obs::counter_add(&format!("kpm.exec.plan.{}", plan.name()), 1);
     }
     let _exec_span = kpm_obs::span_labeled("kpm.exec", plan.name());
     let per_chunk: Vec<Vec<Vec<f64>>> = match plan {
-        ExecPlan::Serial => chunks.iter().map(run_chunk).collect(),
-        ExecPlan::Realizations => {
-            (0..chunks.len()).into_par_iter().map(|i| run_chunk(&chunks[i])).collect()
-        }
         ExecPlan::Rows { threads, tile_rows } => {
-            chunks.iter().map(|c| run_chunk_tiled(c, threads, tile_rows)).collect()
+            chunks.iter().map(|c| run_chunk(c, threads, tile_rows)).collect()
         }
         ExecPlan::Hybrid { outer, inner, tile_rows } => {
-            run_chunks_hybrid(outer, &chunks, |c| run_chunk_tiled(c, inner, tile_rows))
+            run_chunks_hybrid(outer, &chunks, |c| run_chunk(c, inner, tile_rows))
         }
     };
     per_chunk.into_iter().flatten().collect()
@@ -589,193 +526,6 @@ fn doubling_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
     mu
 }
 
-/// One blocked matrix sweep, instrumented: `kpm.spmm.sweeps` counts block
-/// applications, `kpm.spmm.rows` the rows streamed, and
-/// `kpm.spmm.width.<k>` forms a per-block-width histogram in the trace
-/// counters.
-fn apply_block_counted<A: BlockOp + ?Sized>(op: &A, x: &[f64], y: &mut [f64], k: usize) {
-    op.apply_block(x, y, k);
-    if kpm_obs::enabled() {
-        kpm_obs::counter_add("kpm.spmm.sweeps", 1);
-        kpm_obs::counter_add("kpm.spmm.rows", op.dim() as u64);
-        kpm_obs::counter_add(&format!("kpm.spmm.width.{k}"), 1);
-    }
-}
-
-/// Computes the moments `<r_j|T_n(H~)|r_j>` (not normalized by `D`) for all
-/// `k` columns of a `D x k` start block in one recursion: each step is a
-/// single [`BlockOp::apply_block`] sweep amortized over the whole block.
-///
-/// Column `j` of the result is bitwise identical to
-/// [`single_vector_moments`] on `block[j * D..(j + 1) * D]`: per column the
-/// blocked recursion performs exactly the same arithmetic in the same
-/// order, and the [`BlockOp`] contract guarantees the same for the operator
-/// application.
-///
-/// # Panics
-/// Panics if `block.len() != op.dim() * k`, `k == 0`, or `num_moments < 2`.
-pub fn block_vector_moments<A: BlockOp + ?Sized>(
-    op: &A,
-    block: &[f64],
-    k: usize,
-    num_moments: usize,
-    recursion: Recursion,
-) -> Vec<Vec<f64>> {
-    assert!(k > 0, "block must have at least one column");
-    assert_eq!(block.len(), op.dim() * k, "start block length");
-    assert!(num_moments >= 2, "need at least two moments");
-    match recursion {
-        Recursion::Plain => block_plain_moments(op, block, k, num_moments),
-        Recursion::Doubling => block_doubling_moments(op, block, k, num_moments),
-    }
-}
-
-/// [`block_vector_moments`] with the mixed-precision recursion: every
-/// Chebyshev state vector is rounded to f32 storage precision after each
-/// step — the paper's single-precision bandwidth saving, modeled on the CPU
-/// — while every moment dot still accumulates in f64. Plain recursion only
-/// (moment doubling would square the rounding error for the high moments).
-///
-/// Value-affecting and strictly opt-in: [`per_realization_moments`] only
-/// dispatches here under `MomentPrecision::MixedF32`, and the error-budget
-/// test in `kpm/tests/exec_plans.rs` pins its deviation from the f64 path
-/// on the paper's lattices.
-///
-/// # Panics
-/// Panics if `block.len() != op.dim() * k`, `k == 0`, or `num_moments < 2`.
-pub fn block_vector_moments_mixed<A: BlockOp + ?Sized>(
-    op: &A,
-    block: &[f64],
-    k: usize,
-    num_moments: usize,
-) -> Vec<Vec<f64>> {
-    assert!(k > 0, "block must have at least one column");
-    assert_eq!(block.len(), op.dim() * k, "start block length");
-    assert!(num_moments >= 2, "need at least two moments");
-    let d = op.dim();
-    let n = num_moments;
-    let quantize = |v: &mut [f64]| {
-        for x in v.iter_mut() {
-            *x = *x as f32 as f64;
-        }
-    };
-    let mut r0 = block.to_vec();
-    quantize(&mut r0);
-    let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
-    let mut prev = r0.clone(); // R_0, already at storage precision
-    let mut cur = vec![0.0; d * k]; // R_1
-    apply_block_counted(op, &prev, &mut cur, k);
-    quantize(&mut cur);
-    for (j, mu_j) in mu.iter_mut().enumerate() {
-        let col = j * d..(j + 1) * d;
-        mu_j.push(vecops::dot(&r0[col.clone()], &prev[col.clone()])); // mu~_0
-        mu_j.push(vecops::dot(&r0[col.clone()], &cur[col])); // mu~_1
-    }
-    let mut scratch = vec![0.0; d * k];
-    for _ in 2..n {
-        apply_block_counted(op, &cur, &mut scratch, k);
-        // R_{n+2} = 2 H R_{n+1} - R_n, stored back at f32 precision; the
-        // dot against R_0 runs over the rounded state but sums in f64.
-        for (p, &s) in prev.iter_mut().zip(scratch.iter()) {
-            *p = ((2.0 * s - *p) as f32) as f64;
-        }
-        for (j, mu_j) in mu.iter_mut().enumerate() {
-            let col = j * d..(j + 1) * d;
-            mu_j.push(vecops::dot(&r0[col.clone()], &prev[col]));
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    mu
-}
-
-fn block_plain_moments<A: BlockOp + ?Sized>(
-    op: &A,
-    r0: &[f64],
-    k: usize,
-    n: usize,
-) -> Vec<Vec<f64>> {
-    let d = op.dim();
-    let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
-    let mut prev = r0.to_vec(); // R_0
-    let mut cur = vec![0.0; d * k]; // R_1
-    apply_block_counted(op, &prev, &mut cur, k);
-    for (j, mu_j) in mu.iter_mut().enumerate() {
-        let col = j * d..(j + 1) * d;
-        mu_j.push(vecops::dot(&r0[col.clone()], &prev[col.clone()])); // mu~_0
-        mu_j.push(vecops::dot(&r0[col.clone()], &cur[col])); // mu~_1
-    }
-    let mut scratch = vec![0.0; d * k];
-    for _ in 2..n {
-        // R_{n+2} = 2 H R_{n+1} - R_n for the whole block, reusing `prev`
-        // as the output — the paper's Fig. 3 pointer swap, widened to R
-        // columns so the matrix is streamed once per step. The combine and
-        // the per-column moment dots run fused, one pass per column.
-        apply_block_counted(op, &cur, &mut scratch, k);
-        for (j, mu_j) in mu.iter_mut().enumerate() {
-            let col = j * d..(j + 1) * d;
-            mu_j.push(vecops::chebyshev_combine_dot(
-                &scratch[col.clone()],
-                &mut prev[col.clone()],
-                &r0[col],
-            ));
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    mu
-}
-
-fn block_doubling_moments<A: BlockOp + ?Sized>(
-    op: &A,
-    r0: &[f64],
-    k: usize,
-    n: usize,
-) -> Vec<Vec<f64>> {
-    let d = op.dim();
-    let mut mu: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
-    let mut prev = r0.to_vec(); // R_{m-1}, starts as R_0
-    let mut cur = vec![0.0; d * k]; // R_m, starts as R_1
-    apply_block_counted(op, &prev, &mut cur, k);
-    let mut mu0 = vec![0.0; k];
-    let mut mu1 = vec![0.0; k];
-    for j in 0..k {
-        let col = j * d..(j + 1) * d;
-        mu0[j] = vecops::dot(&r0[col.clone()], &r0[col.clone()]);
-        mu1[j] = vecops::dot(&cur[col.clone()], &r0[col]);
-        mu[j][0] = mu0[j];
-        if n > 1 {
-            mu[j][1] = mu1[j];
-        }
-    }
-    let mut scratch = vec![0.0; d * k];
-    let mut m = 1usize;
-    while 2 * m < n {
-        for (j, mu_j) in mu.iter_mut().enumerate() {
-            let col = j * d..(j + 1) * d;
-            // mu_{2m} = 2 <r_m|r_m> - mu_0
-            mu_j[2 * m] = 2.0 * vecops::dot(&cur[col.clone()], &cur[col]) - mu0[j];
-        }
-        if 2 * m + 1 < n {
-            // R_{m+1} = 2 H R_m - R_{m-1}; per column the combine fuses with
-            // the cross dot <r_{m+1}|r_m> (against `cur` = R_m before the
-            // swap; commutative products, bitwise unchanged).
-            apply_block_counted(op, &cur, &mut scratch, k);
-            for (j, mu_j) in mu.iter_mut().enumerate() {
-                let col = j * d..(j + 1) * d;
-                let cross = vecops::chebyshev_combine_dot(
-                    &scratch[col.clone()],
-                    &mut prev[col.clone()],
-                    &cur[col],
-                );
-                // mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1
-                mu_j[2 * m + 1] = 2.0 * cross - mu1[j];
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        m += 1;
-    }
-    mu
-}
-
 /// Off-diagonal (pair) moments `<l | T_n(H~) | r0>` — the ingredients of
 /// matrix-element Green's functions `G_ij(omega)` (feed the result to
 /// [`crate::green::evaluate`]). Only the plain recursion applies:
@@ -812,13 +562,11 @@ pub fn pair_vector_moments<A: LinearOp>(
 /// Stochastic trace estimation of the normalized moments
 /// `mu_n = Tr[T_n(H~)]/D` over `S * R` random vectors (the paper's step
 /// (1)–(3), Fig. 3). Each realization set's `R` vectors advance together as
-/// one `D x R` block ([`block_vector_moments`]), so the matrix is streamed
-/// once per moment step instead of once per vector. Sets are independent
-/// and run in parallel when the dimension is large enough to amortize the
-/// fork-join overhead ([`vecops::use_parallel`]); results are reduced in a
-/// fixed `(s, r)` order so the output is deterministic for a given seed
-/// regardless of thread count — and bitwise identical to the serial,
-/// one-vector-at-a-time path.
+/// one `D x R` block on the tiled engine ([`per_realization_moments`]), so
+/// the matrix is streamed once per sweep instead of once per vector. The
+/// execution plan ([`exec::plan_for`]) spreads the sweeps over rows and
+/// sets; results are reduced in a fixed `(s, r)` order, so the output is
+/// bitwise identical for a given seed whatever the plan and thread count.
 ///
 /// The operator must already be rescaled into `[-1, 1]`.
 ///
@@ -875,6 +623,7 @@ pub fn exact_moments(rescaled_eigenvalues: &[f64], num_moments: usize) -> Vec<f6
 mod tests {
     use super::*;
     use crate::chebyshev;
+    use crate::random::fill_random_vector;
     use kpm_linalg::op::{DiagonalOp, IdentityOp};
 
     #[test]
@@ -957,28 +706,6 @@ mod tests {
                     plain[i],
                     doubled[i]
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn block_recursion_matches_scalar_per_column_bitwise() {
-        // The K = 1 case and every wider block must reproduce the scalar
-        // recursion bit for bit, for both recursion strategies.
-        let d = 24;
-        let op = DiagonalOp::new((0..d).map(|i| ((i as f64) * 0.41).sin() * 0.9).collect());
-        for recursion in [Recursion::Plain, Recursion::Doubling] {
-            for k in [1usize, 2, 5] {
-                let mut block = vec![0.0; d * k];
-                for (j, col) in block.chunks_exact_mut(d).enumerate() {
-                    fill_random_vector(Distribution::Gaussian, 77, 0, j, col);
-                }
-                let blocked = block_vector_moments(&op, &block, k, 17, recursion);
-                for (j, col_mu) in blocked.iter().enumerate() {
-                    let scalar =
-                        single_vector_moments(&op, &block[j * d..(j + 1) * d], 17, recursion);
-                    assert_eq!(col_mu, &scalar, "{recursion:?}, k = {k}, column {j}");
-                }
             }
         }
     }

@@ -26,14 +26,9 @@
 //!   [`kpm_linalg::DEFAULT_TILE_ROWS`] is bitwise identical to the default
 //!   (the tiled engine pins dot association to fixed 128-row segments, see
 //!   [`kpm_linalg::tiled::tile_rows_is_value_safe`]).
-//! * **Family** — the store refuses profiles whose policy crosses the
-//!   `dim >= ROW_MIN_DIM` family boundary `Auto` pins, and
-//!   [`ExecProfile::plan`] re-checks at use.
 //!
-//! Value-*affecting* candidates — the [`vecops::KernelVariant::Unrolled8`]
-//! kernel and the mixed-precision moments path — are probed but recorded
-//! only as an advisory `variant` hint; applying them requires the explicit
-//! opt-ins (`KPM_KERNEL_VARIANT`, `--precision mixed`).
+//! [`ExecProfile::plan`] re-checks the tile height at use, and keeps
+//! operators below [`ROW_MIN_DIM`] on one thread whatever profile is stored.
 //!
 //! # Keys
 //!
@@ -50,7 +45,6 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use kpm_linalg::tiled::{self, TiledOp};
-use kpm_linalg::vecops::{self, KernelVariant};
 use kpm_linalg::DEFAULT_TILE_ROWS;
 
 use crate::exec::{self, ExecPlan, ExecPolicy, ROW_MIN_DIM};
@@ -136,16 +130,12 @@ impl std::str::FromStr for ProfileOrigin {
 pub struct ExecProfile {
     /// The shape this profile was measured for.
     pub shape: ProbeShape,
-    /// Winning policy family member (`Realizations`, `Rows`, or `Hybrid`).
+    /// Winning policy (`Rows` or `Hybrid`).
     pub policy: ExecPolicy,
     /// Hybrid outer split (0 when not applicable).
     pub outer: usize,
     /// Winning tile height (a canonical-grid multiple when measured).
     pub tile_rows: usize,
-    /// Advisory kernel-variant hint from the micro-probe. Never applied by
-    /// [`ExecProfile::plan`] — value-affecting, opt-in via
-    /// `KPM_KERNEL_VARIANT` only.
-    pub variant_hint: KernelVariant,
     /// Probe time of the winner in nanoseconds (0 for priors).
     pub probe_nanos: u64,
     /// Measured or prior.
@@ -153,38 +143,20 @@ pub struct ExecProfile {
 }
 
 impl ExecProfile {
-    /// Whether the recorded policy respects the value-family boundary
-    /// `ExecPolicy::Auto` pins on `dim` ([`ROW_MIN_DIM`]). Family-crossing
-    /// profiles are ignored by the store — a tuner must never move a result
-    /// between the tiled and untiled families.
-    pub fn family_ok(&self) -> bool {
-        if self.shape.dim >= ROW_MIN_DIM {
-            matches!(self.policy, ExecPolicy::Rows | ExecPolicy::Hybrid)
-        } else {
-            matches!(self.policy, ExecPolicy::Realizations)
-        }
-    }
-
     /// Resolves the profile into a concrete [`ExecPlan`] for `threads`.
     ///
     /// Applies the tile-rows precedence (env > profile > prior) via
     /// [`exec::resolve_tile_rows`], discards off-grid (value-affecting)
-    /// recorded tile heights, and coerces any family-crossing policy back
-    /// onto the family `dim` dictates — so a stale or hand-edited profile
-    /// can degrade performance but never correctness.
+    /// recorded tile heights, and keeps an operator below [`ROW_MIN_DIM`]
+    /// on one thread, as the static prior does — so a stale or hand-edited
+    /// profile can degrade performance but never correctness.
     pub fn plan(&self, threads: usize) -> ExecPlan {
-        let threads = threads.max(1);
         let safe = Some(self.tile_rows).filter(|&tr| tiled::tile_rows_is_value_safe(tr));
         let tr = exec::resolve_tile_rows(safe);
         if self.shape.dim < ROW_MIN_DIM {
-            return exec::plan_with(
-                ExecPolicy::Realizations,
-                self.shape.dim,
-                self.shape.chunks,
-                threads,
-                tr,
-            );
+            return ExecPlan::Rows { threads: 1, tile_rows: tr };
         }
+        let threads = threads.max(1);
         match self.policy {
             ExecPolicy::Hybrid if self.outer >= 2 && threads >= 2 => {
                 let outer = self.outer.clamp(2, threads);
@@ -201,7 +173,7 @@ impl ExecProfile {
         format!(
             "kpm-profile v1\n\
              dim={}\nentries={}\nchunks={}\nthreads={}\n\
-             policy={}\nouter={}\ntile_rows={}\nvariant={}\n\
+             policy={}\nouter={}\ntile_rows={}\n\
              probe_nanos={}\norigin={}\n",
             self.shape.dim,
             self.shape.entries,
@@ -210,16 +182,16 @@ impl ExecProfile {
             self.policy.as_str(),
             self.outer,
             self.tile_rows,
-            self.variant_hint.name(),
             self.probe_nanos,
             self.origin.as_str(),
         )
     }
 
     /// Parses the text format. Unknown keys are tolerated (forward
-    /// compatibility); a bad header, malformed line, unparsable value, or a
-    /// missing required field is an error — callers treat that as "no
-    /// profile", never as fatal.
+    /// compatibility, and the `variant` line older profiles carry); a bad
+    /// header, malformed line, unparsable value (such as the retired
+    /// `policy=realizations`), or a missing required field is an error —
+    /// callers treat that as "no profile", never as fatal.
     pub fn from_text(text: &str) -> Result<ExecProfile, String> {
         let mut lines = text.lines();
         if lines.next().map(str::trim) != Some("kpm-profile v1") {
@@ -232,7 +204,6 @@ impl ExecProfile {
         let mut policy = None;
         let mut outer = 0usize;
         let mut tile_rows = None;
-        let mut variant = KernelVariant::Unrolled4;
         let mut probe_nanos = 0u64;
         let mut origin = ProfileOrigin::Measured;
         for line in lines {
@@ -251,7 +222,6 @@ impl ExecProfile {
                 "policy" => policy = Some(v.parse::<ExecPolicy>()?),
                 "outer" => outer = parse_usize(v)?,
                 "tile_rows" => tile_rows = Some(parse_usize(v)?),
-                "variant" => variant = v.parse::<KernelVariant>()?,
                 "probe_nanos" => {
                     probe_nanos =
                         v.parse::<u64>().map_err(|_| format!("bad value for {k}: '{v}'"))?
@@ -271,7 +241,6 @@ impl ExecProfile {
             policy: policy.ok_or("missing policy")?,
             outer,
             tile_rows: tile_rows.ok_or("missing tile_rows")?,
-            variant_hint: variant,
             probe_nanos,
             origin,
         })
@@ -333,8 +302,8 @@ impl ProfileStore {
     /// is promoted into memory (counted as `kpm.tune.disk_hit`) so the file
     /// is read once per shape, not once per job; a disk *miss* is memoized
     /// the same way, so an absent shape stops touching the filesystem after
-    /// the first lookup. Family-violating or key-mismatched entries (a
-    /// hand-edited file, say) are ignored.
+    /// the first lookup. Unreadable or key-mismatched entries (a
+    /// hand-edited file, or one naming a retired policy) are ignored.
     pub fn get(&self, key: u64) -> Option<ExecProfile> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(p) = inner.map.get(&key).cloned() {
@@ -349,7 +318,7 @@ impl ProfileStore {
         let loaded = std::fs::read_to_string(path)
             .ok()
             .and_then(|text| ExecProfile::from_text(&text).ok())
-            .filter(|p| p.shape.key() == key && p.family_ok());
+            .filter(|p| p.shape.key() == key);
         let mut inner = self.inner.lock().unwrap();
         match loaded {
             Some(profile) => {
@@ -366,13 +335,9 @@ impl ProfileStore {
         }
     }
 
-    /// Inserts a profile, persisting it when a directory is attached.
-    /// Family-violating profiles are dropped (returns `false`); disk errors
-    /// are non-fatal (the memory front still works).
-    pub fn insert(&self, profile: ExecProfile) -> bool {
-        if !profile.family_ok() {
-            return false;
-        }
+    /// Inserts a profile, persisting it when a directory is attached. Disk
+    /// errors are non-fatal (the memory front still works).
+    pub fn insert(&self, profile: ExecProfile) {
         let key = profile.shape.key();
         let mut inner = self.inner.lock().unwrap();
         let dir = inner.dir.clone();
@@ -383,7 +348,6 @@ impl ProfileStore {
             let _ = std::fs::create_dir_all(&dir);
             let _ = std::fs::write(profile_path(&dir, key), profile.to_text());
         }
-        true
     }
 
     /// Drops every in-memory entry (disk files stay). Test hook and the
@@ -486,7 +450,7 @@ pub fn calibrated_plan(
 /// realization chunks under the current thread budget, and stores it.
 ///
 /// * Cached shape → counted as `kpm.tune.hit`, no probe.
-/// * `dim < ROW_MIN_DIM` → the untiled prior is recorded without timing
+/// * `dim < ROW_MIN_DIM` → the one-thread prior is recorded without timing
 ///   (probing microsecond tiles measures noise).
 /// * Otherwise → a timed probe sweep (`kpm.tune.probe`) over the value-safe
 ///   candidates; the winner is persisted.
@@ -523,21 +487,10 @@ pub fn prior_profile(shape: ProbeShape) -> ExecProfile {
         exec::tile_rows(),
     );
     let (policy, outer, tile_rows) = match plan {
-        ExecPlan::Serial | ExecPlan::Realizations => {
-            (ExecPolicy::Realizations, 0, DEFAULT_TILE_ROWS)
-        }
         ExecPlan::Rows { tile_rows, .. } => (ExecPolicy::Rows, 0, tile_rows),
         ExecPlan::Hybrid { outer, tile_rows, .. } => (ExecPolicy::Hybrid, outer, tile_rows),
     };
-    ExecProfile {
-        shape,
-        policy,
-        outer,
-        tile_rows,
-        variant_hint: KernelVariant::Unrolled4,
-        probe_nanos: 0,
-        origin: ProfileOrigin::Prior,
-    }
+    ExecProfile { shape, policy, outer, tile_rows, probe_nanos: 0, origin: ProfileOrigin::Prior }
 }
 
 /// Probe workload: two start columns, eight moments (four doubling sweeps,
@@ -654,36 +607,8 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
         policy: best.policy,
         outer: best.outer,
         tile_rows: best.tile_rows,
-        variant_hint: variant_hint(d),
         probe_nanos: best_t.as_nanos().min(u128::from(u64::MAX)) as u64,
         origin: ProfileOrigin::Measured,
-    }
-}
-
-/// Micro-probes the combine-dot kernel variants on `d`-length buffers and
-/// returns the faster one. Advisory only: the hint is recorded in the
-/// profile but never applied implicitly (Unrolled8 is value-affecting).
-pub fn variant_hint(d: usize) -> KernelVariant {
-    let n = d.clamp(1024, 1 << 18);
-    let hx = vec![0.5f64; n];
-    let r0 = vec![0.25f64; n];
-    let mut prev = vec![0.1f64; n];
-    let mut time_variant = |v: KernelVariant| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
-            prev.fill(0.1);
-            let t0 = Instant::now();
-            std::hint::black_box(vecops::chebyshev_combine_dot_variant(v, &hx, &mut prev, &r0));
-            best = best.min(t0.elapsed());
-        }
-        best
-    };
-    let t4 = time_variant(KernelVariant::Unrolled4);
-    let t8 = time_variant(KernelVariant::Unrolled8);
-    if t8 < t4 {
-        KernelVariant::Unrolled8
-    } else {
-        KernelVariant::Unrolled4
     }
 }
 
@@ -697,7 +622,6 @@ mod tests {
             policy: ExecPolicy::Rows,
             outer: 0,
             tile_rows: 2 * DEFAULT_TILE_ROWS,
-            variant_hint: KernelVariant::Unrolled8,
             probe_nanos: 1234,
             origin: ProfileOrigin::Measured,
         }
@@ -725,22 +649,38 @@ mod tests {
     }
 
     #[test]
-    fn family_rules_gate_store_and_plan() {
-        // Tiled policy on a small dim: refused by the store...
-        let mut small = measured(100, 500);
-        small.policy = ExecPolicy::Rows;
-        assert!(!small.family_ok());
-        let s = ProfileStore::new(8);
-        assert!(!s.insert(small.clone()));
-        assert_eq!(s.len(), 0);
-        // ...and coerced to the untiled family if planned anyway.
-        assert!(!small.plan(8).is_tiled());
+    fn legacy_profile_lines_load_or_read_as_no_profile() {
+        // A `variant=` line from before the kernel variant was retired is an
+        // unknown key now: the profile still loads.
+        let p = measured(1000, 6400);
+        let legacy = p.to_text().replace("origin=", "variant=unrolled8\norigin=");
+        assert_eq!(ExecProfile::from_text(&legacy).unwrap(), p);
 
-        // Untiled policy on a big dim: refused, coerced to Rows.
-        let mut big = measured(4096, 40960);
-        big.policy = ExecPolicy::Realizations;
-        assert!(!big.family_ok());
-        assert!(matches!(big.plan(8), ExecPlan::Rows { .. }));
+        // A stored `policy=realizations` names a retired plan: the store
+        // reads it as no profile, so the shape is planned afresh.
+        let dir = std::env::temp_dir().join(format!("kpm-tune-legacy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let small = prior_profile(ProbeShape { dim: 100, entries: 500, chunks: 4, threads: 8 });
+        let key = small.shape.key();
+        let text = small.to_text().replace("policy=rows", "policy=realizations");
+        std::fs::write(profile_path(&dir, key), text).unwrap();
+        let s = ProfileStore::new(8);
+        s.set_dir(Some(dir.clone()));
+        assert_eq!(s.get(key), None);
+        assert!(s.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn small_dims_plan_one_thread_whatever_the_profile() {
+        for policy in [ExecPolicy::Rows, ExecPolicy::Hybrid] {
+            let mut small = measured(100, 500);
+            small.policy = policy;
+            small.outer = 4;
+            let tile_rows = exec::resolve_tile_rows(Some(small.tile_rows));
+            assert_eq!(small.plan(8), ExecPlan::Rows { threads: 1, tile_rows });
+        }
     }
 
     #[test]
@@ -773,7 +713,7 @@ mod tests {
     fn store_is_lru_bounded_and_clearable() {
         let s = ProfileStore::new(2);
         for i in 0..4 {
-            assert!(s.insert(measured(1000 + i, 6400)));
+            s.insert(measured(1000 + i, 6400));
         }
         assert_eq!(s.len(), 2);
         // The two most recent shapes survive.
@@ -792,7 +732,7 @@ mod tests {
         s.set_dir(Some(dir.clone()));
         let p = measured(1000, 6400);
         let key = p.shape.key();
-        assert!(s.insert(p.clone()));
+        s.insert(p.clone());
         assert!(profile_path(&dir, key).is_file());
 
         // A fresh store (cold memory) reloads from disk.
@@ -834,7 +774,7 @@ mod tests {
         std::fs::write(profile_path(&dir, key), p.to_text()).unwrap();
         assert_eq!(s.get(key), None);
         // ...until something invalidates the memo: an insert of the shape,
-        assert!(s.insert(p.clone()));
+        s.insert(p.clone());
         assert_eq!(s.get(key), Some(p.clone()));
         // a memory clear,
         s.clear_memory();
@@ -864,14 +804,13 @@ mod tests {
     }
 
     #[test]
-    fn prior_profile_matches_the_static_heuristic_family() {
+    fn prior_profile_matches_the_static_heuristic() {
         let small = prior_profile(ProbeShape { dim: 256, entries: 1000, chunks: 4, threads: 8 });
-        assert_eq!(small.policy, ExecPolicy::Realizations);
+        assert_eq!(small.policy, ExecPolicy::Rows);
         assert_eq!(small.origin, ProfileOrigin::Prior);
-        assert!(small.family_ok());
+        assert_eq!(small.plan(8), ExecPlan::Rows { threads: 1, tile_rows: exec::tile_rows() });
 
         let big = prior_profile(ProbeShape { dim: 4096, entries: 40960, chunks: 4, threads: 8 });
-        assert!(matches!(big.policy, ExecPolicy::Rows | ExecPolicy::Hybrid));
-        assert!(big.family_ok());
+        assert_eq!(big.policy, ExecPolicy::Hybrid);
     }
 }

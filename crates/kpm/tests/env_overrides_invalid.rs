@@ -1,16 +1,15 @@
-//! Hardened env-override parsing, invalid-value half: garbage and zero in
-//! `KPM_TILE_ROWS` / `KPM_PAR_MIN_DIM` are rejected (with a stderr warning)
-//! and fall back to the built-in priors.
+//! Hardened env-override parsing, invalid-value half: garbage in
+//! `KPM_TILE_ROWS` is rejected (with a stderr warning) and falls back to
+//! the built-in prior.
 //!
-//! The overrides are read **once per process** (`OnceLock`), so this lives
-//! in its own test binary with a single test: the variables are set before
-//! anything can have read them. The valid-value half is
+//! The override is read **once per process** (`OnceLock`), so this lives
+//! in its own test binary with a single test: the variable is set before
+//! anything can have read it. The valid-value half is
 //! `env_overrides_valid.rs`.
 
 #[test]
 fn invalid_env_overrides_fall_back_to_priors() {
     std::env::set_var("KPM_TILE_ROWS", "garbage");
-    std::env::set_var("KPM_PAR_MIN_DIM", "0");
 
     // Invalid values are treated as unset...
     assert_eq!(kpm::exec::env_tile_rows(), None);
@@ -18,10 +17,4 @@ fn invalid_env_overrides_fall_back_to_priors() {
     // ...so the precedence chain env > profile > prior starts at "profile".
     assert_eq!(kpm::exec::resolve_tile_rows(Some(256)), 256);
     assert_eq!(kpm::exec::resolve_tile_rows(None), kpm_linalg::DEFAULT_TILE_ROWS);
-
-    // `KPM_PAR_MIN_DIM=0` (a nonsense threshold) keeps the default cutoff:
-    // the default par_min_dim gates parallelism somewhere above trivial
-    // sizes, which `0` would have destroyed.
-    assert!(!kpm_linalg::vecops::use_parallel(1));
-    assert_eq!(kpm_linalg::vecops::parse_positive_override("KPM_PAR_MIN_DIM", "0"), None);
 }

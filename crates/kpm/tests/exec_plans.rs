@@ -1,7 +1,7 @@
-//! Integration tests for the row-tiled execution engine: tiled-fused vs
-//! untiled-serial agreement across random lattices/formats/tile sizes,
-//! bitwise thread-count determinism through `stochastic_moments`, and the
-//! shard range-slicing contract at tiled dimensions.
+//! Integration tests for the row-tiled execution engine: agreement with the
+//! one-vector recursion across random lattices/formats/tile sizes, bitwise
+//! plan and thread-count determinism through `stochastic_moments`, and the
+//! shard range-slicing contract.
 //!
 //! `ExecPolicy` / the thread budget are process-global, so every test that
 //! mutates them serializes on [`POLICY_LOCK`] and restores the defaults on
@@ -28,7 +28,6 @@ impl Drop for PolicyGuard {
     fn drop(&mut self) {
         set_exec_policy(ExecPolicy::Auto);
         set_thread_budget(0);
-        set_moments_precision(MomentPrecision::F64);
         set_tuning_enabled(true);
         kpm::tune::store().clear_memory();
     }
@@ -50,11 +49,11 @@ fn lattice(spec: &str, fmt: MatrixFormat) -> SparseMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tiled fused engine agrees with the untiled blocked recursion to
-    /// 1e-12 relative for random lattices, storage formats, tile sizes, and
-    /// worker counts — for both recursions. (The two are *not* bitwise
-    /// equal: the per-tile dot accumulation associates differently from
-    /// `vecops::dot`.)
+    /// The tiled fused engine agrees with the untiled one-vector recursion,
+    /// column by column, to 1e-12 relative for random lattices, storage
+    /// formats, tile sizes, and worker counts — for both recursions. (The two
+    /// are *not* bitwise equal: the per-tile dot accumulation associates
+    /// differently from `vecops::dot`.)
     #[test]
     fn tiled_fused_agrees_with_untiled_serial(
         lx in 2usize..5,
@@ -75,7 +74,10 @@ proptest! {
         fill_random_vector(Distribution::Rademacher, seed, 0, 0, &mut r0);
 
         let recursion = if doubling { Recursion::Doubling } else { Recursion::Plain };
-        let reference = block_vector_moments(&op, &r0, k, n, recursion);
+        let reference: Vec<Vec<f64>> = r0
+            .chunks_exact(d)
+            .map(|col| single_vector_moments(&op, col, n, recursion))
+            .collect();
         let (tiled, _stats) = if doubling {
             fused_block_moments_doubling(&op, &r0, k, n, threads, tile_rows)
         } else {
@@ -97,9 +99,9 @@ proptest! {
 }
 
 /// On the paper's Fig. 5 lattice (`cubic:10,10,10`, D = 1000, N = 256) the
-/// tiled plans reproduce the untiled estimator to 1e-12 relative, and the
-/// tiled moments are bitwise identical for any thread budget — the pinned
-/// acceptance criterion for the engine.
+/// tiled plans reproduce the untiled one-vector estimator to 1e-12
+/// relative, and the tiled moments are bitwise identical for any thread
+/// budget — the pinned acceptance criterion for the engine.
 #[test]
 fn fig5_config_tiled_matches_untiled_and_is_thread_stable() {
     let _g = policy_guard();
@@ -107,10 +109,19 @@ fn fig5_config_tiled_matches_untiled_and_is_thread_stable() {
     let op = RescaledOp::new(h, 0.0, 8.0);
     let params = KpmParams::new(256).with_random_vectors(2, 1).with_seed(42);
 
-    // `Realizations` forces the historical untiled family (D = 1000 is
-    // below the realization-parallel cutoff, so it runs fully serial).
-    set_exec_policy(ExecPolicy::Realizations);
-    let reference = stochastic_moments(&op, &params);
+    // The reference runs each realization on its own through the untiled
+    // one-vector recursion, then merges them in canonical order.
+    let d = op.dim();
+    let rows: Vec<Vec<f64>> = (0..params.total_realizations())
+        .map(|idx| {
+            let (s, r) = (idx / params.num_random, idx % params.num_random);
+            let mut r0 = vec![0.0; d];
+            fill_random_vector(params.distribution, params.seed, s, r, &mut r0);
+            let mu = single_vector_moments(&op, &r0, params.num_moments, params.recursion);
+            mu.into_iter().map(|m| m / d as f64).collect()
+        })
+        .collect();
+    let reference = MomentStats::merge_realizations(&rows);
 
     set_exec_policy(ExecPolicy::Rows);
     let tiled: Vec<MomentStats> = [1usize, 2, 4]
@@ -154,8 +165,8 @@ fn lanczos_bounds_dos_is_bitwise_across_plans_and_threads() {
         set_thread_budget(threads);
         DosEstimator::new(params.clone()).compute(&h).unwrap()
     };
-    let reference = dos_under(ExecPolicy::Realizations, 1);
-    for policy in [ExecPolicy::Realizations, ExecPolicy::Rows, ExecPolicy::Hybrid] {
+    let reference = dos_under(ExecPolicy::Auto, 1);
+    for policy in [ExecPolicy::Auto, ExecPolicy::Rows, ExecPolicy::Hybrid] {
         for threads in [1usize, 2, 4] {
             let dos = dos_under(policy, threads);
             let same_bits = |a: &[f64], b: &[f64]| {
@@ -265,11 +276,10 @@ proptest! {
             policy: if hybrid { ExecPolicy::Hybrid } else { ExecPolicy::Rows },
             outer: if hybrid { outer } else { 0 },
             tile_rows: tile_mult * kpm_linalg::DEFAULT_TILE_ROWS,
-            variant_hint: kpm_linalg::vecops::KernelVariant::Unrolled4,
             probe_nanos: 1,
             origin: kpm::tune::ProfileOrigin::Measured,
         };
-        prop_assert!(kpm::tune::store().insert(profile));
+        kpm::tune::store().insert(profile);
         let calibrated = stochastic_moments(&op, &params);
         kpm::tune::store().clear_memory();
 
@@ -279,8 +289,9 @@ proptest! {
     }
 }
 
-/// Below `ROW_MIN_DIM` the tuner only ever records the untiled prior; a
-/// present profile is bitwise identical to the cold-start run there too.
+/// Below `ROW_MIN_DIM` the tuner only ever records the one-thread `Rows`
+/// prior; a present profile is bitwise identical to the cold-start run
+/// there too.
 #[test]
 fn small_dim_prior_profile_is_bitwise_stable() {
     let _g = policy_guard();
@@ -294,7 +305,7 @@ fn small_dim_prior_profile_is_bitwise_stable() {
     // `ensure_profile` on a small dim records the prior without probing.
     let chunks = realization_chunk_count(&params, 0..params.total_realizations());
     let profile = kpm::tune::ensure_profile(&op, chunks);
-    assert_eq!(profile.policy, ExecPolicy::Realizations);
+    assert_eq!(profile.policy, ExecPolicy::Rows);
     assert_eq!(profile.origin, kpm::tune::ProfileOrigin::Prior);
     let with_profile = stochastic_moments(&op, &params);
 
@@ -302,37 +313,31 @@ fn small_dim_prior_profile_is_bitwise_stable() {
     assert_eq!(cold.std_err, with_profile.std_err);
 }
 
-/// The mixed-precision moments path (f32 recursion state, f64 dot
-/// accumulation) is off by default and stays within its documented error
-/// budget on the paper's flagship lattice: every normalized moment within
-/// `1e-4` absolute of the f64 reference (`mu_0 = 1` sets the scale).
+/// Below `ROW_MIN_DIM`, `Auto` runs the same tiled engine as the explicit
+/// plans: on lattices wider than one canonical segment (D = 144, 216, 343)
+/// its moments are bitwise equal to `Rows` and `Hybrid` at any thread
+/// budget.
 #[test]
-fn mixed_precision_is_opt_in_and_within_error_budget() {
+fn auto_below_row_min_dim_is_bitwise_equal_to_rows_and_hybrid() {
     let _g = policy_guard();
-    assert_eq!(
-        kpm::exec::moments_precision(),
-        MomentPrecision::F64,
-        "mixed precision must be off by default"
-    );
-    let h = lattice("cubic:10,10,10", MatrixFormat::Ell);
-    let op = RescaledOp::new(h, 0.0, 8.0);
-    let params = KpmParams::new(64).with_random_vectors(2, 1).with_seed(42);
-    let reference = stochastic_moments(&op, &params);
-
-    set_moments_precision(MomentPrecision::MixedF32);
-    let mixed = stochastic_moments(&op, &params);
-    set_moments_precision(MomentPrecision::F64);
-
-    assert_ne!(mixed.mean, reference.mean, "the mixed path must actually run");
-    let budget = 1e-4; // documented bound, DESIGN §12
-    let mut worst = 0.0f64;
-    for (m, (&a, &b)) in mixed.mean.iter().zip(&reference.mean).enumerate() {
-        let err = (a - b).abs();
-        worst = worst.max(err);
-        assert!(err <= budget, "moment {m}: |{a} - {b}| = {err} exceeds budget {budget}");
+    for spec in ["square:12,12", "cubic:6,6,6", "cubic:7,7,7"] {
+        let h = lattice(spec, MatrixFormat::Csr);
+        assert!(h.dim() > kpm_linalg::DEFAULT_TILE_ROWS && h.dim() < kpm::exec::ROW_MIN_DIM);
+        let op = RescaledOp::new(h, 0.0, 8.0);
+        let params = KpmParams::new(64).with_random_vectors(3, 2).with_seed(9);
+        set_exec_policy(ExecPolicy::Auto);
+        set_thread_budget(1);
+        let auto = stochastic_moments(&op, &params);
+        for policy in [ExecPolicy::Auto, ExecPolicy::Rows, ExecPolicy::Hybrid] {
+            for threads in [1usize, 2, 4] {
+                set_exec_policy(policy);
+                set_thread_budget(threads);
+                let run = stochastic_moments(&op, &params);
+                assert_eq!(run.mean, auto.mean, "{spec}: {policy} x {threads} threads");
+                assert_eq!(run.std_err, auto.std_err, "{spec}: {policy} x {threads} threads");
+            }
+        }
     }
-    // The bound is not vacuous: f32 rounding is visible but far inside it.
-    assert!(worst > 0.0);
 }
 
 /// The shard contract survives the tiled engine: slicing the realization

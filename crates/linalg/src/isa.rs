@@ -5,8 +5,8 @@
 //! stages in — the tiled engine's CSR row kernel and the per-tile dot
 //! kernels of its doubling runs (`start_dots`, `doubling_step_dots`), and
 //! the [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2`,
-//! `chebyshev_combine_dot`, `chebyshev_combine_dot8` and `rescale_inplace`
-//! — are therefore each compiled twice by `kernels!`: a baseline copy, and
+//! `chebyshev_combine_dot` and `rescale_inplace` — are therefore each
+//! compiled twice by `kernels!`: a baseline copy, and
 //! a copy under `#[target_feature(enable = "avx2")]`, with four lanes, that
 //! runs when the CPU has AVX2. Each call picks its copy; off x86-64 only
 //! the baseline copy exists. The ELL and stencil row kernels, the tiled dot
@@ -229,11 +229,6 @@ mod tests {
             assert_copies_agree!(
                 what("chebyshev_combine_dot"),
                 vecops::chebyshev_combine_dot(&a, &mut p, &c),
-                p = b.clone()
-            );
-            assert_copies_agree!(
-                what("chebyshev_combine_dot8"),
-                vecops::chebyshev_combine_dot8(&a, &mut p, &c),
                 p = b.clone()
             );
             assert_copies_agree!(

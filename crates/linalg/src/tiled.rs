@@ -39,8 +39,7 @@
 //!
 //! Partial dots are a pure function of fixed row *segments*: per column,
 //! each is the dot over a fixed run of rows with [`vecops::dot`]'s
-//! association (four lanes; eight for the plain step under
-//! [`vecops::KernelVariant::Unrolled8`]), stored into a private slot; the
+//! association (four lanes), stored into a private slot; the
 //! per-step reduction sums the slots in canonical (ascending) segment order
 //! on one thread. Which worker executes a tile therefore cannot affect any
 //! bit of the result: for a fixed tile size, moments are bitwise identical
@@ -58,10 +57,11 @@
 //! heights that are not a multiple of the canonical segment fall back to
 //! per-tile slots (the historical association) and remain value-affecting.
 //!
-//! Tiled results are *not* bitwise identical to the untiled serial path
-//! (a full-vector `vecops::dot` associates differently than per-tile dots
-//! summed tile by tile) — they agree to rounding, and the `kpm` property
-//! tests bound the difference at `1e-12` relative.
+//! Beyond one canonical segment, tiled results are *not* bitwise identical
+//! to the one-vector recursion (`kpm::moments::single_vector_moments`): a
+//! full-vector `vecops::dot` associates differently than per-segment dots
+//! summed in order. They agree to rounding, and the `kpm` property tests
+//! bound the difference at `1e-12` relative.
 //!
 //! # Memory traffic
 //!
@@ -75,9 +75,9 @@
 //! `r0` from buffer `a`, which holds it until step 1 overwrites it, so the
 //! doubling recursion keeps no start block at all. The raw product only
 //! ever lands in a tile-sized per-worker scratch that stays cache-resident.
-//! The split pipeline (SpMM into a `D x k` intermediate, then combine+dot)
-//! moves the raw product through memory an extra time: 48 B/row per column
-//! plus the matrix. See DESIGN.md §9 for the full accounting.
+//! A split pipeline (SpMM into a `D x k` intermediate, then combine+dot)
+//! would move the raw product through memory an extra time: 48 B/row per
+//! column plus the matrix. See DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -89,7 +89,7 @@ use crate::ell::EllMatrix;
 use crate::op::{DiagonalOp, IdentityOp, LinearOp, RescaledOp};
 use crate::sparse::SparseMatrix;
 use crate::stencil::StencilOp;
-use crate::vecops::{self, KernelVariant};
+use crate::vecops;
 
 /// Default tile height in rows.
 ///
@@ -595,7 +595,7 @@ fn column_dots<const W: usize>(
 ) -> [f64; W] {
     // The per-row closures of the dot kernels are inlined too: called out
     // of line, the AVX2 copy of a kernel ran their baseline code.
-    vecops::lane_dots::<W, 4>(
+    vecops::lane_dots::<W>(
         seg.len(),
         #[inline(always)]
         |r| {
@@ -610,10 +610,9 @@ fn column_dots<const W: usize>(
 }
 
 /// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
-/// `<r0|p>`: per column, `vecops::chebyshev_combine_dot` (`L = 4`) or
-/// `vecops::chebyshev_combine_dot8` (`L = 8`).
+/// `<r0|p>`: per column, `vecops::chebyshev_combine_dot`.
 #[inline(always)]
-fn combine_dots<const W: usize, const L: usize>(
+fn combine_dots<const W: usize>(
     h: &[f64],
     p: &mut [f64],
     r0: &[f64],
@@ -621,7 +620,7 @@ fn combine_dots<const W: usize, const L: usize>(
     j0: usize,
     seg: Range<usize>,
 ) -> [f64; W] {
-    vecops::lane_dots::<W, L>(
+    vecops::lane_dots::<W>(
         seg.len(),
         #[inline(always)]
         |r| {
@@ -718,7 +717,6 @@ crate::isa::kernels! {
 /// It serves only the plain recursion, which neither a front door nor the
 /// tune probe runs, so it has one copy.
 fn plain_step_dots(
-    variant: KernelVariant,
     h: &[f64],
     p: &mut [f64],
     r0: &[f64],
@@ -730,15 +728,11 @@ fn plain_step_dots(
         let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
         if k == 1 {
             let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-            slot[0] = vecops::chebyshev_combine_dot_variant(variant, h, p, r0);
+            slot[0] = vecops::chebyshev_combine_dot(h, p, r0);
             continue;
         }
         for_each_chunk!(k, |j0, W| {
-            let mu = match variant {
-                KernelVariant::Unrolled4 => combine_dots::<W, 4>(h, p, r0, k, j0, seg.clone()),
-                KernelVariant::Unrolled8 => combine_dots::<W, 8>(h, p, r0, k, j0, seg.clone()),
-            };
-            slot[j0..][..W].copy_from_slice(&mu);
+            slot[j0..][..W].copy_from_slice(&combine_dots::<W>(h, p, r0, k, j0, seg.clone()));
         });
     }
 }
@@ -801,7 +795,6 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
     // order, so the reduction is bitwise independent of `tile_rows` there.
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
-    let variant = vecops::kernel_variant();
     // Buffer `a` starts as r0 (= T_0 x), `b` receives T_1 x in step 0; from
     // then on the roles alternate by step parity and the previous vector is
     // overwritten in place, so the later steps dot against a copy of r0.
@@ -859,7 +852,7 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
             // at a time.
             let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
             op.block_rows(x, k, rows, h);
-            plain_step_dots(variant, h, p, &r0[elems], k, slot_rows, slots);
+            plain_step_dots(h, p, &r0[elems], k, slot_rows, slots);
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
@@ -911,8 +904,8 @@ pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
 /// Same contract (a row-interleaved block handed over by value) and
 /// determinism guarantees as [`fused_interleaved_moments_plain`]; uses the
 /// identities `mu_{2m} = 2 <r_m|r_m> - mu_0` and
-/// `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`, matching the untiled doubling path
-/// to rounding.
+/// `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`, matching the one-vector doubling
+/// recursion to rounding.
 ///
 /// # Panics
 /// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.

@@ -5,15 +5,10 @@
 //! test hashes every moment's `to_bits()` for ±1 start blocks over the full
 //! configuration matrix — four formats, bare and rescaled, six block widths
 //! (one column, and 17 = 16 + 1), on- and off-grid tile heights, one and
-//! three threads, both recursions and both kernel variants — against
-//! recorded constants.
-//!
-//! It is the only test in its binary because it sets the process-global
-//! kernel variant; it restores `Unrolled4` before returning.
+//! three threads, and both recursions — against recorded constants.
 
 use kpm_linalg::op::RescaledOp;
 use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
-use kpm_linalg::vecops::{set_kernel_variant, KernelVariant};
 use kpm_linalg::{DenseMatrix, EllMatrix, SparseMatrix, StencilGeometry, StencilOp};
 
 const MOMENTS: usize = 7;
@@ -23,24 +18,16 @@ const WIDTHS: [usize; 6] = [1, 2, 3, 8, 14, 17];
 const TILE_ROWS: [usize; 3] = [128, 256, 200];
 const THREADS: [usize; 2] = [1, 3];
 
-/// `(format, recursion, variant)` → FNV-1a-64 over every moment's bits.
-const EXPECTED: [(&str, &str, &str, u64); 16] = [
-    ("csr", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
-    ("csr", "plain", "unrolled8", 0x2449_717f_8422_96fd),
-    ("csr", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
-    ("csr", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
-    ("ell", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
-    ("ell", "plain", "unrolled8", 0x2449_717f_8422_96fd),
-    ("ell", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
-    ("ell", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
-    ("stencil", "plain", "unrolled4", 0xf7f3_9805_51c3_d7f5),
-    ("stencil", "plain", "unrolled8", 0x2449_717f_8422_96fd),
-    ("stencil", "doubling", "unrolled4", 0xcdc9_2a5f_4167_bb85),
-    ("stencil", "doubling", "unrolled8", 0xcdc9_2a5f_4167_bb85),
-    ("dense", "plain", "unrolled4", 0x088c_e430_32fa_2a69),
-    ("dense", "plain", "unrolled8", 0x7184_ea93_0e4e_e171),
-    ("dense", "doubling", "unrolled4", 0x2f11_bf0c_729f_6f5d),
-    ("dense", "doubling", "unrolled8", 0x2f11_bf0c_729f_6f5d),
+/// `(format, recursion)` → FNV-1a-64 over every moment's bits.
+const EXPECTED: [(&str, &str, u64); 8] = [
+    ("csr", "plain", 0xf7f3_9805_51c3_d7f5),
+    ("csr", "doubling", 0xcdc9_2a5f_4167_bb85),
+    ("ell", "plain", 0xf7f3_9805_51c3_d7f5),
+    ("ell", "doubling", 0xcdc9_2a5f_4167_bb85),
+    ("stencil", "plain", 0xf7f3_9805_51c3_d7f5),
+    ("stencil", "doubling", 0xcdc9_2a5f_4167_bb85),
+    ("dense", "plain", 0x088c_e430_32fa_2a69),
+    ("dense", "doubling", 0x2f11_bf0c_729f_6f5d),
 ];
 
 /// 64-bit LCG states from `seed`.
@@ -117,36 +104,32 @@ fn hash_format<A: TiledOp + Sync + Clone>(op: &A, doubling: bool) -> u64 {
 #[test]
 fn signed_start_moments_keep_their_bits() {
     // D = 729 = 5 * 128 + 89: the last canonical segment is ragged against
-    // both the 4- and the 8-lane unroll.
+    // the 4-lane unroll.
     let stencil = lattice(9);
     let csr = stencil.to_csr();
     let ell = SparseMatrix::Ell(EllMatrix::from_csr(&csr));
     // Dense on a smaller lattice keeps the debug-build run short:
-    // D = 343 = 2 * 128 + 87, again ragged against both unrolls.
+    // D = 343 = 2 * 128 + 87, again ragged against the unroll.
     let dense: DenseMatrix = lattice(7).to_csr().to_dense();
     let mut got = Vec::new();
-    for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
-        set_kernel_variant(variant);
-        for (recursion, doubling) in [("plain", false), ("doubling", true)] {
-            for (format, hash) in [
-                ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
-                ("ell", hash_format(&ell, doubling)),
-                ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
-                ("dense", hash_format(&dense, doubling)),
-            ] {
-                got.push((format, recursion, variant.name(), hash));
-            }
+    for (recursion, doubling) in [("plain", false), ("doubling", true)] {
+        for (format, hash) in [
+            ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
+            ("ell", hash_format(&ell, doubling)),
+            ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
+            ("dense", hash_format(&dense, doubling)),
+        ] {
+            got.push((format, recursion, hash));
         }
     }
-    set_kernel_variant(KernelVariant::Unrolled4);
     let mut mismatches = Vec::new();
-    for &(format, recursion, variant, want) in &EXPECTED {
+    for &(format, recursion, want) in &EXPECTED {
         let (.., hash) = got
             .iter()
-            .find(|(f, r, v, _)| (*f, *r, *v) == (format, recursion, variant))
+            .find(|(f, r, _)| (*f, *r) == (format, recursion))
             .expect("every expected configuration is run");
         if *hash != want {
-            mismatches.push(format!("{format}/{recursion}/{variant}: got {hash:#018x}"));
+            mismatches.push(format!("{format}/{recursion}: got {hash:#018x}"));
         }
     }
     assert!(mismatches.is_empty(), "signed-start bits moved:\n{}", mismatches.join("\n"));

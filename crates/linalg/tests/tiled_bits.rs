@@ -1,21 +1,17 @@
 //! Pins the tiled engine's value family across versions.
 //!
 //! The unit tests in `tiled.rs` compare thread counts and tile heights only
-//! to each other, and the `kpm` exec-plan tests compare tiled to untiled at
-//! `1e-12`; neither notices a change of storage layout or loop order that
-//! moves a last bit everywhere at once. This test hashes every moment's
-//! `to_bits()` over the full configuration matrix — four formats, bare and
-//! rescaled, five block widths, on- and off-grid tile heights, one and three
-//! threads, both recursions and both kernel variants — and compares against
-//! constants recorded from the original column-major engine. Any rewrite of
-//! the engine must reproduce them unchanged.
-//!
-//! It is the only test in its binary because it sets the process-global
-//! kernel variant; it restores `Unrolled4` before returning.
+//! to each other, and the `kpm` exec-plan tests compare tiled to the
+//! one-vector recursion at `1e-12`; neither notices a change of storage
+//! layout or loop order that moves a last bit everywhere at once. This test
+//! hashes every moment's `to_bits()` over the full configuration matrix —
+//! four formats, bare and rescaled, five block widths, on- and off-grid tile
+//! heights, one and three threads, and both recursions — and compares
+//! against constants recorded from the original column-major engine. Any
+//! rewrite of the engine must reproduce them unchanged.
 
 use kpm_linalg::op::RescaledOp;
 use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
-use kpm_linalg::vecops::{set_kernel_variant, KernelVariant};
 use kpm_linalg::{DenseMatrix, EllMatrix, SparseMatrix, StencilGeometry, StencilOp};
 
 const MOMENTS: usize = 7;
@@ -25,24 +21,16 @@ const WIDTHS: [usize; 5] = [1, 2, 3, 8, 14];
 const TILE_ROWS: [usize; 3] = [128, 256, 200];
 const THREADS: [usize; 2] = [1, 3];
 
-/// `(format, recursion, variant)` → FNV-1a-64 over every moment's bits.
-const EXPECTED: [(&str, &str, &str, u64); 16] = [
-    ("csr", "plain", "unrolled4", 0xc921_863a_737f_547d),
-    ("csr", "plain", "unrolled8", 0x6077_1300_b0b2_bdad),
-    ("csr", "doubling", "unrolled4", 0x4a10_7169_616b_1711),
-    ("csr", "doubling", "unrolled8", 0x4a10_7169_616b_1711),
-    ("ell", "plain", "unrolled4", 0xc921_863a_737f_547d),
-    ("ell", "plain", "unrolled8", 0x6077_1300_b0b2_bdad),
-    ("ell", "doubling", "unrolled4", 0x4a10_7169_616b_1711),
-    ("ell", "doubling", "unrolled8", 0x4a10_7169_616b_1711),
-    ("stencil", "plain", "unrolled4", 0xc921_863a_737f_547d),
-    ("stencil", "plain", "unrolled8", 0x6077_1300_b0b2_bdad),
-    ("stencil", "doubling", "unrolled4", 0x4a10_7169_616b_1711),
-    ("stencil", "doubling", "unrolled8", 0x4a10_7169_616b_1711),
-    ("dense", "plain", "unrolled4", 0x2d92_4a9b_4eed_3931),
-    ("dense", "plain", "unrolled8", 0x53a7_1364_336c_84b1),
-    ("dense", "doubling", "unrolled4", 0x1be4_8d87_d834_cff5),
-    ("dense", "doubling", "unrolled8", 0x1be4_8d87_d834_cff5),
+/// `(format, recursion)` → FNV-1a-64 over every moment's bits.
+const EXPECTED: [(&str, &str, u64); 8] = [
+    ("csr", "plain", 0xc921_863a_737f_547d),
+    ("csr", "doubling", 0x4a10_7169_616b_1711),
+    ("ell", "plain", 0xc921_863a_737f_547d),
+    ("ell", "doubling", 0x4a10_7169_616b_1711),
+    ("stencil", "plain", 0xc921_863a_737f_547d),
+    ("stencil", "doubling", 0x4a10_7169_616b_1711),
+    ("dense", "plain", 0x2d92_4a9b_4eed_3931),
+    ("dense", "doubling", 0x1be4_8d87_d834_cff5),
 ];
 
 /// Deterministic values in `(-1, 1)` from a 64-bit LCG.
@@ -111,36 +99,32 @@ fn hash_format<A: TiledOp + Sync + Clone>(op: &A, doubling: bool) -> u64 {
 #[test]
 fn tiled_moments_keep_their_bits() {
     // D = 729 = 5 * 128 + 89: the last canonical segment is ragged against
-    // both the 4- and the 8-lane unroll.
+    // the 4-lane unroll.
     let stencil = lattice(9);
     let csr = stencil.to_csr();
     let ell = SparseMatrix::Ell(EllMatrix::from_csr(&csr));
     // Dense on a smaller lattice keeps the debug-build run short:
-    // D = 343 = 2 * 128 + 87, again ragged against both unrolls.
+    // D = 343 = 2 * 128 + 87, again ragged against the unroll.
     let dense: DenseMatrix = lattice(7).to_csr().to_dense();
     let mut got = Vec::new();
-    for variant in [KernelVariant::Unrolled4, KernelVariant::Unrolled8] {
-        set_kernel_variant(variant);
-        for (recursion, doubling) in [("plain", false), ("doubling", true)] {
-            for (format, hash) in [
-                ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
-                ("ell", hash_format(&ell, doubling)),
-                ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
-                ("dense", hash_format(&dense, doubling)),
-            ] {
-                got.push((format, recursion, variant.name(), hash));
-            }
+    for (recursion, doubling) in [("plain", false), ("doubling", true)] {
+        for (format, hash) in [
+            ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
+            ("ell", hash_format(&ell, doubling)),
+            ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
+            ("dense", hash_format(&dense, doubling)),
+        ] {
+            got.push((format, recursion, hash));
         }
     }
-    set_kernel_variant(KernelVariant::Unrolled4);
     let mut mismatches = Vec::new();
-    for &(format, recursion, variant, want) in &EXPECTED {
+    for &(format, recursion, want) in &EXPECTED {
         let (.., hash) = got
             .iter()
-            .find(|(f, r, v, _)| (*f, *r, *v) == (format, recursion, variant))
+            .find(|(f, r, _)| (*f, *r) == (format, recursion))
             .expect("every expected configuration is run");
         if *hash != want {
-            mismatches.push(format!("{format}/{recursion}/{variant}: got {hash:#018x}"));
+            mismatches.push(format!("{format}/{recursion}: got {hash:#018x}"));
         }
     }
     assert!(mismatches.is_empty(), "tiled bits moved:\n{}", mismatches.join("\n"));

@@ -15,9 +15,11 @@
 //! `<dir>/<key as hex>.csv` using Rust's shortest-round-trip float
 //! formatting, and `load` restores them, so a warm cache survives process
 //! restarts; the files double as human-readable artifacts under
-//! `results/cache/`. The header line names the moment family: `v2` files
-//! hold moment-doubling moments, and `load` skips files of any other
-//! version (the plain loop's `v1`), whose bits differ at rounding level.
+//! `results/cache/`. The header line names the moment family: `v3` files
+//! hold moments of the tiled doubling engine, which every plan runs, and
+//! `load` skips files of any other version, whose bits differ at rounding
+//! level (the plain loop's `v1`, and `v2`, whose operators below
+//! `kpm::exec::ROW_MIN_DIM` ran the untiled recursion).
 
 use kpm::MomentStats;
 use std::collections::HashMap;
@@ -26,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// First line of a spill file; its version names the moment family.
-const SPILL_HEADER: &str = "# kpm-serve moment cache v2";
+const SPILL_HEADER: &str = "# kpm-serve moment cache v3";
 
 /// A cache hit: enough moments for the request, plus the rescaling that
 /// produced them (needed for reconstruction on the original energy axis).
@@ -374,22 +376,24 @@ mod tests {
     }
 
     #[test]
-    fn load_skips_spill_files_of_the_plain_loop() {
-        let dir = std::env::temp_dir().join(format!("kpm_cache_v1_{}", std::process::id()));
+    fn load_skips_spill_files_of_older_moment_families() {
+        let dir = std::env::temp_dir().join(format!("kpm_cache_old_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = MomentCache::new(8, Some(dir.clone()));
         cache.insert(0xdead_beef, stats(24, 0.7), 0.125, 3.5);
         assert_eq!(cache.flush().unwrap(), 1);
-        // The same entry as the previous format wrote it: only the header
-        // line differs.
+        // The same entry as the plain loop (v1) and the untiled small-D
+        // recursion (v2) wrote it: only the header line differs.
         let path = dir.join(format!("{:016x}.csv", 0xdead_beef_u64));
         let text = std::fs::read_to_string(&path).unwrap();
-        let v1 = text.replacen(SPILL_HEADER, "# kpm-serve moment cache v1", 1);
-        assert_ne!(v1, text);
-        std::fs::write(&path, v1).unwrap();
-        let restored = MomentCache::new(8, Some(dir.clone()));
-        assert_eq!(restored.load().unwrap(), 0);
-        assert!(restored.is_empty());
+        for old in ["v1", "v2"] {
+            let older = text.replacen(SPILL_HEADER, &format!("# kpm-serve moment cache {old}"), 1);
+            assert_ne!(older, text);
+            std::fs::write(&path, older).unwrap();
+            let restored = MomentCache::new(8, Some(dir.clone()));
+            assert_eq!(restored.load().unwrap(), 0, "{old} spill");
+            assert!(restored.is_empty());
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -46,7 +46,9 @@ fn into_shard_error(e: FleetError) -> ShardError {
     match e {
         FleetError::Shard(e) => e,
         FleetError::Job(msg) => ShardError::Job(msg),
-        FleetError::NoWorkers { pending } => ShardError::AllWorkersDead { pending },
+        FleetError::NoWorkers { pending, last_loss } => {
+            ShardError::AllWorkersDead { pending, last_loss }
+        }
         // No journal here: the scheduler failed to start or stopped.
         other @ (FleetError::Journal(_) | FleetError::Stopped) => ShardError::Io(other.to_string()),
     }
@@ -135,7 +137,7 @@ mod tests {
         ]);
         let policy = FleetPolicy { no_worker_grace: Duration::from_secs(3600), ..fast_policy(2) };
         match run(&job, endpoints, &policy) {
-            Err(ShardError::AllWorkersDead { pending }) => assert!(pending > 0),
+            Err(ShardError::AllWorkersDead { pending, .. }) => assert!(pending > 0),
             other => panic!("expected AllWorkersDead, got {other:?}"),
         }
     }

@@ -37,6 +37,8 @@ pub enum ShardError {
     AllWorkersDead {
         /// Shards still unfinished when the last worker was lost.
         pending: usize,
+        /// Peer and error of the last connection that ended, when known.
+        last_loss: Option<String>,
     },
     /// One shard exhausted its reassignment budget.
     ShardFailed {
@@ -56,8 +58,9 @@ impl fmt::Display for ShardError {
             ShardError::Worker { shard, message } => {
                 write!(f, "worker failed shard {shard}: {message}")
             }
-            ShardError::AllWorkersDead { pending } => {
-                write!(f, "all workers dead with {pending} shards pending")
+            ShardError::AllWorkersDead { pending, last_loss } => {
+                write!(f, "all workers dead with {pending} shards pending")?;
+                last_loss.as_ref().map_or(Ok(()), |l| write!(f, "; last lost {l}"))
             }
             ShardError::ShardFailed { shard, attempts } => {
                 write!(f, "shard {shard} failed after {attempts} dispatch attempts")
@@ -88,6 +91,8 @@ pub enum FleetError {
     NoWorkers {
         /// Shards still unfinished when the job was abandoned.
         pending: usize,
+        /// Peer and error of the last connection that ended, when known.
+        last_loss: Option<String>,
     },
     /// The scheduler thread is gone (shut down, killed, or crashed); the
     /// submission can never complete.
@@ -100,8 +105,9 @@ impl fmt::Display for FleetError {
             FleetError::Journal(msg) => write!(f, "journal: {msg}"),
             FleetError::Job(msg) => write!(f, "job: {msg}"),
             FleetError::Shard(e) => write!(f, "shard: {e}"),
-            FleetError::NoWorkers { pending } => {
-                write!(f, "no live workers with {pending} shards pending")
+            FleetError::NoWorkers { pending, last_loss } => {
+                write!(f, "no live workers with {pending} shards pending")?;
+                last_loss.as_ref().map_or(Ok(()), |l| write!(f, "; last lost {l}"))
             }
             FleetError::Stopped => write!(f, "fleet scheduler stopped"),
         }
@@ -120,7 +126,9 @@ impl From<ShardError> for FleetError {
     fn from(e: ShardError) -> Self {
         match e {
             ShardError::Job(msg) => FleetError::Job(msg),
-            ShardError::AllWorkersDead { pending } => FleetError::NoWorkers { pending },
+            ShardError::AllWorkersDead { pending, last_loss } => {
+                FleetError::NoWorkers { pending, last_loss }
+            }
             other => FleetError::Shard(other),
         }
     }
@@ -137,8 +145,17 @@ mod tests {
             "worker failed shard 3: kpm: bad"
         );
         assert_eq!(
-            ShardError::AllWorkersDead { pending: 2 }.to_string(),
+            ShardError::AllWorkersDead { pending: 2, last_loss: None }.to_string(),
             "all workers dead with 2 shards pending"
+        );
+        let refused = ShardError::AllWorkersDead {
+            pending: 2,
+            last_loss: Some("tcp:w: protocol: protocol version 3, expected 4..=4".into()),
+        };
+        assert_eq!(
+            refused.to_string(),
+            "all workers dead with 2 shards pending; \
+             last lost tcp:w: protocol: protocol version 3, expected 4..=4"
         );
         assert!(ShardError::Protocol("bad magic".into()).to_string().contains("bad magic"));
     }
@@ -153,8 +170,10 @@ mod tests {
     #[test]
     fn display_and_conversions_carry_context() {
         assert!(FleetError::Journal("disk full".into()).to_string().contains("disk full"));
-        let from_shard: FleetError = ShardError::AllWorkersDead { pending: 3 }.into();
-        assert_eq!(from_shard, FleetError::NoWorkers { pending: 3 });
+        let last_loss = Some("tcp:w: io: connection closed".to_string());
+        let from_shard: FleetError =
+            ShardError::AllWorkersDead { pending: 3, last_loss: last_loss.clone() }.into();
+        assert_eq!(from_shard, FleetError::NoWorkers { pending: 3, last_loss });
         let from_job: FleetError = ShardError::Job("bad".into()).into();
         assert_eq!(from_job, FleetError::Job("bad".into()));
         let from_io: FleetError = std::io::Error::other("nope").into();

@@ -19,13 +19,15 @@
 //! that frame before appending, so the next frame starts where a reader
 //! looks for it.
 //!
-//! The codec version names the moment family of the rows. Version 2 rows
-//! come from the moment-doubling recursion, whose bits differ at rounding
-//! level from the plain loop's version 1 rows, so version 1 frames must
-//! not be merged with new rows. A journal holding a whole frame that replay
-//! can not read — one of another version, or corrupt bytes with whole
-//! frames after them — is therefore kept but not used: [`Journal::open`]
-//! renames it to `journal.log.aside` and starts an empty one.
+//! The codec version names the moment family of the rows. Version 3 rows
+//! come from the tiled moment-doubling engine, which every plan runs. Their
+//! bits differ at rounding level from the plain loop's version 1 rows and
+//! from version 2 rows, whose operators below `kpm::exec::ROW_MIN_DIM` ran
+//! the untiled recursion, so older frames must not be merged with new rows.
+//! A journal holding a whole frame that replay can not read — one of
+//! another version, or corrupt bytes with whole frames after them — is
+//! therefore kept but not used: [`Journal::open`] renames it to
+//! `journal.log.aside` and starts an empty one.
 
 use crate::error::FleetError;
 use kpm_wire::{put_f64s, put_str, put_u32, put_u64, Codec, Reader, HEADER_LEN};
@@ -34,9 +36,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Journal codec: own magic, version 2 (rows of the moment-doubling
-/// recursion).
-const CODEC: Codec = Codec { magic: *b"KPFJ", version: 2 };
+/// Journal codec: own magic, version 3 (rows of the tiled moment-doubling
+/// engine on every plan).
+const CODEC: Codec = Codec { magic: *b"KPFJ", version: 3 };
 
 /// Frame: a job's identity — content hash plus canonical shard-job line.
 const TYPE_JOB: u8 = 1;
@@ -358,47 +360,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A version 1 rows frame, as the plain-recursion binary wrote them.
-    fn v1_rows(value: f64) -> Vec<u8> {
+    /// A rows frame of an older codec version: 1 as the plain-recursion
+    /// binary wrote them, 2 as the binary whose small operators ran the
+    /// untiled recursion wrote them.
+    fn old_rows(version: u16, value: f64) -> Vec<u8> {
         let mut payload = Vec::new();
         put_u64(&mut payload, 5);
         put_u64(&mut payload, 0);
         put_u32(&mut payload, 1);
         put_f64s(&mut payload, &[value, 2.0]);
-        Codec { magic: *b"KPFJ", version: 1 }.frame(TYPE_ROWS, payload)
+        Codec { magic: *b"KPFJ", version }.frame(TYPE_ROWS, payload)
     }
 
-    /// A journal written by the plain-recursion binary (codec version 1) is
-    /// renamed aside whole, neither replayed nor appended to; rows recorded
-    /// after opening it replay on the next open. A second one does not
-    /// overwrite the first.
+    /// A journal of an older codec version (1 or 2) is renamed aside whole,
+    /// neither replayed nor appended to; rows recorded after opening it
+    /// replay on the next open. A second one does not overwrite the first.
     #[test]
-    fn version_1_journals_are_set_aside_not_replayed() {
-        let dir = tmp_dir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.log");
-        std::fs::write(&path, v1_rows(1.0)).unwrap();
-        {
-            let (mut j, replayed) = Journal::open(&dir).unwrap();
-            assert_eq!(replayed.row_count(), 0, "v1 rows are not replayed");
-            j.record_rows(5, 0, &[vec![7.0, 8.0]]).unwrap();
-        }
-        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_rows(1.0));
-        let (_, replayed) = Journal::open(&dir).unwrap();
-        assert_eq!(replayed.row_count(), 1);
-        assert_eq!(replayed.rows[&5][&0], vec![7.0, 8.0]);
+    fn older_journals_are_set_aside_not_replayed() {
+        for version in [1u16, 2] {
+            let dir = tmp_dir(&format!("v{version}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("journal.log");
+            std::fs::write(&path, old_rows(version, 1.0)).unwrap();
+            {
+                let (mut j, replayed) = Journal::open(&dir).unwrap();
+                assert_eq!(replayed.row_count(), 0, "v{version} rows are not replayed");
+                j.record_rows(5, 0, &[vec![7.0, 8.0]]).unwrap();
+            }
+            let aside = dir.join("journal.log.aside");
+            assert_eq!(std::fs::read(&aside).unwrap(), old_rows(version, 1.0));
+            let (_, replayed) = Journal::open(&dir).unwrap();
+            assert_eq!(replayed.row_count(), 1);
+            assert_eq!(replayed.rows[&5][&0], vec![7.0, 8.0]);
 
-        std::fs::write(&path, v1_rows(3.0)).unwrap();
-        let (_, replayed) = Journal::open(&dir).unwrap();
-        assert_eq!(replayed.row_count(), 0);
-        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_rows(1.0));
-        assert_eq!(std::fs::read(dir.join("journal.log.aside.1")).unwrap(), v1_rows(3.0));
-        std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::write(&path, old_rows(version, 3.0)).unwrap();
+            let (_, replayed) = Journal::open(&dir).unwrap();
+            assert_eq!(replayed.row_count(), 0);
+            assert_eq!(std::fs::read(&aside).unwrap(), old_rows(version, 1.0));
+            let second = dir.join("journal.log.aside.1");
+            assert_eq!(std::fs::read(second).unwrap(), old_rows(version, 3.0));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// A whole frame replay can not read is no torn tail, so the journal
-    /// moves aside byte for byte instead of being cut there: a version 1
-    /// frame appended after version 2 frames (a rolled-back binary), and a
+    /// moves aside byte for byte instead of being cut there: a version 2
+    /// frame appended after version 3 frames (a rolled-back binary), and a
     /// corrupt length prefix with an acknowledged frame after it.
     #[test]
     fn unreadable_whole_frames_set_the_journal_aside() {
@@ -408,12 +415,12 @@ mod tests {
             let (mut j, _) = Journal::open(&dir).unwrap();
             j.record_rows(1, 0, &[vec![1.0, 2.0]]).unwrap();
         }
-        let mut v1_after_v2 = std::fs::read(&path).unwrap();
-        v1_after_v2.extend(v1_rows(3.0));
-        std::fs::write(&path, &v1_after_v2).unwrap();
+        let mut old_after_new = std::fs::read(&path).unwrap();
+        old_after_new.extend(old_rows(2, 3.0));
+        std::fs::write(&path, &old_after_new).unwrap();
         let (_, replayed) = Journal::open(&dir).unwrap();
         assert_eq!(replayed.row_count(), 0, "a journal set aside replays nothing");
-        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), v1_after_v2);
+        assert_eq!(std::fs::read(dir.join("journal.log.aside")).unwrap(), old_after_new);
         assert!(std::fs::read(&path).unwrap().is_empty());
 
         {

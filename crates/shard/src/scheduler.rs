@@ -179,7 +179,8 @@ enum FleetMsg {
 
 enum Event {
     Frame(usize, Frame),
-    Closed(usize),
+    /// Worker `i`'s connection ended, and why (a refused frame, a hang-up).
+    Closed(usize, ShardError),
     Msg(FleetMsg),
 }
 
@@ -388,6 +389,9 @@ struct Scheduler {
     nonce: u64,
     results_journaled: usize,
     all_dead_since: Option<Instant>,
+    /// The peer and error of the last connection that ended, named when
+    /// jobs fail for want of workers.
+    last_loss: Option<String>,
     /// Set when the drive thread exits; pumps then stop polling.
     stopped: Arc<AtomicBool>,
 }
@@ -418,6 +422,7 @@ impl Scheduler {
             nonce: 0,
             results_journaled: 0,
             all_dead_since: None,
+            last_loss: None,
             stopped: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -484,7 +489,8 @@ impl Scheduler {
 
     fn handle(&mut self, ev: Event) -> Flow {
         match ev {
-            Event::Closed(i) => {
+            Event::Closed(i, e) => {
+                self.last_loss = Some(format!("{}: {e}", self.workers[i].peer));
                 self.kill_worker(i, Instant::now());
                 Flow::Continue
             }
@@ -559,8 +565,8 @@ impl Scheduler {
                     }
                     Ok(None) if stopped.load(Ordering::Relaxed) => break,
                     Ok(None) => continue,
-                    Err(_) => {
-                        let _ = evt.send(Event::Closed(i));
+                    Err(e) => {
+                        let _ = evt.send(Event::Closed(i, e));
                         break;
                     }
                 }
@@ -780,7 +786,8 @@ impl Scheduler {
         }
         for seq in pending {
             let left = self.jobs[seq].shards.iter().filter(|s| s.rows.is_none()).count();
-            self.fail_job(seq, FleetError::NoWorkers { pending: left });
+            let last_loss = self.last_loss.clone();
+            self.fail_job(seq, FleetError::NoWorkers { pending: left, last_loss });
         }
         self.all_dead_since = Some(now);
     }
@@ -1120,7 +1127,7 @@ mod tests {
         let policy = FleetPolicy { no_worker_grace: Duration::from_millis(200), ..fast_policy() };
         let fleet = Fleet::start(Vec::new(), policy, None).unwrap();
         match fleet.client().submit(LINE_B) {
-            Err(FleetError::NoWorkers { pending }) => assert!(pending > 0),
+            Err(FleetError::NoWorkers { pending, .. }) => assert!(pending > 0),
             other => panic!("expected NoWorkers, got {other:?}"),
         }
         drop(fleet);

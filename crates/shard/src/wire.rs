@@ -23,14 +23,18 @@ pub const MAGIC: [u8; 4] = *b"KPSH";
 /// to the moment family the rows belong to. Version 2 added the
 /// spec-deduplicated dispatch frames ([`Frame::SpecAnnounce`] /
 /// [`Frame::RequestRef`]) and the fleet inventory exchange
-/// ([`Frame::InventoryQuery`] / [`Frame::Inventory`]). Version 3 changes no
-/// layout: its workers compute rows with the moment-doubling recursion,
-/// whose bits differ at rounding level from the plain-loop rows of a
-/// version 1 or 2 worker, and a run merges rows of one family only.
-pub const VERSION: u16 = 3;
+/// ([`Frame::InventoryQuery`] / [`Frame::Inventory`]). Versions 3 and 4
+/// change no layout, only the moment family: version 3 workers compute rows
+/// with the moment-doubling recursion, whose bits differ at rounding level
+/// from the plain-loop rows of a version 1 or 2 worker, and version 4
+/// workers run every plan on the tiled engine, where a version 3 worker ran
+/// operators below `kpm::exec::ROW_MIN_DIM` through the untiled recursion.
+/// A run merges rows of one family only.
+pub const VERSION: u16 = 4;
 /// Oldest protocol revision the decoder still accepts: [`VERSION`], so a
-/// peer computing plain-loop rows fails loudly instead of joining a run.
-pub const MIN_VERSION: u16 = 3;
+/// peer computing rows of another family fails loudly instead of joining a
+/// run.
+pub const MIN_VERSION: u16 = 4;
 /// Header length: magic + version + type + payload length.
 pub const HEADER_LEN: usize = kpm_wire::HEADER_LEN;
 /// Payloads above this are rejected as protocol violations (a corrupted
@@ -388,22 +392,22 @@ mod tests {
         // golden encoding of a Ping frame, field by field.
         let bytes = encode(&Frame::Ping { nonce: 0x0102_0304_0506_0708 });
         assert_eq!(&bytes[..4], b"KPSH");
-        assert_eq!(bytes[4..6], 3u16.to_le_bytes());
+        assert_eq!(bytes[4..6], 4u16.to_le_bytes());
         assert_eq!(bytes[6], 1); // type byte
         assert_eq!(bytes[7..11], 8u32.to_le_bytes()); // payload length
         assert_eq!(bytes[11..], 0x0102_0304_0506_0708u64.to_le_bytes());
     }
 
-    /// Frames of a version 1 or 2 peer, whose rows come from the plain
-    /// loop, are protocol errors on both decode paths; the same bytes at
-    /// version 3 decode. The result frame is what a version 2 worker sends
+    /// Frames of a version 1 to 3 peer, whose rows come from another moment
+    /// family, are protocol errors on both decode paths; the same bytes at
+    /// version 4 decode. The result frame is what a version 3 worker sends
     /// back: its payload layout is unchanged.
     #[test]
-    fn frames_of_plain_loop_peers_are_rejected() {
+    fn frames_of_older_moment_families_are_rejected() {
         let result = Frame::Result(ShardResult { job: 7, shard: 3, rows: vec![vec![1.0, 0.25]] });
         let current = encode(&result);
         assert_eq!(decode_bytes(&current).unwrap(), result);
-        for version in [1u16, 2, 4] {
+        for version in [1u16, 2, 3, 5] {
             let mut bytes = current.clone();
             bytes[4..6].copy_from_slice(&version.to_le_bytes());
             match decode_bytes(&bytes) {

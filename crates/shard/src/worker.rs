@@ -51,6 +51,10 @@ struct WorkItem {
 }
 
 /// Serves one connection until the peer shuts down or disconnects.
+///
+/// Meant for in-process peers, which speak this build's protocol: a frame
+/// it can not decode ends the connection without an error here. TCP
+/// workers go through [`serve_endpoint_with_inventory`], which returns it.
 pub fn serve_endpoint(endpoint: Endpoint) {
     serve_endpoint_with(endpoint, None);
 }
@@ -59,16 +63,21 @@ pub fn serve_endpoint(endpoint: Endpoint) {
 /// its own [`Inventory`]; use [`serve_endpoint_with_inventory`] to share
 /// warm state across connections.
 pub fn serve_endpoint_with(endpoint: Endpoint, fault: Option<WorkerFault>) {
-    serve_endpoint_with_inventory(endpoint, fault, &Arc::new(Inventory::default()));
+    let _ = serve_endpoint_with_inventory(endpoint, fault, &Arc::new(Inventory::default()));
 }
 
 /// [`serve_endpoint_with`] on a shared warm-state [`Inventory`] — the
 /// process-wide cache a TCP worker keeps across connections and jobs.
+///
+/// # Errors
+/// [`ShardError::Protocol`] when the connection ended on a frame this build
+/// can not decode — a peer of another protocol version, say. A peer that
+/// shuts down or disconnects ends it with `Ok`.
 pub fn serve_endpoint_with_inventory(
     mut endpoint: Endpoint,
     fault: Option<WorkerFault>,
     inventory: &Arc<Inventory>,
-) {
+) -> Result<(), ShardError> {
     let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
     let sink = Arc::clone(&endpoint.tx);
     let inv = Arc::clone(inventory);
@@ -85,6 +94,7 @@ pub fn serve_endpoint_with_inventory(
     // the O(1)-per-shard dispatch path ([`Frame::RequestRef`]).
     let mut specs: HashMap<u64, Arc<String>> = HashMap::new();
     let mut served = 0usize;
+    let mut refused = None;
     loop {
         // A compute unit arrived; apply any injected fault before serving.
         let mut trip_fault = || match fault {
@@ -155,13 +165,19 @@ pub fn serve_endpoint_with_inventory(
                     break;
                 }
             }
-            Ok(Some(Frame::Shutdown)) | Err(_) => break,
+            Ok(Some(Frame::Shutdown)) => break,
+            Err(e @ ShardError::Protocol(_)) => {
+                refused = Some(e);
+                break;
+            }
+            Err(_) => break,
             Ok(Some(_)) => {} // Pong/Result/WorkerError/Inventory are coordinator-bound; ignore.
         }
     }
     drop(work_tx);
     drop(endpoint); // unblocks the compute thread's sends if the peer is gone
     let _ = compute.join();
+    refused.map_or(Ok(()), Err)
 }
 
 /// Drains the connection without ever replying, until it closes.
@@ -203,7 +219,8 @@ fn handle_item(item: &WorkItem, sink: &dyn crate::transport::FrameSink, inventor
 /// is set (the test/CI mode).
 ///
 /// # Errors
-/// [`ShardError::Io`] on bind/accept failures.
+/// [`ShardError::Io`] on bind/accept failures; with `once`, the
+/// connection's [`ShardError::Protocol`] error, as [`serve_listener_with`].
 pub fn run_tcp_worker(
     listen: &str,
     once: bool,
@@ -216,7 +233,7 @@ pub fn run_tcp_worker(
 /// `--inventory-cap`; 0 disables caching and locality advertisement).
 ///
 /// # Errors
-/// [`ShardError::Io`] on bind/accept failures.
+/// As [`run_tcp_worker`].
 pub fn run_tcp_worker_with(
     listen: &str,
     once: bool,
@@ -233,7 +250,7 @@ pub fn run_tcp_worker_with(
 /// listener.
 ///
 /// # Errors
-/// [`ShardError::Io`] on accept failures.
+/// As [`serve_listener_with`].
 pub fn serve_listener(listener: &TcpListener, once: bool) -> Result<(), ShardError> {
     serve_listener_with(listener, once, DEFAULT_ROW_CAP)
 }
@@ -243,8 +260,13 @@ pub fn serve_listener(listener: &TcpListener, once: bool) -> Result<(), ShardErr
 /// one coordinator's jobs serves the next — that cross-job reuse is what
 /// the fleet scheduler's locality scoring pays off against.
 ///
+/// A connection that ends on a frame this build can not decode names the
+/// reason: with `once` it is returned, otherwise written to stderr, since
+/// the listener serves on.
+///
 /// # Errors
-/// [`ShardError::Io`] on accept failures.
+/// [`ShardError::Io`] on accept failures; with `once`, the
+/// [`ShardError::Protocol`] error that ended the connection.
 pub fn serve_listener_with(
     listener: &TcpListener,
     once: bool,
@@ -255,13 +277,16 @@ pub fn serve_listener_with(
         let (stream, peer) = listener.accept()?;
         let endpoint = Endpoint::from_tcp(stream, format!("tcp:{peer}"))?;
         if once {
-            serve_endpoint_with_inventory(endpoint, None, &inventory);
-            return Ok(());
+            return serve_endpoint_with_inventory(endpoint, None, &inventory);
         }
         let conn_inventory = Arc::clone(&inventory);
         std::thread::Builder::new()
             .name(format!("kpm-shard-conn-{peer}"))
-            .spawn(move || serve_endpoint_with_inventory(endpoint, None, &conn_inventory))
+            .spawn(move || {
+                if let Err(e) = serve_endpoint_with_inventory(endpoint, None, &conn_inventory) {
+                    eprintln!("kpm worker: connection from {peer} refused: {e}");
+                }
+            })
             .expect("spawn shard connection thread");
     }
 }

@@ -56,11 +56,10 @@ fn calibrated_profiles_keep_sharded_merges_bitwise() {
             policy: kpm::ExecPolicy::Hybrid,
             outer: 2,
             tile_rows: 2 * kpm_linalg::DEFAULT_TILE_ROWS,
-            variant_hint: kpm_linalg::vecops::KernelVariant::Unrolled4,
             probe_nanos: 1,
             origin: kpm::tune::ProfileOrigin::Measured,
         };
-        assert!(kpm::tune::store().insert(profile));
+        kpm::tune::store().insert(profile);
     }
     let calibrated = ShardedEngine::local(3).run_job(&job).unwrap().into_stats().unwrap();
     kpm::tune::store().clear_memory();
