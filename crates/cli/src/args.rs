@@ -22,6 +22,8 @@ pub enum ArgError {
     },
     /// A required key was absent.
     Required(String),
+    /// A `--key` that no command reads.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -33,6 +35,7 @@ impl fmt::Display for ArgError {
                 write!(f, "--{key} {value}: expected {expected}")
             }
             ArgError::Required(k) => write!(f, "missing required option --{k}"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k} (see `kpm help`)"),
         }
     }
 }
@@ -48,6 +51,60 @@ pub struct Args {
 
 /// Keys that are boolean flags (no value).
 const FLAGS: &[&str] = &["full", "help", "no-locality", "no-tune", "once", "quiet", "stats"];
+
+/// Keys that take a value: every `--key` some command reads. A `--key` in
+/// neither list is rejected, so a misspelt or removed option stops the run
+/// instead of leaving it on its defaults.
+const KEYS: &[&str] = &[
+    "addr",
+    "alpha",
+    "backoff-ms",
+    "bc",
+    "beta",
+    "bounds",
+    "cache-capacity",
+    "cache-dir",
+    "device",
+    "disorder",
+    "dseed",
+    "exec",
+    "format",
+    "hopping",
+    "inventory-cap",
+    "jobs",
+    "journal",
+    "kernel",
+    "kill-after",
+    "lambda",
+    "lattice",
+    "listen",
+    "local-workers",
+    "max-inflight",
+    "metrics-every-secs",
+    "momenta",
+    "moments",
+    "out",
+    "profile-store",
+    "queue",
+    "random",
+    "realizations",
+    "refine",
+    "resolution",
+    "retries",
+    "seed",
+    "sets",
+    "shards",
+    "site",
+    "spec",
+    "steps",
+    "storage",
+    "stream",
+    "threads",
+    "time",
+    "timeout-secs",
+    "trace",
+    "workers",
+];
 
 impl Args {
     /// Parses raw arguments (after the subcommand).
@@ -67,7 +124,8 @@ impl Args {
     /// `kpm batch <jobs-file>`.
     ///
     /// # Errors
-    /// [`ArgError`] on malformed `--key` options.
+    /// [`ArgError`] on malformed `--key` options, and
+    /// [`ArgError::UnknownOption`] on a key no command reads.
     pub fn parse_with_positionals<I: IntoIterator<Item = String>>(
         raw: I,
     ) -> Result<(Self, Vec<String>), ArgError> {
@@ -78,9 +136,11 @@ impl Args {
             if let Some(key) = a.strip_prefix("--") {
                 if FLAGS.contains(&key) {
                     out.flags.push(key.to_string());
-                } else {
+                } else if KEYS.contains(&key) {
                     let v = iter.next().ok_or_else(|| ArgError::MissingValue(key.into()))?;
                     out.values.insert(key.to_string(), v);
+                } else {
+                    return Err(ArgError::UnknownOption(key.into()));
                 }
             } else {
                 positionals.push(a);
@@ -186,6 +246,48 @@ mod tests {
         let e = a.require::<usize>("moments").unwrap_err();
         assert!(matches!(e, ArgError::BadValue { .. }));
         assert!(e.to_string().contains("moments"));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        // A typo, an option that no longer exists, and a near miss of
+        // `--moments`: each used to run the defaults without a word.
+        for words in [
+            ["--lattice", "chain:16", "--exce", "rows"],
+            ["--lattice", "chain:16", "--precision", "mixed"],
+            ["--lattice", "chain:16", "--moments-count", "64"],
+        ] {
+            let key = words[2].trim_start_matches("--");
+            match parse(&words) {
+                Err(ArgError::UnknownOption(k)) => assert_eq!(k, key),
+                other => panic!("{words:?}: expected UnknownOption, got {other:?}"),
+            }
+            let with_positionals =
+                Args::parse_with_positionals(words.iter().map(|s| s.to_string()));
+            assert!(matches!(with_positionals, Err(ArgError::UnknownOption(_))), "{words:?}");
+        }
+        let e = ArgError::UnknownOption("exce".into());
+        assert!(e.to_string().contains("--exce"), "{e}");
+    }
+
+    #[test]
+    fn every_option_in_usage_parses() {
+        let usage = crate::commands::USAGE;
+        let mut seen = 0;
+        for word in usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            // `[--key value ...]` in the synopsis is a placeholder.
+            let Some(key) = word.strip_prefix("--").filter(|k| !k.is_empty() && *k != "key") else {
+                continue;
+            };
+            let parsed = if FLAGS.contains(&key) {
+                parse(&[word]).map(|a| assert!(a.flag(key), "--{key}"))
+            } else {
+                parse(&[word, "1"]).map(|a| assert_eq!(a.get(key), Some("1"), "--{key}"))
+            };
+            assert!(parsed.is_ok(), "--{key} from USAGE: {parsed:?}");
+            seen += 1;
+        }
+        assert!(seen > 40, "USAGE names its options: found {seen}");
     }
 
     #[test]

@@ -53,10 +53,11 @@ pub type BoundsProvider = BoundsMethod;
 ///
 /// At m = 64 the extreme Ritz values of the paper's lattices are converged
 /// to well below the safety margin. The probe costs 64 matvecs plus a few
-/// vector passes per step, over three vectors of length `D`: on the 48^3
-/// Anderson lattice (`D = 110,592`, `W = 12`) at one thread of a 2-vCPU
-/// Xeon host, `lanczos_contained(h, 64)` takes 140-151 ms and holds 2.7 MB,
-/// a quarter to a half of the job's one-thread moment stage (0.3-0.8 s).
+/// vector passes per step, over three vectors of length `D`, and holds
+/// 2.7 MB. On the 48^3 Anderson lattice (`D = 110,592`, `W = 12`) at one
+/// thread of a 2-vCPU Xeon host, the benchmark's traced jobs put the
+/// probe's `kpm.bounds` span at 99-134 ms against 231-275 ms for the
+/// job's one-thread moment stage (`N = 128`, `R = 8`).
 pub const DEFAULT_LANCZOS_STEPS: usize = 64;
 
 /// Minimum effective Krylov depth for [`lanczos_contained`].

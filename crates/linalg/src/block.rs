@@ -35,11 +35,11 @@ use crate::vecops;
 /// `(acc - a_plus * x[j * dim + i]) * inv_a_minus`.
 ///
 /// CSR, ELL and stencil all fuse the spectral shift-and-scale into their
-/// store step with this exact expression; the tiled engine's
-/// [`crate::tiled::TiledOp`] rows for [`RescaledOp`] apply the same one
-/// through [`vecops::rescale_inplace`]. Centralizing it pins the operation
-/// order (`sub` then `mul`) that the bitwise scalar-vs-blocked contracts
-/// depend on.
+/// store step with this exact expression; the tiled engine's row epilogue
+/// ([`crate::tiled::RowEpilogue`]) applies the same one to each row of a
+/// [`RescaledOp`] as the row kernel hands it over. Centralizing it pins the
+/// operation order (`sub` then `mul`) that the bitwise scalar-vs-blocked
+/// contracts depend on.
 #[inline]
 pub fn rescaled_store(
     x: &[f64],

@@ -14,6 +14,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::op::LinearOp;
+use crate::tiled::RowEpilogue;
 
 /// A sparse `nrows x ncols` matrix in CSR form.
 ///
@@ -287,19 +288,25 @@ impl CsrMatrix {
         k: usize,
         j0: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        let row0 = rows.start;
-        for i in rows {
-            let seg = self.row_range(i);
-            let mut acc = [0.0f64; W];
-            for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
-                for (a, &xv) in acc.iter_mut().zip(&x[c as usize * k + j0..][..W]) {
-                    *a += v * xv;
+        epi.rows::<W>(
+            x,
+            k,
+            j0,
+            rows,
+            #[inline(always)]
+            |i| {
+                let seg = self.row_range(i);
+                let mut acc = [0.0f64; W];
+                for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
+                    for (a, &xv) in acc.iter_mut().zip(&x[c as usize * k + j0..][..W]) {
+                        *a += v * xv;
+                    }
                 }
-            }
-            out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
-        }
+                acc
+            },
+        );
     }
 
     /// Dense copy (small matrices / tests only).
@@ -389,9 +396,10 @@ impl CsrMatrix {
 crate::isa::kernels! {
     /// Row kernel of the tiled engine (`crate::tiled::TiledOp`): rows `rows`
     /// of `A X` for a row-interleaved `k`-column block (element `(c, j)` at
-    /// `c * k + j`), stored into the row-interleaved tile `out` (row `i` at
-    /// `(i - rows.start) * k`). Each decoded entry meets the inputs it
-    /// multiplies as one contiguous run of `x`, and per element the
+    /// `c * k + j`), each handed to the epilogue `epi` as soon as it is
+    /// computed: stored into a tile, or run through a later doubling step
+    /// (`crate::tiled::RowEpilogue`). Each decoded entry meets the inputs
+    /// it multiplies as one contiguous run of `x`, and per element the
     /// accumulation runs over the row's entries in ascending-column order
     /// from `0.0`, exactly as in `spmv`, so every value is bitwise equal to
     /// `spmm`'s. The caller checks the lengths.
@@ -400,9 +408,9 @@ crate::isa::kernels! {
         x: &[f64],
         k: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| m.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+        crate::tiled::for_each_chunk!(k, |j0, W| m.rows_chunk::<W>(x, k, j0, rows.clone(), epi));
     }
 }
 

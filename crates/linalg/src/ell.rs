@@ -11,6 +11,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::op::LinearOp;
+use crate::tiled::RowEpilogue;
 
 /// A sparse `nrows x ncols` matrix in slot-major ELLPACK form.
 ///
@@ -213,18 +214,18 @@ impl EllMatrix {
     }
 
     // Row kernel of the tiled engine, with the contract of
-    // `csr::rows_interleaved`: rows `rows` of `A X` for a
-    // row-interleaved `k`-column block, stored into the row-interleaved tile
-    // `out`. Slots accumulate in ascending order from `0.0` and padding is
-    // never read, as in `spmv`.
+    // `csr::rows_interleaved`: rows `rows` of `A X` for a row-interleaved
+    // `k`-column block, each handed to the epilogue `epi`. Slots accumulate
+    // in ascending order from `0.0` and padding is never read, as in
+    // `spmv`.
     pub(crate) fn rows_interleaved(
         &self,
         x: &[f64],
         k: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), epi));
     }
 
     // Columns `j0..j0 + W` of `rows_interleaved`.
@@ -234,20 +235,27 @@ impl EllMatrix {
         k: usize,
         j0: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        let (n, row0) = (self.nrows, rows.start);
-        for i in rows {
-            let mut acc = [0.0f64; W];
-            for s in 0..self.row_len[i] {
-                let idx = s * n + i;
-                let v = self.values[idx];
-                for (a, &xv) in acc.iter_mut().zip(&x[self.col_idx[idx] * k + j0..][..W]) {
-                    *a += v * xv;
+        let n = self.nrows;
+        epi.rows::<W>(
+            x,
+            k,
+            j0,
+            rows,
+            #[inline(always)]
+            |i| {
+                let mut acc = [0.0f64; W];
+                for s in 0..self.row_len[i] {
+                    let idx = s * n + i;
+                    let v = self.values[idx];
+                    for (a, &xv) in acc.iter_mut().zip(&x[self.col_idx[idx] * k + j0..][..W]) {
+                        *a += v * xv;
+                    }
                 }
-            }
-            out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
-        }
+                acc
+            },
+        );
     }
 
     /// Round-trips back to CSR (tests and format conversion).

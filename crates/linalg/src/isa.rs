@@ -2,17 +2,19 @@
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
-//! stages in — the tiled engine's CSR row kernel and the per-tile dot
-//! kernels of its doubling runs (`start_dots`, `doubling_step_dots`), and
-//! the [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2`,
-//! `chebyshev_combine_dot` and `rescale_inplace` — are therefore each
-//! compiled twice by `kernels!`: a baseline copy, and
-//! a copy under `#[target_feature(enable = "avx2")]`, with four lanes, that
-//! runs when the CPU has AVX2. Each call picks its copy; off x86-64 only
-//! the baseline copy exists. The ELL and stencil row kernels, the tiled dot
-//! kernel of the plain recursion (`plain_step_dots`), `chebyshev_combine`
-//! and `chebyshev_combine_inplace` run in no benchmark workload and have
-//! one copy.
+//! stages in — the tiled engine's CSR row kernel, which with its row
+//! epilogue is also the fused later step of the doubling recursion, the
+//! per-tile dot kernel of step 0 (`start_dots`), and the
+//! [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2` and
+//! `chebyshev_combine_dot` — are therefore each compiled twice by
+//! `kernels!`: a baseline copy, and a copy under
+//! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when
+//! the CPU has AVX2. Each call picks its copy; off x86-64 only the baseline
+//! copy exists. The ELL and stencil row kernels, the step over a computed
+//! tile that dense, identity and diagonal operators run (`tile_step`), the
+//! tiled dot kernel of the plain recursion (`plain_step_dots`),
+//! `chebyshev_combine` and `chebyshev_combine_inplace` run in no benchmark
+//! workload and have one copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -88,8 +90,9 @@ pub(crate) use kernels;
 /// they skip with a message.
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
+    use crate::tiled::RowEpilogue;
     use crate::vecops;
-    use crate::{csr, tiled, StencilGeometry, StencilOp};
+    use crate::{csr, tiled, CsrMatrix, StencilGeometry, StencilOp};
 
     /// `true` when the AVX2 copies can run; prints why the test is skipped
     /// otherwise.
@@ -153,17 +156,20 @@ mod tests {
         }};
     }
 
+    /// A disordered periodic 5 x 4 x 3 lattice, D = 60, in CSR.
+    fn lattice_csr() -> CsrMatrix {
+        let onsite = lcg_values(7, 60).into_iter().map(|v| 0.2 * v).collect();
+        let geometry = StencilGeometry::Hypercubic { dims: vec![5, 4, 3], periodic: vec![true; 3] };
+        StencilOp::new(geometry, 0.125, onsite, false).to_csr()
+    }
+
     #[test]
     fn csr_row_kernel_agrees_across_isas() {
         if !avx2_available() {
             return;
         }
-        // A disordered periodic 5 x 4 x 3 lattice, D = 60, in CSR.
-        let d = 60;
-        let onsite = lcg_values(7, d).into_iter().map(|v| 0.2 * v).collect();
-        let geometry = StencilGeometry::Hypercubic { dims: vec![5, 4, 3], periodic: vec![true; 3] };
-        let stencil_op = StencilOp::new(geometry, 0.125, onsite, false);
-        let csr_op = stencil_op.to_csr();
+        let csr_op = lattice_csr();
+        let d = csr_op.nrows();
         // The whole operator, one row, and 7-row ranges from mid-operator
         // to a ragged end.
         let ranges: Vec<_> = [0..d, 0..1]
@@ -177,9 +183,52 @@ mod tests {
                 let what = format!("k = {k}, rows {rows:?}");
                 assert_copies_agree!(
                     format!("csr, {what}"),
-                    csr::rows_interleaved(&csr_op, &x, k, rows.clone(), &mut out),
+                    csr::rows_interleaved(
+                        &csr_op,
+                        &x,
+                        k,
+                        rows.clone(),
+                        &mut RowEpilogue::store(&mut out)
+                    ),
                     out = vec![f64::NAN; rows.len() * k]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_csr_step_agrees_across_isas() {
+        if !avx2_available() {
+            return;
+        }
+        let csr_op = lattice_csr();
+        let d = csr_op.nrows();
+        // 16-row segments: tiles of 1..=40 rows end in a segment of every
+        // length mod 4 and mod 8. Each tile starts at a different row.
+        let slot_rows: usize = 16;
+        for k in 1..=17 {
+            let x = lcg_values(k as u64, d * k);
+            for len in 1..=40usize {
+                let lo = (7 * len) % (d - len + 1);
+                let rows = lo..lo + len;
+                let nsegs = len.div_ceil(slot_rows);
+                let p0 = lcg_values(100 * k as u64 + len as u64, len * k);
+                for affine in [None, Some((0.3, 1.0 / 1.7))] {
+                    let what = format!("k = {k}, rows {rows:?}, map {affine:?}");
+                    assert_copies_agree!(
+                        format!("fused csr step, {what}"),
+                        csr::rows_interleaved(
+                            &csr_op,
+                            &x,
+                            k,
+                            rows.clone(),
+                            &mut RowEpilogue::doubling(&mut p, &mut slots, slot_rows, &mut [])
+                                .mapped(affine)
+                        ),
+                        p = p0.clone(),
+                        slots = vec![f64::NAN; nsegs * 3 * k]
+                    );
+                }
             }
         }
     }
@@ -196,7 +245,7 @@ mod tests {
             for len in 1..=40usize {
                 let what = format!("k = {k}, {len} rows");
                 let nsegs = len.div_ceil(slot_rows);
-                let [a, b, c] = [1, 2, 3].map(|s| lcg_values(100 * k as u64 + s, len * k));
+                let [a, b] = [1, 2].map(|s| lcg_values(100 * k as u64 + s, len * k));
                 for nslots in [2, 3] {
                     assert_copies_agree!(
                         format!("start_dots, {nslots} slots, {what}"),
@@ -204,12 +253,6 @@ mod tests {
                         slots = vec![f64::NAN; nsegs * nslots * k]
                     );
                 }
-                assert_copies_agree!(
-                    format!("doubling_step_dots, {what}"),
-                    tiled::doubling_step_dots(&a, &mut p, &c, k, slot_rows, &mut slots),
-                    p = b.clone(),
-                    slots = vec![f64::NAN; nsegs * 3 * k]
-                );
             }
         }
     }
@@ -230,11 +273,6 @@ mod tests {
                 what("chebyshev_combine_dot"),
                 vecops::chebyshev_combine_dot(&a, &mut p, &c),
                 p = b.clone()
-            );
-            assert_copies_agree!(
-                what("rescale_inplace"),
-                vecops::rescale_inplace(&mut h, &b, 0.3, 1.0 / 1.7),
-                h = a.clone()
             );
         }
     }

@@ -17,6 +17,7 @@ use crate::block::BlockOp;
 use crate::csr::CsrMatrix;
 use crate::gershgorin::SpectralBounds;
 use crate::op::LinearOp;
+use crate::tiled::RowEpilogue;
 
 /// Which lattice geometry generates the stencil pattern.
 ///
@@ -459,19 +460,19 @@ impl StencilOp {
 
     /// Row kernel of the tiled engine, with the contract of
     /// `csr::rows_interleaved`: rows `rows` of `A X` for a
-    /// row-interleaved `k`-column block, stored into the row-interleaved
-    /// tile `out`. Interior and boundary rows accumulate in ascending-column
-    /// order exactly as in `StencilOp::stream_rows`, and the odometer is
-    /// seeded at `rows.start`, so a range starting mid-operator computes the
-    /// same bits as a sweep from row 0.
+    /// row-interleaved `k`-column block, each handed to the epilogue `epi`.
+    /// Interior and boundary rows accumulate in ascending-column order
+    /// exactly as in `StencilOp::stream_rows`, and the odometer is seeded at
+    /// `rows.start`, so a range starting mid-operator computes the same bits
+    /// as a sweep from row 0.
     pub(crate) fn rows_interleaved(
         &self,
         x: &[f64],
         k: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), out));
+        crate::tiled::for_each_chunk!(k, |j0, W| self.rows_chunk::<W>(x, k, j0, rows.clone(), epi));
     }
 
     /// Columns `j0..j0 + W` of `StencilOp::rows_interleaved`.
@@ -481,61 +482,69 @@ impl StencilOp {
         k: usize,
         j0: usize,
         rows: std::ops::Range<usize>,
-        out: &mut [f64],
+        epi: &mut RowEpilogue<'_>,
     ) {
-        let row0 = rows.start;
         let mut cols = Vec::with_capacity(self.geometry.max_neighbors() + 1);
-        let mut store =
-            |i: usize, acc: [f64; W]| out[(i - row0) * k + j0..][..W].copy_from_slice(&acc);
-        let (StencilGeometry::Hypercubic { dims, .. }, Some(plan)) = (&self.geometry, &self.plan)
-        else {
-            for i in rows {
-                store(i, self.row_generic_interleaved(i, x, k, j0, &mut cols));
-            }
-            return;
+        // A hypercubic geometry's interior pattern, with its odometer seeded
+        // at `rows.start`; other geometries run every row generically.
+        let hypercubic = match (&self.geometry, &self.plan) {
+            (StencilGeometry::Hypercubic { dims, .. }, Some(plan)) => Some((dims, plan)),
+            _ => None,
         };
         let mut coords = [0usize; 8];
-        let mut rem = row0;
-        for (c, &l) in coords.iter_mut().zip(dims) {
-            *c = rem % l;
-            rem /= l;
-        }
-        let t = -self.hopping;
-        for i in rows {
-            let interior =
-                dims.iter().zip(&coords).all(|(&l, &c)| l == 1 || (c >= 1 && c + 2 <= l));
-            let acc = if interior {
-                // Below-diagonal hops, the diagonal when stored, then
-                // above-diagonal hops: ascending column order.
-                let mut acc = [0.0f64; W];
-                let mut add = |coef: f64, c: usize| {
-                    for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
-                        *a += coef * xv;
-                    }
-                };
-                for &off in &plan.neg {
-                    add(t, (i as isize + off) as usize);
-                }
-                if self.diagonal_stored(i) {
-                    add(self.onsite[i], i);
-                }
-                for &off in &plan.pos {
-                    add(t, (i as isize + off) as usize);
-                }
-                acc
-            } else {
-                self.row_generic_interleaved(i, x, k, j0, &mut cols)
-            };
-            store(i, acc);
-            // Odometer increment, first dimension fastest.
+        if let Some((dims, _)) = hypercubic {
+            let mut rem = rows.start;
             for (c, &l) in coords.iter_mut().zip(dims) {
-                *c += 1;
-                if *c < l {
-                    break;
-                }
-                *c = 0;
+                *c = rem % l;
+                rem /= l;
             }
         }
+        let t = -self.hopping;
+        epi.rows::<W>(
+            x,
+            k,
+            j0,
+            rows,
+            #[inline(always)]
+            |i| {
+                let Some((dims, plan)) = hypercubic else {
+                    return self.row_generic_interleaved(i, x, k, j0, &mut cols);
+                };
+                let interior =
+                    dims.iter().zip(&coords).all(|(&l, &c)| l == 1 || (c >= 1 && c + 2 <= l));
+                let acc = if interior {
+                    // Below-diagonal hops, the diagonal when stored, then
+                    // above-diagonal hops: ascending column order.
+                    let mut acc = [0.0f64; W];
+                    let mut add = |coef: f64, c: usize| {
+                        for (a, &xv) in acc.iter_mut().zip(&x[c * k + j0..][..W]) {
+                            *a += coef * xv;
+                        }
+                    };
+                    for &off in &plan.neg {
+                        add(t, (i as isize + off) as usize);
+                    }
+                    if self.diagonal_stored(i) {
+                        add(self.onsite[i], i);
+                    }
+                    for &off in &plan.pos {
+                        add(t, (i as isize + off) as usize);
+                    }
+                    acc
+                } else {
+                    self.row_generic_interleaved(i, x, k, j0, &mut cols)
+                };
+                // Odometer increment, first dimension fastest.
+                for (c, &l) in coords.iter_mut().zip(dims) {
+                    *c += 1;
+                    if *c < l {
+                        break;
+                    }
+                    *c = 0;
+                }
+                acc
+            },
+        );
     }
 
     /// One generic (boundary / honeycomb) row of `StencilOp::rows_chunk`.

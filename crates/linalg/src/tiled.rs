@@ -4,13 +4,15 @@
 //! SpMV, the `2 H v - prev` update, and the `<r0|rn>` reduction — inside one
 //! resident kernel parallelized across the matrix dimension, with each
 //! matrix entry fetched once for all random vectors. This module is the CPU
-//! analogue: the engine partitions the `D` rows into tiles, each tile
-//! computes its rows of `A x` ([`TiledOp::block_rows`]) into a small
-//! per-worker scratch that never leaves L1, and the Chebyshev combine and
-//! the moment dots then run over the cache-hot tile — so the update and the
-//! dots piggyback on the matrix sweep without a full-size intermediate
-//! buffer. A work-stealing tile scheduler keeps threads busy even when
-//! boundary tiles are cheaper than interior ones.
+//! analogue: the engine partitions the `D` rows into tiles, and a later
+//! step of the doubling recursion makes one pass per tile. The format's row
+//! kernel hands every finished row of `A x` to a [`RowEpilogue`]
+//! ([`TiledOp::rows_into`]), which applies the spectral rescale, writes the
+//! Chebyshev combine in place and adds both moment dots into per-segment
+//! lane accumulators while the row is still in registers, so no product
+//! tile is stored and no second pass reads one. A work-stealing tile
+//! scheduler keeps threads busy even when boundary tiles are cheaper than
+//! interior ones.
 //!
 //! # Layout
 //!
@@ -28,10 +30,10 @@
 //! [`fused_block_moments_doubling`], which interleave a copy of it.
 //!
 //! The column count is a compile-time constant inside every row loop: the
-//! row kernels and the combine-and-dot kernels are const-generic in their
-//! width `W`, dispatched on `k`, and blocks wider than `MAX_CHUNK_COLS` (16)
-//! run in const-width column chunks. The CSR row kernel and the per-tile
-//! dot kernels the moment jobs run (`start_dots`, `doubling_step_dots`) are
+//! row kernels, the epilogue and the per-tile dot kernels are const-generic
+//! in their width `W`, dispatched on `k`, and blocks wider than
+//! `MAX_CHUNK_COLS` (16) run in const-width column chunks. The CSR row
+//! kernel (with its epilogue) and step 0's dot kernel (`start_dots`) are
 //! compiled twice, for baseline x86-64 and for AVX2, with the same bits
 //! ([`crate::isa`]).
 //!
@@ -73,11 +75,14 @@
 //! plain recursion also reads an `f64` copy of the start block for its
 //! dot: `32 k` B/row plus the matrix row, for one moment. Step 0 reads
 //! `r0` from buffer `a`, which holds it until step 1 overwrites it, so the
-//! doubling recursion keeps no start block at all. The raw product only
-//! ever lands in a tile-sized per-worker scratch that stays cache-resident.
-//! A split pipeline (SpMM into a `D x k` intermediate, then combine+dot)
-//! would move the raw product through memory an extra time: 48 B/row per
-//! column plus the matrix. See DESIGN.md §9 for the full accounting.
+//! doubling recursion keeps no start block at all. A later doubling step
+//! stores no raw product; step 0 writes its product straight into the
+//! tile's rows of buffer `b`, and the plain recursion's later steps (and
+//! operators without a fused row kernel) land theirs in a tile-sized
+//! per-worker scratch that stays cache-resident. A split pipeline (SpMM
+//! into a `D x k` intermediate, then combine+dot) would move the raw
+//! product through memory an extra time: 48 B/row per column plus the
+//! matrix. See DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -89,7 +94,7 @@ use crate::ell::EllMatrix;
 use crate::op::{DiagonalOp, IdentityOp, LinearOp, RescaledOp};
 use crate::sparse::SparseMatrix;
 use crate::stencil::StencilOp;
-use crate::vecops;
+use crate::vecops::{self, LANES};
 
 /// Default tile height in rows.
 ///
@@ -124,46 +129,79 @@ pub trait TiledOp: BlockOp {
     /// Panics if `x.len() != self.dim() * k`, `rows.end > self.dim()`, or
     /// `out.len() != rows.len() * k`.
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]);
+
+    /// Computes rows `rows` of `A X` and hands each to `epi`, with the
+    /// values [`TiledOp::block_rows`] writes.
+    ///
+    /// The default computes the rows into a tile with `block_rows` and then
+    /// runs the epilogue over the tile. The CSR, ELL and stencil kernels
+    /// call the epilogue from their row loops instead, so a later doubling
+    /// step stores no product tile at all.
+    ///
+    /// # Panics
+    /// As [`TiledOp::block_rows`], with the epilogue's tile in place of
+    /// `out`.
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        check_rows(self.dim(), x, k, &rows, epi.tile_len());
+        rows_via_tile(self, x, k, rows, epi);
+    }
 }
 
-/// The shape checks every [`TiledOp::block_rows`] implementation makes.
-fn check_rows(dim: usize, x: &[f64], k: usize, rows: &Range<usize>, out: &[f64]) {
+/// The shape checks every [`TiledOp`] row method makes, for a tile of
+/// `tile_len` values.
+fn check_rows(dim: usize, x: &[f64], k: usize, rows: &Range<usize>, tile_len: usize) {
     assert_eq!(x.len(), dim * k, "block_rows: x length");
     assert!(rows.start <= rows.end && rows.end <= dim, "block_rows: row range");
-    assert_eq!(out.len(), rows.len() * k, "block_rows: tile length");
+    assert_eq!(tile_len, rows.len() * k, "block_rows: tile length");
 }
 
 impl<A: TiledOp + ?Sized> TiledOp for &A {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         (**self).block_rows(x, k, rows, out)
     }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        (**self).rows_into(x, k, rows, epi)
+    }
 }
 
 impl TiledOp for CsrMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        check_rows(self.dim(), x, k, &rows, out);
-        crate::csr::rows_interleaved(self, x, k, rows, out);
+        self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
+    }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        check_rows(self.dim(), x, k, &rows, epi.tile_len());
+        crate::csr::rows_interleaved(self, x, k, rows, epi);
     }
 }
 
 impl TiledOp for EllMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        check_rows(self.dim(), x, k, &rows, out);
-        self.rows_interleaved(x, k, rows, out);
+        self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
+    }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        check_rows(self.dim(), x, k, &rows, epi.tile_len());
+        self.rows_interleaved(x, k, rows, epi);
     }
 }
 
 impl TiledOp for StencilOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        check_rows(self.dim(), x, k, &rows, out);
-        self.rows_interleaved(x, k, rows, out);
+        self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
+    }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        check_rows(self.dim(), x, k, &rows, epi.tile_len());
+        self.rows_interleaved(x, k, rows, epi);
     }
 }
 
 impl TiledOp for DenseMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         let d = self.dim();
-        check_rows(d, x, k, &rows, out);
+        check_rows(d, x, k, &rows, out.len());
         // Each input column gathered contiguous once per call (`d * k` values
         // against `rows.len() * d * k` multiply-adds), so every element is
         // the very `vecops::dot(row, xcol)` that `apply_block` stores.
@@ -180,14 +218,14 @@ impl TiledOp for DenseMatrix {
 
 impl TiledOp for IdentityOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        check_rows(self.dim(), x, k, &rows, out);
+        check_rows(self.dim(), x, k, &rows, out.len());
         out.copy_from_slice(&x[rows.start * k..rows.end * k]);
     }
 }
 
 impl TiledOp for DiagonalOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        check_rows(self.dim(), x, k, &rows, out);
+        check_rows(self.dim(), x, k, &rows, out.len());
         let row0 = rows.start;
         for i in rows {
             let d = self.diag()[i];
@@ -206,18 +244,285 @@ impl TiledOp for SparseMatrix {
             SparseMatrix::Stencil(s) => s.block_rows(x, k, rows, out),
         }
     }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        match self {
+            SparseMatrix::Csr(m) => m.rows_into(x, k, rows, epi),
+            SparseMatrix::Ell(m) => m.rows_into(x, k, rows, epi),
+            SparseMatrix::Stencil(s) => s.rows_into(x, k, rows, epi),
+        }
+    }
 }
 
 impl<A: TiledOp> TiledOp for RescaledOp<A> {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        // The inner operator's raw rows, then the `(raw - a_plus x) *
-        // inv_a_minus` store transform the format kernels fuse into
-        // `apply_block`, over the cache-hot tile and the same rows of `x`
-        // (both contiguous): bitwise identical to `RescaledOp::apply_block`.
-        self.inner().block_rows(x, k, rows.clone(), out);
-        let xt = &x[rows.start * k..rows.end * k];
-        vecops::rescale_inplace(out, xt, self.a_plus(), 1.0 / self.a_minus());
+        self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
     }
+
+    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
+        // The inner operator's rows, each mapped to `(raw - a_plus x) *
+        // inv_a_minus` by the epilogue before its own work: the expression
+        // the format kernels fuse into `apply_block`, so bitwise what
+        // `RescaledOp::apply_block` stores. An epilogue that already maps
+        // its rows (this operator wrapped in another rescale) takes this
+        // operator's rows whole and maps them once more.
+        if epi.affine.is_some() {
+            return rows_via_tile(self, x, k, rows, epi);
+        }
+        let affine = Affine { a_plus: self.a_plus(), inv_a_minus: 1.0 / self.a_minus() };
+        self.inner().rows_into(x, k, rows, &mut epi.rescaled(affine));
+    }
+}
+
+/// `RescaledOp`'s map of a raw product, `(raw - a_plus * x) * inv_a_minus`:
+/// the expression of [`crate::block::rescaled_store`].
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    a_plus: f64,
+    inv_a_minus: f64,
+}
+
+impl Affine {
+    /// Maps the raw products `h` of the rows whose inputs are `xs`, in
+    /// place.
+    #[inline(always)]
+    fn apply(self, h: &mut [f64], xs: &[f64]) {
+        for (hv, &xv) in h.iter_mut().zip(xs) {
+            *hv = (*hv - self.a_plus * xv) * self.inv_a_minus;
+        }
+    }
+
+    /// One row's raw products `h`, mapped by `affine` if there is one; a
+    /// bare operator's rows stay raw.
+    #[inline(always)]
+    fn map_row<const W: usize>(affine: Option<Self>, mut h: [f64; W], xs: &[f64]) -> [f64; W] {
+        if let Some(a) = affine {
+            a.apply(&mut h, xs);
+        }
+        h
+    }
+}
+
+/// What a row kernel does with each row of `A x` it computes.
+///
+/// [`TiledOp::rows_into`] hands every row of a tile to the epilogue, one
+/// const-width column chunk at a time, while the row's products are still
+/// in registers. The epilogue first applies a [`RescaledOp`]'s map, when
+/// the operator is rescaled; a bare operator's rows stay raw, since the
+/// identity map `(raw - 0 * x) * 1` can flip the sign of a zero. Then it
+/// either stores the row into a tile ([`TiledOp::block_rows`]), or runs a
+/// later step of the doubling recursion on it: `p = 2 h - p` in place over
+/// the tile's rows of the buffer being overwritten, with `x * p` and
+/// `p * p` added into each segment's lane accumulators with the
+/// association of `vecops::lane_dots`. Such a step never stores `h`, so a
+/// tile takes one pass: no scratch tile, rescale pass, combine pass or dot
+/// pass follows the product.
+///
+/// It is one concrete type, so each format's row kernel is compiled once
+/// per width (and per instruction set, [`crate::isa`]) whatever the
+/// epilogue does with the rows. Only this crate constructs one.
+pub struct RowEpilogue<'a> {
+    /// The rescale applied to every row first; `None` keeps the raw product.
+    affine: Option<Affine>,
+    sink: Sink<'a>,
+}
+
+/// Where a [`RowEpilogue`]'s rows go.
+enum Sink<'a> {
+    /// Row `i` into `out[(i - rows.start) * k..]`.
+    Store(&'a mut [f64]),
+    /// A later doubling step on the tile; `scratch` takes the rows of an
+    /// operator without a fused row kernel.
+    Doubling { step: Step<'a>, scratch: &'a mut [f64] },
+}
+
+/// One tile's share of a later doubling step: `p` holds the tile's rows of
+/// the buffer being overwritten, and `slots` the tile's segment slots
+/// (`<x|p>` into slot 0, `<p|p>` into slot 1 of each).
+struct Step<'a> {
+    p: &'a mut [f64],
+    slots: &'a mut [f64],
+    slot_rows: usize,
+}
+
+impl<'a> RowEpilogue<'a> {
+    /// Stores every row into the row-interleaved tile `out`.
+    pub(crate) fn store(out: &'a mut [f64]) -> Self {
+        Self { affine: None, sink: Sink::Store(out) }
+    }
+
+    /// A later doubling step over the tile's rows `p` of the buffer being
+    /// overwritten, with the tile's segment `slots`; `scratch` holds a tile
+    /// for operators without a fused row kernel.
+    pub(crate) fn doubling(
+        p: &'a mut [f64],
+        slots: &'a mut [f64],
+        slot_rows: usize,
+        scratch: &'a mut [f64],
+    ) -> Self {
+        Self { affine: None, sink: Sink::Doubling { step: Step { p, slots, slot_rows }, scratch } }
+    }
+
+    /// This epilogue with the map `(raw - a_plus x) * inv_a_minus` of the
+    /// pair `affine`, if given, applied to every row first.
+    #[cfg(test)]
+    pub(crate) fn mapped(mut self, affine: Option<(f64, f64)>) -> Self {
+        self.affine = affine.map(|(a_plus, inv_a_minus)| Affine { a_plus, inv_a_minus });
+        self
+    }
+
+    /// This epilogue with `affine` applied to every row first.
+    fn rescaled(&mut self, affine: Affine) -> RowEpilogue<'_> {
+        let sink = match &mut self.sink {
+            Sink::Store(out) => Sink::Store(out),
+            Sink::Doubling { step, scratch } => Sink::Doubling {
+                step: Step { p: step.p, slots: step.slots, slot_rows: step.slot_rows },
+                scratch,
+            },
+        };
+        RowEpilogue { affine: Some(affine), sink }
+    }
+
+    /// Length of the tile the rows land in (the stored tile, or the tile's
+    /// rows of the buffer a step overwrites).
+    fn tile_len(&self) -> usize {
+        match &self.sink {
+            Sink::Store(out) => out.len(),
+            Sink::Doubling { step, .. } => step.p.len(),
+        }
+    }
+
+    /// Hands rows `rows` of the tile, columns `j0..j0 + W`, to the
+    /// epilogue. `row(i)` returns row `i`'s raw products and is called once
+    /// per row, in ascending order; `x` is the block they were computed
+    /// from.
+    #[inline(always)]
+    pub(crate) fn rows<const W: usize>(
+        &mut self,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        rows: Range<usize>,
+        mut row: impl FnMut(usize) -> [f64; W],
+    ) {
+        let affine = self.affine;
+        match &mut self.sink {
+            Sink::Store(out) => {
+                for i in rows.clone() {
+                    let h = Affine::map_row(affine, row(i), &x[i * k + j0..][..W]);
+                    out[(i - rows.start) * k + j0..][..W].copy_from_slice(&h);
+                }
+            }
+            Sink::Doubling { step, .. } => step.rows::<W>(affine, x, k, j0, rows, row),
+        }
+    }
+}
+
+impl Step<'_> {
+    /// [`RowEpilogue::rows`] for a doubling step, whose rows are mapped by
+    /// `affine` first.
+    #[inline(always)]
+    fn rows<const W: usize>(
+        &mut self,
+        affine: Option<Affine>,
+        x: &[f64],
+        k: usize,
+        j0: usize,
+        rows: Range<usize>,
+        mut row: impl FnMut(usize) -> [f64; W],
+    ) {
+        for (s, seg) in segments(rows.len(), self.slot_rows).enumerate() {
+            // `vecops::lane_dots` per column: row `r` of the segment adds
+            // into lane `r % 4`, except that the last `len % 4` rows add in
+            // order into the tail, kept as a fifth lane.
+            let body = seg.len() - seg.len() % LANES;
+            let mut cross = [[0.0f64; W]; LANES + 1];
+            let mut norm = [[0.0f64; W]; LANES + 1];
+            for r in seg.clone() {
+                let i = rows.start + r;
+                let xr = &x[i * k + j0..][..W];
+                let h = Affine::map_row(affine, row(i), xr);
+                let lane = r - seg.start;
+                let l = if lane < body { lane % LANES } else { LANES };
+                step_row(&h, xr, &mut self.p[r * k + j0..][..W], &mut cross[l], &mut norm[l]);
+            }
+            let slot = &mut self.slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            slot[j0..][..W].copy_from_slice(&vecops::reduce_lanes(&cross));
+            slot[k + j0..][..W].copy_from_slice(&vecops::reduce_lanes(&norm));
+        }
+    }
+}
+
+/// One row of a later doubling step: `p = 2 h - p` in place, with `x * p`
+/// added into `cross` and `p * p` into `norm`.
+///
+/// Every input is read before any output is written. Written element by
+/// element instead, the vectorizer could not prove that the stores to `p`
+/// miss the accumulators it reads next and ran whole rows in scalar code
+/// at some widths: the paper-lattice engine (`k = 14`) took 1.5x as long.
+#[inline(always)]
+fn step_row<const W: usize>(
+    h: &[f64; W],
+    x: &[f64],
+    p: &mut [f64],
+    cross: &mut [f64; W],
+    norm: &mut [f64; W],
+) {
+    let mut next = [0.0f64; W];
+    for ((nv, &hv), &pv) in next.iter_mut().zip(h).zip(&*p) {
+        *nv = 2.0 * hv - pv;
+    }
+    let (mut c, mut n) = (*cross, *norm);
+    for (((c, n), &xv), &nv) in c.iter_mut().zip(&mut n).zip(x).zip(&next) {
+        *c += xv * nv;
+        *n += nv * nv;
+    }
+    p.copy_from_slice(&next);
+    *cross = c;
+    *norm = n;
+}
+
+/// [`TiledOp::rows_into`] through a tile: the rows from
+/// [`TiledOp::block_rows`], then the epilogue over them.
+fn rows_via_tile<A: TiledOp + ?Sized>(
+    op: &A,
+    x: &[f64],
+    k: usize,
+    rows: Range<usize>,
+    epi: &mut RowEpilogue<'_>,
+) {
+    let affine = epi.affine;
+    match &mut epi.sink {
+        Sink::Store(out) => {
+            op.block_rows(x, k, rows.clone(), out);
+            if let Some(a) = affine {
+                a.apply(out, &x[rows.start * k..rows.end * k]);
+            }
+        }
+        Sink::Doubling { step, scratch } => {
+            let h = &mut scratch[..rows.len() * k];
+            op.block_rows(x, k, rows.clone(), h);
+            tile_step(affine, x, k, rows, h, step);
+        }
+    }
+}
+
+/// A later doubling step over rows `rows` of `A x`, computed into the tile
+/// `h`. It is not generic, so its widths are compiled once.
+fn tile_step(
+    affine: Option<Affine>,
+    x: &[f64],
+    k: usize,
+    rows: Range<usize>,
+    h: &[f64],
+    step: &mut Step<'_>,
+) {
+    let row0 = rows.start;
+    for_each_chunk!(k, |j0, W| step.rows::<W>(affine, x, k, j0, rows.clone(), |i| {
+        let mut v = [0.0f64; W];
+        v.copy_from_slice(&h[(i - row0) * k + j0..][..W]);
+        v
+    }));
 }
 
 /// Runs `$body` once per const-width column chunk of a `$k`-column
@@ -640,13 +945,13 @@ fn combine_dots<const W: usize>(
 // The per-tile dot kernels below take whole tiles of row-interleaved
 // `k`-column blocks and the tile's slots (`nslots * k` per canonical
 // segment). They are generic in nothing, so each is compiled once (the
-// two in `kernels!` once per instruction set, `crate::isa`) however many
+// one in `kernels!` once per instruction set, `crate::isa`) however many
 // operator types instantiate the engine.
 //
 // A one-column block is laid out the same interleaved or not, so at `k = 1`
-// the later-step kernels run the contiguous `vecops` kernels on each
-// segment: the same association, and faster there than a one-wide const
-// kernel, which cannot vectorize across rows.
+// the plain step runs the contiguous `vecops` kernel on each segment: the
+// same association, and faster there than a one-wide const kernel, which
+// cannot vectorize across rows.
 
 crate::isa::kernels! {
     /// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
@@ -669,43 +974,6 @@ crate::isa::kernels! {
                     let norm1 = column_dots::<W>(r1, r1, k, j0, seg.clone());
                     slot[2 * k + j0..][..W].copy_from_slice(&norm1);
                 }
-            });
-        }
-    }
-
-    /// A later doubling step on one tile, once its rows of `A x` are in `h`:
-    /// `p = 2 h - p` in place (`vecops::chebyshev_combine_inplace` per column),
-    /// then `<x|p>` and `<p|p>` into slots 0 and 1 of each segment.
-    ///
-    /// The combine and the two dots are separate passes over the cache-hot
-    /// tile: one pass producing both dots would keep two `W x 4`
-    /// accumulator sets live at once (DESIGN.md §9).
-    fn doubling_step_dots(
-        h: &[f64],
-        p: &mut [f64],
-        x: &[f64],
-        k: usize,
-        slot_rows: usize,
-        slots: &mut [f64],
-    ) {
-        for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
-            if k == 1 {
-                let (h, p, x) = (&h[seg.clone()], &mut p[seg.clone()], &x[seg]);
-                vecops::chebyshev_combine_inplace(h, p);
-                slot[0] = vecops::dot(x, p);
-                slot[1] = vecops::dot(p, p);
-                continue;
-            }
-            for_each_chunk!(k, |j0, W| {
-                for r in seg.clone() {
-                    let o = r * k + j0;
-                    for (p, &h) in p[o..o + W].iter_mut().zip(&h[o..o + W]) {
-                        *p = 2.0 * h - *p;
-                    }
-                }
-                slot[j0..][..W].copy_from_slice(&column_dots::<W>(x, p, k, j0, seg.clone()));
-                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
             });
         }
     }
@@ -966,19 +1234,20 @@ pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
             op.block_rows(r0, k, rows, r1);
             start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
         } else {
-            // r_{t+1} = 2 A r_t - r_{t-1} via the scratch stripe; then
-            // <r_t|r_{t+1}> and <r_{t+1}|r_{t+1}> per canonical segment.
+            // r_{t+1} = 2 A r_t - r_{t-1} over r_{t-1} in place, with
+            // <r_t|r_{t+1}> and <r_{t+1}|r_{t+1}> per canonical segment, all
+            // in the row kernel's epilogue.
             let (xp, pp) =
                 if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
             // SAFETY: as in the plain engine — `xp` is read-only this step.
             let x = unsafe { std::slice::from_raw_parts(xp.cast_const(), d * k) };
             // SAFETY: as in the plain engine — this tile's own rows of `pp`.
-            let p = unsafe { buffer_mut(pp, elems.clone()) };
+            let p = unsafe { buffer_mut(pp, elems) };
             let stripe = w * tile_rows * k;
-            // SAFETY: as in the plain engine — worker `w`'s own stripe.
+            // SAFETY: as in the plain engine — worker `w`'s own stripe, which
+            // only operators without a fused row kernel use.
             let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
-            op.block_rows(x, k, rows, h);
-            doubling_step_dots(h, p, &x[elems], k, slot_rows, slots);
+            op.rows_into(x, k, rows, &mut RowEpilogue::doubling(p, slots, slot_rows, h));
         }
     };
     let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
@@ -1336,5 +1605,228 @@ mod tests {
             assert_eq!(col.len(), 1);
             assert!((col[0] - d as f64).abs() < 1e-12, "Rademacher norm is D");
         }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Rows `rows` of `A x` as the bare operator stores them, then
+    /// `(h - a_plus x) * inv_a_minus` as a separate pass when `affine` is
+    /// given.
+    fn unfused_rows<A: TiledOp>(
+        op: &A,
+        affine: Option<(f64, f64)>,
+        x: &[f64],
+        k: usize,
+        rows: Range<usize>,
+    ) -> Vec<f64> {
+        let mut h = vec![0.0; rows.len() * k];
+        op.block_rows(x, k, rows.clone(), &mut h);
+        if let Some((a_plus, inv_a_minus)) = affine {
+            for (hv, &xv) in h.iter_mut().zip(&x[rows.start * k..rows.end * k]) {
+                *hv = (*hv - a_plus * xv) * inv_a_minus;
+            }
+        }
+        h
+    }
+
+    /// A later doubling step on the tile `rows` with the passes the fused
+    /// step replaced: the stored (and rescaled) rows, the combine
+    /// `p = 2 h - p`, then `<x|p>` and `<p|p>` per segment through two
+    /// `column_dots`.
+    #[allow(clippy::too_many_arguments)]
+    fn unfused_step<A: TiledOp>(
+        op: &A,
+        affine: Option<(f64, f64)>,
+        x: &[f64],
+        k: usize,
+        rows: Range<usize>,
+        p: &mut [f64],
+        slot_rows: usize,
+        slots: &mut [f64],
+    ) {
+        let h = unfused_rows(op, affine, x, k, rows.clone());
+        for (pv, &hv) in p.iter_mut().zip(&h) {
+            *pv = 2.0 * hv - *pv;
+        }
+        let xt = &x[rows.start * k..rows.end * k];
+        for (s, seg) in segments(rows.len(), slot_rows).enumerate() {
+            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            for_each_chunk!(k, |j0, W| {
+                slot[j0..][..W].copy_from_slice(&column_dots::<W>(xt, p, k, j0, seg.clone()));
+                slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
+            });
+        }
+    }
+
+    /// [`fused_interleaved_moments_doubling`] one tile at a time on one
+    /// thread, with step 0's rows from `unfused_rows` and every later step
+    /// through `unfused_step`.
+    fn unfused_doubling<A: TiledOp>(
+        op: &A,
+        affine: Option<(f64, f64)>,
+        r0: &[f64],
+        k: usize,
+        n: usize,
+        tile_rows: usize,
+    ) -> Vec<Vec<f64>> {
+        assert!(n >= 4, "at least one later step");
+        let d = op.dim();
+        let slot_rows = slot_rows_for(tile_rows);
+        let nsegs = d.div_ceil(slot_rows);
+        let tiles: Vec<Range<usize>> =
+            (0..d.div_ceil(tile_rows)).map(|t| tile_range(t, tile_rows, d)).collect();
+        let tile_slots = |rows: &Range<usize>| {
+            let seg0 = rows.start / slot_rows;
+            let seg_end = seg0 + rows.len().div_ceil(slot_rows);
+            seg0 * DOUBLING_SLOTS * k..seg_end * DOUBLING_SLOTS * k
+        };
+        let sum = |slots: &[f64], slot: usize, j: usize| {
+            let mut total = 0.0;
+            for seg in 0..nsegs {
+                total += slots[seg * DOUBLING_SLOTS * k + slot * k + j];
+            }
+            total
+        };
+        let mut slots = vec![0.0; nsegs * DOUBLING_SLOTS * k];
+        let mut a = r0.to_vec();
+        let mut b = vec![0.0; d * k];
+        for rows in &tiles {
+            let elems = rows.start * k..rows.end * k;
+            b[elems.clone()].copy_from_slice(&unfused_rows(op, affine, &a, k, rows.clone()));
+            let tile = &mut slots[tile_slots(rows)];
+            start_dots(&a[elems.clone()], &b[elems], k, slot_rows, DOUBLING_SLOTS, tile);
+        }
+        let mut mu: Vec<Vec<f64>> = (0..k)
+            .map(|j| {
+                let (mu0, mu1) = (sum(&slots, 0, j), sum(&slots, 1, j));
+                vec![mu0, mu1, 2.0 * sum(&slots, 2, j) - mu0]
+            })
+            .collect();
+        for step in 1..1 + (n - 2) / 2 {
+            // `x` holds r_t; `p` holds r_{t-1} and becomes r_{t+1}.
+            let (x, p) = if step % 2 == 1 { (&b, &mut a) } else { (&a, &mut b) };
+            for rows in &tiles {
+                let p = &mut p[rows.start * k..rows.end * k];
+                let tile = &mut slots[tile_slots(rows)];
+                unfused_step(op, affine, x, k, rows.clone(), p, slot_rows, tile);
+            }
+            for (j, col) in mu.iter_mut().enumerate() {
+                col.push(2.0 * sum(&slots, 0, j) - col[1]);
+                if 2 * step + 2 < n {
+                    col.push(2.0 * sum(&slots, 1, j) - col[0]);
+                }
+            }
+        }
+        mu
+    }
+
+    /// `wave` with exact zeros of both signs mixed in.
+    fn wave_with_zeros(seed: usize, len: usize) -> Vec<f64> {
+        let mut v = wave(seed, len);
+        for (i, x) in v.iter_mut().enumerate() {
+            match i % 6 {
+                0 => *x = 0.0,
+                3 => *x = -0.0,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// Checks the fused step of `fused` against the unfused passes on
+    /// `bare` with the map `affine`: the moments of the whole recursion at
+    /// on- and off-grid tile heights and one and three threads, and one
+    /// tile's rows and slots, whose inputs hold zeros of both signs.
+    fn assert_fused_step_matches<F: TiledOp + Sync, A: TiledOp>(
+        fused: &F,
+        bare: &A,
+        affine: Option<(f64, f64)>,
+        what: &str,
+    ) {
+        let d = bare.dim();
+        let n = 9;
+        for k in [1, 3, 17] {
+            let r0 = wave(k, d * k);
+            for tile_rows in [DEFAULT_TILE_ROWS, 2 * DEFAULT_TILE_ROWS, 24, 200] {
+                let want = unfused_doubling(bare, affine, &r0, k, n, tile_rows);
+                for threads in [1, 3] {
+                    let (got, _) = fused_interleaved_moments_doubling(
+                        fused,
+                        r0.clone(),
+                        k,
+                        n,
+                        threads,
+                        tile_rows,
+                    );
+                    let case = format!("{what}, k = {k}, {tile_rows} rows, {threads} threads");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(bits(g), bits(w), "{case}");
+                    }
+                }
+            }
+            // One 40-row tile from row 5 in 16-row segments: every length
+            // mod 4 and a ragged last segment.
+            let (rows, slot_rows) = (5..45, 16);
+            let x = wave_with_zeros(2 * k, d * k);
+            let p0 = wave_with_zeros(3 * k + 1, rows.len() * k);
+            let nslots = rows.len().div_ceil(slot_rows) * DOUBLING_SLOTS * k;
+            let (mut p, mut slots) = (p0.clone(), vec![f64::NAN; nslots]);
+            let mut scratch = vec![f64::NAN; rows.len() * k];
+            let mut epi = RowEpilogue::doubling(&mut p, &mut slots, slot_rows, &mut scratch);
+            fused.rows_into(&x, k, rows.clone(), &mut epi);
+            let (mut p_want, mut slots_want) = (p0, vec![f64::NAN; nslots]);
+            unfused_step(
+                bare,
+                affine,
+                &x,
+                k,
+                rows.clone(),
+                &mut p_want,
+                slot_rows,
+                &mut slots_want,
+            );
+            assert_eq!(bits(&p), bits(&p_want), "{what}, k = {k}: rows of p");
+            assert_eq!(bits(&slots), bits(&slots_want), "{what}, k = {k}: slots");
+        }
+    }
+
+    /// Bare, then behind a rescale.
+    fn assert_fused_steps_match<A: TiledOp + Sync + Clone>(op: &A, name: &str) {
+        assert_fused_step_matches(op, op, None, name);
+        let rescaled = RescaledOp::new(op.clone(), 0.03, 1.1);
+        let what = format!("rescaled {name}");
+        assert_fused_step_matches(&rescaled, op, Some((0.03, 1.0 / 1.1)), &what);
+    }
+
+    #[test]
+    fn fused_step_matches_the_unfused_passes_bitwise() {
+        // A disordered periodic 7^3 lattice: D = 343, three canonical
+        // segments, the last ragged.
+        let onsite = wave(5, 343).into_iter().map(|v| 0.2 * v).collect();
+        let geometry =
+            crate::StencilGeometry::Hypercubic { dims: vec![7; 3], periodic: vec![true; 3] };
+        let stencil = StencilOp::new(geometry, 0.125, onsite, true);
+        let csr = stencil.to_csr();
+        assert_fused_steps_match(&csr, "csr");
+        assert_fused_steps_match(&EllMatrix::from_csr(&csr), "ell");
+        assert_fused_steps_match(&stencil, "stencil");
+        assert_fused_steps_match(&csr.to_dense(), "dense");
+        // Zeros on the diagonal make raw products of -0.0, which a bare
+        // operator must keep: `(-0.0 - 0 * x) * 1` is +0.0 for negative x.
+        let diagonal = DiagonalOp::new(wave_with_zeros(9, 343));
+        assert_fused_steps_match(&diagonal, "diagonal");
+        let x = vec![-1.0; 343];
+        let mut p = vec![0.0; 343];
+        let mut slots = vec![0.0; 343usize.div_ceil(16) * DOUBLING_SLOTS];
+        let mut scratch = vec![0.0; 343];
+        diagonal.rows_into(
+            &x,
+            1,
+            0..343,
+            &mut RowEpilogue::doubling(&mut p, &mut slots, 16, &mut scratch),
+        );
+        assert!(p.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()), "a -0.0 row is kept");
     }
 }

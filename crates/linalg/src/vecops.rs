@@ -3,10 +3,9 @@
 //! These are the innermost loops of the KPM recursion. They are written over
 //! slices with iterator zips so the compiler can elide bounds checks and
 //! vectorize; all panic on length mismatch (a programming error, not a
-//! recoverable condition). [`dot`], [`axpy`], [`scale`], [`norm2`],
-//! [`chebyshev_combine_dot`] and [`rescale_inplace`] run a second copy
-//! compiled for AVX2 where the CPU has it, with the same bits
-//! ([`crate::isa`]).
+//! recoverable condition). [`dot`], [`axpy`], [`scale`], [`norm2`] and
+//! [`chebyshev_combine_dot`] run a second copy compiled for AVX2 where the
+//! CPU has it, with the same bits ([`crate::isa`]).
 
 /// Parses a positive-integer override value, rejecting `0`, empty, and
 /// non-numeric input with a one-line stderr warning naming the variable.
@@ -60,8 +59,8 @@ crate::isa::kernels! {
 /// `term(r)` returns row `r`'s `W` products, one per column. It is called
 /// exactly once per row, in ascending order, so it may also store (the
 /// fused Chebyshev combine does). Per column, row `r < n - n % 4` adds into
-/// lane `r % 4`, the last `n % 4` rows are summed in order as the tail, and
-/// the lanes reduce pairwise before the tail is added:
+/// lane `r % 4`, the last `n % 4` rows add in order into the tail, and
+/// [`reduce_lanes`] sums the lanes pairwise before adding the tail:
 /// `(a0 + a1) + (a2 + a3) + tail`. Every column is therefore bitwise equal
 /// to the contiguous one-vector kernel on that column.
 #[inline(always)]
@@ -69,45 +68,56 @@ pub(crate) fn lane_dots<const W: usize>(
     n: usize,
     mut term: impl FnMut(usize) -> [f64; W],
 ) -> [f64; W] {
-    const L: usize = 4;
-    let body = n - n % L;
-    let mut acc = [[0.0f64; W]; L];
-    for base in (0..body / L).map(|c| c * L) {
-        for (l, lane) in acc.iter_mut().enumerate() {
+    let body = n - n % LANES;
+    let mut acc = [[0.0f64; W]; LANES + 1];
+    for base in (0..body / LANES).map(|c| c * LANES) {
+        for (l, lane) in acc[..LANES].iter_mut().enumerate() {
             for (a, t) in lane.iter_mut().zip(term(base + l)) {
                 *a += t;
             }
         }
     }
-    let mut tail = [[0.0f64; W]; L];
-    for (slot, r) in tail.iter_mut().zip(body..n) {
-        *slot = term(r);
+    for r in body..n {
+        for (a, t) in acc[LANES].iter_mut().zip(term(r)) {
+            *a += t;
+        }
     }
-    let tail = &tail[..n - body];
-    std::array::from_fn(|u| {
-        let lanes: [f64; L] = std::array::from_fn(|l| acc[l][u]);
-        pairwise_sum(&lanes) + tail.iter().map(|t| t[u]).sum::<f64>()
-    })
+    reduce_lanes(&acc)
 }
 
-/// `(a0 + a1) + (a2 + a3)`: the lane reduction of the unrolled kernels.
-fn pairwise_sum(lanes: &[f64]) -> f64 {
-    if lanes.len() == 1 {
-        return lanes[0];
+/// Accumulator lanes of the unrolled dot kernels.
+pub(crate) const LANES: usize = 4;
+
+/// Per column, `(a0 + a1) + (a2 + a3) + tail`: the lane reduction of the
+/// unrolled kernels over `acc`'s lanes 0 to 3, then its ordered tail sum,
+/// `acc[LANES]`.
+///
+/// [`dot`]'s tail is an `Iterator::sum`, which starts from `-0.0`; the
+/// tails here start from `0.0`. The two differ only when every tail term is
+/// `-0.0`, and adding either zero to the lane sum gives the same bits, since
+/// lanes that start at `0.0` and only add never hold `-0.0`.
+///
+/// A plain loop over fixed indices, inlined: an out-of-line reduction, or
+/// one built with `std::array::from_fn`, is compiled for the baseline
+/// instruction set and called from the AVX2 copies of the tiled kernels.
+#[inline(always)]
+pub(crate) fn reduce_lanes<const W: usize>(acc: &[[f64; W]; LANES + 1]) -> [f64; W] {
+    let mut out = [0.0f64; W];
+    for (u, o) in out.iter_mut().enumerate() {
+        *o = (acc[0][u] + acc[1][u]) + (acc[2][u] + acc[3][u]) + acc[LANES][u];
     }
-    let (lo, hi) = lanes.split_at(lanes.len() / 2);
-    pairwise_sum(lo) + pairwise_sum(hi)
+    out
 }
 
-/// [`pairwise_sum`] behind an out-of-line call, for the lane reduction of
-/// the one-vector kernels [`dot`] and [`chebyshev_combine_dot`]. Spelled
-/// out inline after the fused combine loop, the pairing led the vectorizer
-/// to split the accumulators into even and odd lanes and shuffle every
-/// element: `chebyshev_combine_dot`'s AVX2 copy ran 1.7x slower than its
-/// baseline copy, and both ran slower than with this call.
+/// `(a0 + a1) + (a2 + a3)`, the lane reduction of the one-vector kernels
+/// [`dot`] and [`chebyshev_combine_dot`], behind an out-of-line call.
+/// Spelled out inline after the fused combine loop, the pairing led the
+/// vectorizer to split the accumulators into even and odd lanes and
+/// shuffle every element: `chebyshev_combine_dot`'s AVX2 copy ran 1.7x
+/// slower than its baseline copy, and both ran slower than with this call.
 #[inline(never)]
-fn pairwise_sum_out_of_line(lanes: &[f64]) -> f64 {
-    pairwise_sum(lanes)
+fn pairwise_sum_out_of_line(lanes: &[f64; LANES]) -> f64 {
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 crate::isa::kernels! {
@@ -225,23 +235,6 @@ crate::isa::kernels! {
             .sum();
         pairwise_sum_out_of_line(&acc) + tail
     }
-
-    /// In-place spectral rescale of a computed product segment:
-    /// `h[i] = (h[i] - a_plus * x[i]) * inv_a_minus`.
-    ///
-    /// Element-for-element the same expression as the store transform fused into
-    /// the format kernels (`block::rescaled_store`), so rescaling a tile of raw
-    /// products afterwards (as the tiled engine's `RescaledOp` row kernel does)
-    /// yields bitwise-identical results to the fused store.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn rescale_inplace(h: &mut [f64], x: &[f64], a_plus: f64, inv_a_minus: f64) {
-        assert_eq!(h.len(), x.len(), "rescale_inplace: length mismatch");
-        for (hv, &xv) in h.iter_mut().zip(x) {
-            *hv = (*hv - a_plus * xv) * inv_a_minus;
-        }
-    }
 }
 
 /// Copies `src` into `dst`.
@@ -308,6 +301,29 @@ mod tests {
                 let want = chebyshev_combine_dot(&hx[j], &mut p, &r0[j]);
                 assert_eq!(mu[j].to_bits(), want.to_bits(), "n = {n}, col {j}");
                 assert_eq!(fused[j], p, "n = {n}, col {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_dots_keep_the_sign_of_zero_sums() {
+        // Products of -0.0 and of opposite signs: the tail of `dot` starts
+        // its sum from -0.0, the tails here from 0.0; the results must not
+        // differ in any bit, the sign of a zero included.
+        for n in 0..12usize {
+            for pattern in 0..4usize {
+                let x: Vec<f64> = (0..n)
+                    .map(|i| match (i + pattern) % 4 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => -1.5,
+                        _ => 1.5,
+                    })
+                    .collect();
+                let y: Vec<f64> =
+                    (0..n).map(|i| if (i * pattern) % 3 == 0 { 2.0 } else { -0.0 }).collect();
+                let got = lane_dots::<1>(n, |i| [x[i] * y[i]]);
+                assert_eq!(got[0].to_bits(), dot(&x, &y).to_bits(), "n = {n}, pattern {pattern}");
             }
         }
     }
