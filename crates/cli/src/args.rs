@@ -50,7 +50,7 @@ pub struct Args {
 }
 
 /// Keys that are boolean flags (no value).
-const FLAGS: &[&str] = &["full", "help", "no-locality", "no-tune", "once", "quiet", "stats"];
+const FLAGS: &[&str] = &["help", "no-locality", "no-tune", "once", "quiet", "stats"];
 
 /// Keys that take a value: every `--key` some command reads. A `--key` in
 /// neither list is rejected, so a misspelt or removed option stops the run
@@ -205,9 +205,9 @@ mod tests {
 
     #[test]
     fn parses_key_values_and_flags() {
-        let a = parse(&["--moments", "256", "--full", "--seed", "7"]).unwrap();
+        let a = parse(&["--moments", "256", "--stats", "--seed", "7"]).unwrap();
         assert_eq!(a.get("moments"), Some("256"));
-        assert!(a.flag("full"));
+        assert!(a.flag("stats"));
         assert!(!a.flag("quiet"));
         assert_eq!(a.get_or::<usize>("seed", 0).unwrap(), 7);
     }

@@ -161,7 +161,7 @@ COMMANDS:
   fleet     run a jobs file (or --listen ADDR) on a persistent worker
             fleet with locality-aware scheduling and a restartable
             --journal DIR
-  help      this text
+  help      this text (`--help` after any command prints it too)
 
 COMMON OPTIONS:
   --lattice  chain:L | square:LX,LY | cubic:LX,LY,LZ | honeycomb:LX,LY
@@ -169,7 +169,10 @@ COMMON OPTIONS:
   --bc       open | periodic        (default periodic)
   --hopping  t                      (default 1.0)
   --disorder W [--dseed S]          (default none)
-  --format   csr | ell | stencil | auto   (default csr)
+  --format   csr | ell | stencil | auto   storage format (default auto:
+             a matrix-free stencil for nearest-neighbour chain, square and
+             cubic lattices of at least 23,831 sites, CSR otherwise; every
+             format gives the same bits)
   --moments  N                      (default 256)
   --resolution EPS     pick N for target energy resolution EPS from the
                        measured spectral half-width (overrides --moments)
@@ -261,7 +264,7 @@ fn workload(args: &Args) -> Result<Workload, CmdError> {
     };
     let format: MatrixFormat = args
         .get("format")
-        .unwrap_or("csr")
+        .unwrap_or("auto")
         .parse()
         .map_err(|e: String| CmdError::Other(format!("--format: {e}")))?;
     let h = spec.build_format(t, onsite, bc, format);
@@ -851,6 +854,8 @@ pub fn run(command: &str, args: &Args) -> Result<String, CmdError> {
 /// Dispatches a subcommand, passing positional arguments to the commands
 /// that take them (`batch`); every other command rejects positionals.
 ///
+/// With `--help`, any command returns the usage text and runs nothing.
+///
 /// With `--trace FILE`, the whole run executes inside a trace session: the
 /// dispatch is wrapped in a `cli.command` span (labeled with the
 /// subcommand), and the finished report — per-phase spans plus any ambient
@@ -865,6 +870,9 @@ pub fn run_with_positionals(
     args: &Args,
     positionals: &[String],
 ) -> Result<String, CmdError> {
+    if args.flag("help") {
+        return Ok(USAGE.to_string());
+    }
     let Some(trace_path) = args.get("trace") else {
         return dispatch(command, args, positionals);
     };
@@ -981,8 +989,10 @@ mod tests {
         assert!(reports[0].contains("csr format"), "{}", reports[0]);
         assert!(reports[1].contains("ell format"), "{}", reports[1]);
         assert!(reports[2].contains("stencil format"), "{}", reports[2]);
-        // Regular cubic rows: auto must pick ELL.
-        assert!(reports[3].contains("ell format"), "{}", reports[3]);
+        // 64 sites, below the stencil threshold: auto keeps CSR.
+        assert!(reports[3].contains("csr format"), "{}", reports[3]);
+        assert_eq!(kpm_linalg::AUTO_STENCIL_MIN_DIM, 23_831, "the threshold USAGE quotes");
+        assert!(USAGE.contains("at least 23,831 sites"));
         // Identical physics: reports differ only in the format label.
         let strip = |r: &str| {
             r.replace("csr format", "X").replace("ell format", "X").replace("stencil format", "X")

@@ -55,9 +55,12 @@ pub type BoundsProvider = BoundsMethod;
 /// to well below the safety margin. The probe costs 64 matvecs plus a few
 /// vector passes per step, over three vectors of length `D`, and holds
 /// 2.7 MB. On the 48^3 Anderson lattice (`D = 110,592`, `W = 12`) at one
-/// thread of a 2-vCPU Xeon host, the benchmark's traced jobs put the
-/// probe's `kpm.bounds` span at 99-134 ms against 231-275 ms for the
-/// job's one-thread moment stage (`N = 128`, `R = 8`).
+/// thread of a 2-vCPU Xeon host, where the default format builds the
+/// matrix-free stencil, the benchmark's traced jobs put the probe's
+/// `kpm.bounds` span at 46-75 ms (96-104 ms with `format=csr`),
+/// against 156-270 ms for the job's one-thread moment stage (`N = 128`,
+/// `R = 8`). Its 64 matvecs took 15-17 ms on the stencil and 47-59 ms on
+/// CSR.
 pub const DEFAULT_LANCZOS_STEPS: usize = 64;
 
 /// Minimum effective Krylov depth for [`lanczos_contained`].

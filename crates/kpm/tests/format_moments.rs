@@ -70,6 +70,29 @@ fn paper_lattice_moments_bitwise_identical_across_formats() {
 }
 
 #[test]
+fn auto_stencil_lattice_moments_bitwise_identical_to_csr() {
+    // 30^3 = 27,000 sites, above the threshold: `auto` runs the stencil.
+    for onsite in [OnSite::Disorder { width: 12.0, seed: 3 }, OnSite::Uniform(0.0)] {
+        let tb = TightBinding::new(
+            HypercubicLattice::cubic(30, 30, 30, Boundary::Periodic),
+            1.0,
+            onsite,
+        );
+        let csr_h = tb.build_csr();
+        let auto = tb.build_format(MatrixFormat::Auto);
+        assert_eq!(auto.format_name(), "stencil");
+        assert_eq!(auto.nnz(), csr_h.nnz());
+        for method in [BoundsMethod::Gershgorin, BoundsMethod::Lanczos { steps: 64 }] {
+            assert_eq!(bound_bits(&auto, method), bound_bits(&csr_h, method), "{method}");
+            let p = KpmParams::new(16).with_random_vectors(3, 2).with_seed(9).with_bounds(method);
+            let (got, want) = (moments_for(&auto, &p), moments_for(&csr_h, &p));
+            assert_eq!(got.mean, want.mean, "{method} mean");
+            assert_eq!(got.std_err, want.std_err, "{method} std_err");
+        }
+    }
+}
+
+#[test]
 fn paper_lattice_dense_moments_match_sparse_closely() {
     // Dense accumulates rows in a different FP order, so equality is to
     // tight tolerance rather than bitwise.

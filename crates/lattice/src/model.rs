@@ -8,7 +8,7 @@
 use crate::hypercubic::{Boundary, HypercubicLattice};
 use kpm_linalg::csr::{self, CsrMatrix};
 use kpm_linalg::ell::EllMatrix;
-use kpm_linalg::sparse::{MatrixFormat, SparseMatrix};
+use kpm_linalg::sparse::{MatrixFormat, SparseMatrix, AUTO_STENCIL_MIN_DIM};
 use kpm_linalg::stencil::{StencilGeometry, StencilOp};
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
@@ -177,16 +177,20 @@ impl TightBinding {
     /// Assembles the Hamiltonian in the requested storage format.
     ///
     /// [`MatrixFormat::Stencil`] falls back to CSR when
-    /// [`Self::build_stencil`] cannot express the model.
+    /// [`Self::build_stencil`] cannot express the model;
+    /// [`MatrixFormat::Auto`] builds the stencil from
+    /// [`AUTO_STENCIL_MIN_DIM`] sites up, and CSR below it or when the
+    /// stencil cannot express the model.
     pub fn build_format(&self, format: MatrixFormat) -> SparseMatrix {
-        match format {
-            MatrixFormat::Csr => SparseMatrix::Csr(self.build_csr()),
-            MatrixFormat::Ell => SparseMatrix::Ell(self.build_ell()),
-            MatrixFormat::Stencil => match self.build_stencil() {
-                Some(s) => SparseMatrix::Stencil(s),
-                None => SparseMatrix::Csr(self.build_csr()),
-            },
-            MatrixFormat::Auto => SparseMatrix::auto(self.build_csr()),
+        let stencil = match format {
+            MatrixFormat::Csr => false,
+            MatrixFormat::Ell => return SparseMatrix::Ell(self.build_ell()),
+            MatrixFormat::Stencil => true,
+            MatrixFormat::Auto => self.lattice.num_sites() >= AUTO_STENCIL_MIN_DIM,
+        };
+        match stencil.then(|| self.build_stencil()).flatten() {
+            Some(s) => SparseMatrix::Stencil(s),
+            None => SparseMatrix::Csr(self.build_csr()),
         }
     }
 }

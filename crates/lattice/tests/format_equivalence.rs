@@ -5,11 +5,17 @@
 //! without perturbing physics results.
 
 use kpm_lattice::{Boundary, HypercubicLattice, LatticeSpec, OnSite, TightBinding};
-use kpm_linalg::{BlockOp, LinearOp, MatrixFormat, SparseMatrix};
+use kpm_linalg::gershgorin::gershgorin_csr;
+use kpm_linalg::op::RescaledOp;
+use kpm_linalg::tiled::fused_block_moments_doubling;
+use kpm_linalg::{
+    BlockOp, CsrMatrix, LinearOp, MatrixFormat, SparseMatrix, StencilGeometry, StencilOp, TiledOp,
+    AUTO_STENCIL_MIN_DIM,
+};
 use proptest::prelude::*;
 
 fn boundaries() -> impl Strategy<Value = Vec<Boundary>> {
-    proptest::collection::vec(prop_oneof![Just(Boundary::Open), Just(Boundary::Periodic)], 1..4)
+    proptest::collection::vec(prop_oneof![Just(Boundary::Open), Just(Boundary::Periodic)], 1..5)
 }
 
 fn onsite() -> impl Strategy<Value = OnSite> {
@@ -55,12 +61,121 @@ fn assert_formats_agree(csr_h: &kpm_linalg::CsrMatrix, variants: &[SparseMatrix]
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// On-site energies with exact `0.0` and `-0.0` among nonzero values.
+fn onsite_with_zeros(d: usize) -> Vec<f64> {
+    (0..d)
+        .map(|i| match i % 5 {
+            0 | 3 => 0.0,
+            1 => -0.0,
+            _ => ((i * 7919) % 13) as f64 / 6.5 - 1.0,
+        })
+        .collect()
+}
+
+/// The lattice crate's CSR of `lat` with the on-site energies `onsite`:
+/// its hops from `build_csr`, and a diagonal entry where `onsite[i] != 0.0`
+/// or `store_zero` holds, the builders' rule.
+fn reference_csr(lat: &HypercubicLattice, t: f64, onsite: &[f64], store_zero: bool) -> CsrMatrix {
+    let base = TightBinding::new(lat.clone(), t, OnSite::Uniform(0.0))
+        .store_zero_diagonal(true)
+        .build_csr();
+    let (mut row_ptr, mut cols, mut values) = (vec![0u32], Vec::new(), Vec::new());
+    for (i, &e) in onsite.iter().enumerate() {
+        for (j, v) in base.row_entries(i) {
+            if j != i || e != 0.0 || store_zero {
+                cols.push(j as u32);
+                values.push(if j == i { e } else { v });
+            }
+        }
+        row_ptr.push(cols.len() as u32);
+    }
+    CsrMatrix::from_raw(onsite.len(), onsite.len(), row_ptr, cols, values).unwrap()
+}
+
+/// Doubling-recursion moments of `op` rescaled into `[-1, 1]` by `bounds`,
+/// from a fixed start block, on the tiled engine.
+fn doubling_moments<A: TiledOp + Sync + Clone>(
+    op: &A,
+    (lower, upper): (f64, f64),
+    k: usize,
+    threads: usize,
+    tile_rows: usize,
+) -> Vec<Vec<u64>> {
+    let a_minus = (0.505 * (upper - lower)).max(1.0);
+    let rescaled = RescaledOp::new(op.clone(), 0.5 * (upper + lower), a_minus);
+    let r0 = test_block(op.dim(), k);
+    let (mu, _) = fused_block_moments_doubling(&rescaled, &r0, k, 12, threads, tile_rows);
+    mu.iter().map(|m| bits(m)).collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every stencil kernel against the lattice CSR, on open and periodic
+    /// lattices in 1-D to 4-D with extents 1, 2, 3 and more: the one-vector
+    /// product bare and rescaled, the column-major block product, tiled
+    /// doubling moments from tiles that start mid-line, the Gershgorin discs
+    /// and the stored-entry count.
+    #[test]
+    fn stencil_kernels_match_the_lattice_csr(
+        dims in proptest::collection::vec(1usize..7, 1..5),
+        wraps in proptest::collection::vec(prop_oneof![Just(false), Just(true)], 4),
+        pattern in 0usize..3,
+        store_zero in prop_oneof![Just(false), Just(true)],
+        t in 0.2..2.5f64,
+    ) {
+        let bcs: Vec<Boundary> = wraps[..dims.len()]
+            .iter()
+            .map(|&w| if w { Boundary::Periodic } else { Boundary::Open })
+            .collect();
+        let lat = HypercubicLattice::with_boundaries(&dims, &bcs);
+        let d = lat.num_sites();
+        let onsite = match pattern {
+            0 => vec![0.0; d],
+            1 => vec![0.7; d],
+            _ => onsite_with_zeros(d),
+        };
+        let reference = reference_csr(&lat, t, &onsite, store_zero);
+        let geometry = StencilGeometry::Hypercubic { dims: dims.clone(), periodic: wraps[..dims.len()].to_vec() };
+        let stencil = StencilOp::new(geometry, t, onsite, store_zero);
+        prop_assert_eq!(stencil.stored_entries(), reference.nnz());
+        prop_assert_eq!(stencil.to_csr(), reference.clone());
+        let bounds = stencil.gershgorin_bounds();
+        prop_assert_eq!(bounds, gershgorin_csr(&reference));
+
+        let x = test_block(d, 1);
+        prop_assert_eq!(bits(&stencil.apply_alloc(&x)), bits(&reference.apply_alloc(&x)));
+        let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
+        stencil.apply_rescaled(&x, &mut got, 0.3, 1.0 / 1.7);
+        reference.apply_rescaled(&x, &mut want, 0.3, 1.0 / 1.7);
+        prop_assert_eq!(bits(&got), bits(&want));
+        for k in 1..=4 {
+            let x = test_block(d, k);
+            let (mut got, mut want) = (vec![0.0; d * k], vec![0.0; d * k]);
+            stencil.apply_block(&x, &mut got, k);
+            reference.apply_block(&x, &mut want, k);
+            prop_assert_eq!(bits(&got), bits(&want), "apply_block, k = {}", k);
+            stencil.apply_block_rescaled(&x, &mut got, k, -0.2, 0.9);
+            reference.apply_block_rescaled(&x, &mut want, k, -0.2, 0.9);
+            prop_assert_eq!(bits(&got), bits(&want), "apply_block_rescaled, k = {}", k);
+        }
+        let b = (bounds.lower, bounds.upper);
+        for (k, threads, tile_rows) in [(1, 1, 128), (3, 1, 5), (8, 2, 7), (17, 1, 3)] {
+            prop_assert_eq!(
+                doubling_moments(&stencil, b, k, threads, tile_rows),
+                doubling_moments(&reference, b, k, threads, tile_rows),
+                "doubling moments, k = {}, {} threads, {}-row tiles", k, threads, tile_rows
+            );
+        }
+    }
 
     #[test]
     fn hypercubic_formats_apply_bitwise_identically(
-        dims in proptest::collection::vec(1usize..6, 1..4),
+        dims in proptest::collection::vec(1usize..6, 1..5),
         bcs in boundaries(),
         onsite in onsite(),
         store_zero in prop_oneof![Just(false), Just(true)],
@@ -144,6 +259,29 @@ fn paper_cubic_lattice_formats_agree() {
         tb.build_format(MatrixFormat::Auto),
     ];
     assert_eq!(variants[1].format_name(), "stencil");
-    assert_eq!(variants[2].format_name(), "ell", "perfectly regular rows must auto-pick ELL");
+    assert_eq!(variants[2].format_name(), "csr", "1000 sites: auto keeps the cache-resident CSR");
     assert_formats_agree(&csr_h, &variants, 8);
+}
+
+#[test]
+fn auto_builds_the_stencil_from_the_threshold_up() {
+    // The smallest cube at or above the threshold, and the one below it.
+    let side = (1..).find(|l| l * l * l >= AUTO_STENCIL_MIN_DIM).unwrap();
+    for (l, want) in [(side - 1, "csr"), (side, "stencil")] {
+        let spec = LatticeSpec::Cubic(l, l, l);
+        let onsite = OnSite::Disorder { width: 12.0, seed: 5 };
+        let auto = spec.build_format(1.0, onsite, Boundary::Periodic, MatrixFormat::Auto);
+        assert_eq!(auto.format_name(), want, "{l}^3");
+        let csr_h = spec.build(1.0, onsite, Boundary::Periodic);
+        assert_eq!(auto.nnz(), csr_h.nnz());
+        let x = test_block(csr_h.dim(), 1);
+        assert_eq!(bits(&auto.apply_alloc(&x)), bits(&csr_h.apply_alloc(&x)), "{l}^3");
+    }
+    // Models the stencil cannot express, and honeycombs, stay CSR.
+    let big = HypercubicLattice::chain(AUTO_STENCIL_MIN_DIM, Boundary::Periodic);
+    let nnn = TightBinding::new(big, 1.0, OnSite::Uniform(0.0)).with_next_nearest(0.3);
+    assert_eq!(nnn.build_format(MatrixFormat::Auto).format_name(), "csr");
+    let honeycomb = LatticeSpec::Honeycomb(120, 120);
+    let h = honeycomb.build_format(1.0, OnSite::Uniform(0.0), Boundary::Open, MatrixFormat::Auto);
+    assert_eq!(h.format_name(), "csr");
 }

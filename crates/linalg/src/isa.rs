@@ -2,19 +2,21 @@
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
-//! stages in — the tiled engine's CSR row kernel, which with its row
-//! epilogue is also the fused later step of the doubling recursion, the
-//! per-tile dot kernel of step 0 (`start_dots`), and the
+//! stages and bounds probes in — the tiled engine's CSR and hypercubic
+//! stencil row kernels, which with their row epilogue are also the fused
+//! later step of the doubling recursion, the stencil's one-vector kernel,
+//! the per-tile dot kernel of step 0 (`start_dots`), and the
 //! [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2` and
 //! `chebyshev_combine_dot` — are therefore each compiled twice by
 //! `kernels!`: a baseline copy, and a copy under
 //! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when
 //! the CPU has AVX2. Each call picks its copy; off x86-64 only the baseline
-//! copy exists. The ELL and stencil row kernels, the step over a computed
-//! tile that dense, identity and diagonal operators run (`tile_step`), the
-//! tiled dot kernel of the plain recursion (`plain_step_dots`),
-//! `chebyshev_combine` and `chebyshev_combine_inplace` run in no benchmark
-//! workload and have one copy.
+//! copy exists. The ELL row kernel, the honeycomb stencil's per-row path,
+//! the step over a computed tile that dense, identity and diagonal
+//! operators run (`tile_step`), the tiled dot kernel of the plain
+//! recursion (`plain_step_dots`), `chebyshev_combine` and
+//! `chebyshev_combine_inplace` run in no benchmark workload and have one
+//! copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -92,7 +94,7 @@ pub(crate) use kernels;
 mod tests {
     use crate::tiled::RowEpilogue;
     use crate::vecops;
-    use crate::{csr, tiled, CsrMatrix, StencilGeometry, StencilOp};
+    use crate::{csr, stencil, tiled, CsrMatrix, LinearOp, StencilGeometry, StencilOp};
 
     /// `true` when the AVX2 copies can run; prints why the test is skipped
     /// otherwise.
@@ -227,6 +229,111 @@ mod tests {
                         ),
                         p = p0.clone(),
                         slots = vec![f64::NAN; nsegs * 3 * k]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Hypercubic stencils whose classes cover extents 1, 2, 3 and more,
+    /// open and periodic, with exact `0.0` (and `-0.0`) on-site energies
+    /// among the others, each with and without stored zero diagonals.
+    fn stencils() -> Vec<(String, StencilOp)> {
+        let shapes: [(&[usize], &[bool]); 4] = [
+            (&[5, 4, 3], &[true, false, true]),
+            (&[7, 2, 1, 3], &[false, true, true, false]),
+            (&[11], &[false]),
+            (&[1, 6], &[true, true]),
+        ];
+        let mut ops = Vec::new();
+        for (dims, periodic) in shapes {
+            let d: usize = dims.iter().product();
+            let onsite: Vec<f64> = lcg_values(d as u64, d)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| [0.0, -0.0, 0.2 * v][i % 3])
+                .collect();
+            for store_zero in [false, true] {
+                let geometry = StencilGeometry::Hypercubic {
+                    dims: dims.to_vec(),
+                    periodic: periodic.to_vec(),
+                };
+                let name = format!("{dims:?} {periodic:?}, stored zeros {store_zero}");
+                ops.push((name, StencilOp::new(geometry, 0.125, onsite.clone(), store_zero)));
+            }
+        }
+        ops
+    }
+
+    /// The whole operator, one row, and 7-row ranges from mid-line to a
+    /// ragged end.
+    fn row_ranges(d: usize) -> Vec<std::ops::Range<usize>> {
+        [0..d, 0..1].into_iter().chain((3..d).step_by(7).map(|lo| lo..(lo + 7).min(d))).collect()
+    }
+
+    #[test]
+    fn stencil_row_kernel_agrees_across_isas() {
+        if !avx2_available() {
+            return;
+        }
+        let slot_rows: usize = 16;
+        for (name, op) in stencils() {
+            let plan = op.plan.as_ref().expect("hypercubic plan");
+            let d = op.dim();
+            for k in 1..=17 {
+                let x = lcg_values(k as u64, d * k);
+                for rows in row_ranges(d) {
+                    let what = format!("{name}, k = {k}, rows {rows:?}");
+                    assert_copies_agree!(
+                        format!("stencil store, {what}"),
+                        stencil::rows_interleaved(
+                            &op,
+                            plan,
+                            &x,
+                            k,
+                            rows.clone(),
+                            &mut RowEpilogue::store(&mut out)
+                        ),
+                        out = vec![f64::NAN; rows.len() * k]
+                    );
+                    let nsegs = rows.len().div_ceil(slot_rows);
+                    let p0 = lcg_values(100 * k as u64 + rows.start as u64, rows.len() * k);
+                    for affine in [None, Some((0.3, 1.0 / 1.7))] {
+                        assert_copies_agree!(
+                            format!("stencil step, {what}, map {affine:?}"),
+                            stencil::rows_interleaved(
+                                &op,
+                                plan,
+                                &x,
+                                k,
+                                rows.clone(),
+                                &mut RowEpilogue::doubling(&mut p, &mut slots, slot_rows, &mut [])
+                                    .mapped(affine)
+                            ),
+                            p = p0.clone(),
+                            slots = vec![f64::NAN; nsegs * 3 * k]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_apply_kernel_agrees_across_isas() {
+        if !avx2_available() {
+            return;
+        }
+        for (name, op) in stencils() {
+            let plan = op.plan.as_ref().expect("hypercubic plan");
+            let d = op.dim();
+            let x = lcg_values(d as u64 + 1, d);
+            for rows in row_ranges(d) {
+                for affine in [None, Some((0.3, 1.0 / 1.7))] {
+                    assert_copies_agree!(
+                        format!("stencil apply, {name}, rows {rows:?}, map {affine:?}"),
+                        stencil::apply_rows(&op, plan, &x, &mut y, rows.clone(), affine),
+                        y = vec![f64::NAN; rows.len()]
                     );
                 }
             }

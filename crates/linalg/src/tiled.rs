@@ -32,10 +32,10 @@
 //! The column count is a compile-time constant inside every row loop: the
 //! row kernels, the epilogue and the per-tile dot kernels are const-generic
 //! in their width `W`, dispatched on `k`, and blocks wider than
-//! `MAX_CHUNK_COLS` (16) run in const-width column chunks. The CSR row
-//! kernel (with its epilogue) and step 0's dot kernel (`start_dots`) are
-//! compiled twice, for baseline x86-64 and for AVX2, with the same bits
-//! ([`crate::isa`]).
+//! `MAX_CHUNK_COLS` (16) run in const-width column chunks. The CSR and
+//! hypercubic stencil row kernels (with their epilogue) and step 0's dot
+//! kernel (`start_dots`) are compiled twice, for baseline x86-64 and for
+//! AVX2, with the same bits ([`crate::isa`]).
 //!
 //! # Determinism
 //!
@@ -68,7 +68,8 @@
 //! # Memory traffic
 //!
 //! A fused step reads each matrix row once for all `k` columns: for CSR,
-//! 12 B per entry and a 4 B row pointer (32-bit indices). Per column it
+//! 12 B per entry and a 4 B row pointer (32-bit indices); for the stencil,
+//! the row's 8 B on-site energy. Per column it
 //! reads `x` (8 B/row) and reads and writes `p` in place (16 B/row). The
 //! doubling recursion dots `p` against `x` and itself, so a step moves no
 //! other vector: `24 k` B/row plus the matrix row, for two moments. The
@@ -194,7 +195,7 @@ impl TiledOp for StencilOp {
 
     fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
         check_rows(self.dim(), x, k, &rows, epi.tile_len());
-        self.rows_interleaved(x, k, rows, epi);
+        self.rows_into_epilogue(x, k, rows, epi);
     }
 }
 
@@ -1359,7 +1360,8 @@ mod tests {
     #[test]
     fn stencil_streaming_matches_csr_from_offset_ranges() {
         // [4, 3, 2] has only boundary rows (an extent-2 direction); [5, 4, 3]
-        // also has interior rows, so ranges seed the odometer on both paths.
+        // also has interior rows, so ranges start mid-line in both kinds of
+        // class.
         for (dims, step) in [([4, 3, 2], 5), ([5, 4, 3], 7)] {
             let s = StencilOp::hypercubic_uniform(&dims, &[true, false, true], 1.0, 0.2, true);
             let d = s.dim();
@@ -1378,7 +1380,7 @@ mod tests {
                 assert_eq!(
                     deinterleave(&got, d, k),
                     reference,
-                    "{dims:?}, k = {k}: seeded odometer must match full sweep"
+                    "{dims:?}, k = {k}: a range from mid-line must match the full sweep"
                 );
             }
         }

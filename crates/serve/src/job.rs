@@ -172,7 +172,9 @@ pub struct JobSpec {
     /// both produce bitwise identical numbers, so only the reported clock
     /// differs). Ignored by the stream backend.
     pub device: DeviceSpec,
-    /// Sparse storage format for lattice models (dense models ignore it).
+    /// Sparse storage format for lattice models (dense models ignore it);
+    /// `auto` by default, which builds large nearest-neighbour lattices as
+    /// a matrix-free stencil and everything else as CSR.
     pub format: MatrixFormat,
     /// Spectral-bounds provider for the rescale stage
     /// (`gershgorin | lanczos[:k] | manual:a,b`). Participates in the
@@ -202,7 +204,7 @@ impl Default for JobSpec {
             seed: 42,
             backend: Backend::Cpu,
             device: DeviceSpec::Host,
-            format: MatrixFormat::Csr,
+            format: MatrixFormat::Auto,
             bounds: BoundsMethod::Gershgorin,
             priority: Priority::Normal,
             fault: None,
@@ -595,11 +597,11 @@ mod tests {
     #[test]
     fn format_parses_and_shares_cache_but_not_content_hash() {
         let base = JobSpec::parse("lattice=cubic:4,4,4").unwrap();
-        assert_eq!(base.format, MatrixFormat::Csr);
+        assert_eq!(base.format, MatrixFormat::Auto);
         for (token, format) in [
+            ("format=csr", MatrixFormat::Csr),
             ("format=ell", MatrixFormat::Ell),
             ("format=stencil", MatrixFormat::Stencil),
-            ("format=auto", MatrixFormat::Auto),
         ] {
             let job = JobSpec::parse(&format!("lattice=cubic:4,4,4 {token}")).unwrap();
             assert_eq!(job.format, format);
