@@ -115,86 +115,71 @@ fn doubling_moments<A: TiledOp + Sync + Clone>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every stencil kernel against the lattice CSR, on open and periodic
-    /// lattices in 1-D to 4-D with extents 1, 2, 3 and more: the one-vector
-    /// product bare and rescaled, the column-major block product, tiled
-    /// doubling moments from tiles that start mid-line, the Gershgorin discs
-    /// and the stored-entry count.
-    #[test]
-    fn stencil_kernels_match_the_lattice_csr(
-        dims in proptest::collection::vec(1usize..7, 1..5),
-        wraps in proptest::collection::vec(prop_oneof![Just(false), Just(true)], 4),
-        pattern in 0usize..3,
-        store_zero in prop_oneof![Just(false), Just(true)],
-        t in 0.2..2.5f64,
-    ) {
-        let bcs: Vec<Boundary> = wraps[..dims.len()]
-            .iter()
-            .map(|&w| if w { Boundary::Periodic } else { Boundary::Open })
-            .collect();
-        let lat = HypercubicLattice::with_boundaries(&dims, &bcs);
-        let d = lat.num_sites();
-        let onsite = match pattern {
-            0 => vec![0.0; d],
-            1 => vec![0.7; d],
-            _ => onsite_with_zeros(d),
-        };
-        let reference = reference_csr(&lat, t, &onsite, store_zero);
-        let geometry = StencilGeometry::Hypercubic { dims: dims.clone(), periodic: wraps[..dims.len()].to_vec() };
-        let stencil = StencilOp::new(geometry, t, onsite, store_zero);
-        prop_assert_eq!(stencil.stored_entries(), reference.nnz());
-        prop_assert_eq!(stencil.to_csr(), reference.clone());
-        let bounds = stencil.gershgorin_bounds();
-        prop_assert_eq!(bounds, gershgorin_csr(&reference));
-
-        let x = test_block(d, 1);
-        prop_assert_eq!(bits(&stencil.apply_alloc(&x)), bits(&reference.apply_alloc(&x)));
-        let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
-        stencil.apply_rescaled(&x, &mut got, 0.3, 1.0 / 1.7);
-        reference.apply_rescaled(&x, &mut want, 0.3, 1.0 / 1.7);
-        prop_assert_eq!(bits(&got), bits(&want));
-        for k in 1..=4 {
-            let x = test_block(d, k);
-            let (mut got, mut want) = (vec![0.0; d * k], vec![0.0; d * k]);
-            stencil.apply_block(&x, &mut got, k);
-            reference.apply_block(&x, &mut want, k);
-            prop_assert_eq!(bits(&got), bits(&want), "apply_block, k = {}", k);
-            stencil.apply_block_rescaled(&x, &mut got, k, -0.2, 0.9);
-            reference.apply_block_rescaled(&x, &mut want, k, -0.2, 0.9);
-            prop_assert_eq!(bits(&got), bits(&want), "apply_block_rescaled, k = {}", k);
-        }
-        let b = (bounds.lower, bounds.upper);
-        for (k, threads, tile_rows) in [(1, 1, 128), (3, 1, 5), (8, 2, 7), (17, 1, 3)] {
-            prop_assert_eq!(
-                doubling_moments(&stencil, b, k, threads, tile_rows),
-                doubling_moments(&reference, b, k, threads, tile_rows),
-                "doubling moments, k = {}, {} threads, {}-row tiles", k, threads, tile_rows
-            );
-        }
-    }
-
+    /// ELL and the stencil against the lattice CSR, on open and periodic
+    /// lattices in 1-D to 4-D with extents 1, 2, 3 and more, with builder
+    /// on-site energies or exact `0.0` and `-0.0` among nonzero ones, with
+    /// and without stored zero diagonals: the stored-entry count, `to_csr`,
+    /// the Gershgorin discs, the one-vector and block products bare and
+    /// rescaled, and tiled doubling moments from tiles that start mid-line.
     #[test]
     fn hypercubic_formats_apply_bitwise_identically(
-        dims in proptest::collection::vec(1usize..6, 1..5),
+        dims in proptest::collection::vec(1usize..7, 1..5),
         bcs in boundaries(),
-        onsite in onsite(),
+        onsite in prop_oneof![3 => onsite().prop_map(Some), 1 => Just(None)],
         store_zero in prop_oneof![Just(false), Just(true)],
         t in 0.2..2.5f64,
     ) {
         let ndim = dims.len().min(bcs.len());
         let lat = HypercubicLattice::with_boundaries(&dims[..ndim], &bcs[..ndim]);
-        let tb = TightBinding::new(lat, t, onsite).store_zero_diagonal(store_zero);
-        let csr_h = tb.build_csr();
-        let variants = [
-            tb.build_format(MatrixFormat::Ell),
-            tb.build_format(MatrixFormat::Stencil),
-            tb.build_format(MatrixFormat::Auto),
-        ];
+        let (csr_h, variants) = match onsite {
+            Some(onsite) => {
+                let tb = TightBinding::new(lat, t, onsite).store_zero_diagonal(store_zero);
+                let variants =
+                    [tb.build_format(MatrixFormat::Ell), tb.build_format(MatrixFormat::Stencil)];
+                (tb.build_csr(), variants)
+            }
+            // No builder draws exact zeros among nonzero energies.
+            None => {
+                let energies = onsite_with_zeros(lat.num_sites());
+                let csr_h = reference_csr(&lat, t, &energies, store_zero);
+                let periodic = lat.boundaries().iter().map(|&b| b == Boundary::Periodic).collect();
+                let geometry = StencilGeometry::Hypercubic { dims: lat.dims().to_vec(), periodic };
+                let stencil = StencilOp::new(geometry, t, energies, store_zero);
+                let ell = SparseMatrix::from_csr(csr_h.clone(), MatrixFormat::Ell);
+                (csr_h, [ell, SparseMatrix::Stencil(stencil)])
+            }
+        };
         // The stencil must actually be matrix-free here, not a fallback.
         prop_assert_eq!(variants[1].format_name(), "stencil");
+        let d = csr_h.dim();
+        let bounds = gershgorin_csr(&csr_h);
         for m in &variants {
-            prop_assert_eq!(m.nnz(), csr_h.nnz(), "{}", m.format_name());
-            prop_assert_eq!(m.to_csr(), csr_h.clone(), "{}", m.format_name());
+            let name = m.format_name();
+            prop_assert_eq!(m.nnz(), csr_h.nnz(), "{}", name);
+            prop_assert_eq!(m.to_csr(), csr_h.clone(), "{}", name);
+            prop_assert_eq!(m.gershgorin_bounds(), bounds, "{}", name);
+            let x = test_block(d, 1);
+            prop_assert_eq!(bits(&m.apply_alloc(&x)), bits(&csr_h.apply_alloc(&x)), "{}", name);
+            let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
+            m.apply_rescaled(&x, &mut got, 0.3, 1.0 / 1.7);
+            csr_h.apply_rescaled(&x, &mut want, 0.3, 1.0 / 1.7);
+            prop_assert_eq!(bits(&got), bits(&want), "{} apply_rescaled", name);
+            for k in 1..=4 {
+                let x = test_block(d, k);
+                let (mut got, mut want) = (vec![0.0; d * k], vec![0.0; d * k]);
+                m.apply_block_rescaled(&x, &mut got, k, -0.2, 0.9);
+                csr_h.apply_block_rescaled(&x, &mut want, k, -0.2, 0.9);
+                prop_assert_eq!(bits(&got), bits(&want), "{} apply_block_rescaled, k = {}", name, k);
+            }
+            let b = (bounds.lower, bounds.upper);
+            for (k, threads, tile_rows) in [(1, 1, 128), (3, 1, 5), (8, 2, 7), (17, 1, 3)] {
+                prop_assert_eq!(
+                    doubling_moments(m, b, k, threads, tile_rows),
+                    doubling_moments(&csr_h, b, k, threads, tile_rows),
+                    "{} doubling moments, k = {}, {} threads, {}-row tiles",
+                    name, k, threads, tile_rows
+                );
+            }
         }
         assert_formats_agree(&csr_h, &variants, 4);
     }
@@ -253,13 +238,8 @@ fn paper_cubic_lattice_formats_agree() {
     let csr_h = tb.build_csr();
     assert_eq!(csr_h.nnz(), 7000);
     assert_eq!(spec.num_sites(), 1000);
-    let variants = [
-        tb.build_format(MatrixFormat::Ell),
-        tb.build_format(MatrixFormat::Stencil),
-        tb.build_format(MatrixFormat::Auto),
-    ];
+    let variants = [tb.build_format(MatrixFormat::Ell), tb.build_format(MatrixFormat::Stencil)];
     assert_eq!(variants[1].format_name(), "stencil");
-    assert_eq!(variants[2].format_name(), "csr", "1000 sites: auto keeps the cache-resident CSR");
     assert_formats_agree(&csr_h, &variants, 8);
 }
 

@@ -660,7 +660,8 @@ fn add_hops<const W: usize>(
     offs: &[isize],
 ) {
     // Three, the count of every side of an interior 3-D row, runs
-    // unrolled.
+    // unrolled: with the generic loop alone the 48^3 engine ran about 8%
+    // slower, behind CSR (DESIGN §7, "The stencil's class plan").
     if let Ok(three) = <&[isize; 3]>::try_from(offs) {
         for &off in three {
             add_row::<W>(acc, coef, &x[(i as isize + off) as usize * k..]);

@@ -458,9 +458,13 @@ impl JobSpec {
     /// Masks everything that does not change the built matrix: the KPM
     /// parameters, kernel, seed, bounds provider, device, backend, and
     /// priority. Keeps the model, boundary, hopping, disorder, and storage
-    /// format. With all maskable fields at their defaults the canonical
-    /// line is byte-identical to the pre-`bounds` era, so advertised
-    /// inventory hashes are stable across versions.
+    /// format. The format defaults to `auto`, where it was `csr` before
+    /// the matrix-free default, so a default job's line renders
+    /// `format=auto` and its op key and [`JobSpec::content_hash`] differ
+    /// from those of older versions: a fleet mixing the two finds no warm
+    /// operator across them, and a KPFJ journal an older coordinator wrote
+    /// for a default-format job is recomputed instead of replayed. Jobs
+    /// that name their format keep their hashes.
     pub fn op_key(&self) -> u64 {
         let neutral = JobSpec {
             num_moments: 2,
