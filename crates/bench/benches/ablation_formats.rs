@@ -3,13 +3,13 @@
 //! The baseline is the seed pipeline's inner loop: one vector at a time
 //! through CSR (`single_vector_moments`). Against it we run the tiled
 //! engine's blocked recursion (`tiled::fused_block_moments_plain`, one
-//! thread) over CSR, padded ELL, and the matrix-free stencil at block
-//! widths R ∈ {1, 8, 14} (14 is the paper's `R` per set). The three formats
+//! thread) over CSR and the matrix-free stencil at block widths
+//! R ∈ {1, 8, 14} (14 is the paper's `R` per set). The two formats
 //! compute bitwise-identical moments, and the one-vector baseline agrees
 //! with them to rounding; the sweep isolates pure storage/traversal cost.
 //!
 //! The lattice is 48x48x48 (D = 110,592; the bitwise cross-format tests use
-//! the paper's 10x10x10). At this size the ~12 MB CSR arrays no longer fit
+//! the paper's 10x10x10). At this size the ~9.7 MB CSR arrays no longer fit
 //! in L2, so re-streaming the matrix once per vector — what the one-vector
 //! baseline does — costs real bandwidth, and amortizing the sweep over `R`
 //! right-hand sides (or generating the pattern on the fly) shows up as the
@@ -88,7 +88,6 @@ fn time_it(mut f: impl FnMut()) -> f64 {
 fn write_results_csv() {
     let tb = paper_model();
     let csr = rescaled(tb.build_format(MatrixFormat::Csr));
-    let ell = rescaled(tb.build_format(MatrixFormat::Ell));
     let stencil = rescaled(tb.build_format(MatrixFormat::Stencil));
     let d = csr.dim();
 
@@ -109,7 +108,7 @@ fn write_results_csv() {
                 black_box(one_vector_csr(&csr, &block, r));
             }),
         );
-        for (name, op) in [("csr", &csr), ("ell", &ell), ("stencil", &stencil)] {
+        for (name, op) in [("csr", &csr), ("stencil", &stencil)] {
             push(
                 "blocked",
                 name,
@@ -132,7 +131,6 @@ fn bench_formats(c: &mut Criterion) {
     let tb = paper_model();
     let variants = [
         ("csr", rescaled(tb.build_format(MatrixFormat::Csr))),
-        ("ell", rescaled(tb.build_format(MatrixFormat::Ell))),
         ("stencil", rescaled(tb.build_format(MatrixFormat::Stencil))),
     ];
     let d = variants[0].1.dim();

@@ -31,7 +31,7 @@ fn cubic(l: usize) -> RescaledOp<SparseMatrix> {
         OnSite::Uniform(0.0),
     )
     .store_zero_diagonal(true);
-    let m = tb.build_format(MatrixFormat::Ell);
+    let m = tb.build_format(MatrixFormat::Csr);
     let bounds = m.spectral_bounds(BoundsMethod::Gershgorin).expect("bounds");
     rescale(m, bounds, 0.01).expect("rescale")
 }

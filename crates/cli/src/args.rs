@@ -165,19 +165,33 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Parsed value, or `None` if absent.
+    ///
+    /// # Errors
+    /// [`ArgError::BadValue`] carrying `expected`, the accepted values, if
+    /// present but unparsable.
+    pub fn get_parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|v| {
+                v.parse().map_err(|_| ArgError::BadValue {
+                    key: key.into(),
+                    value: v.into(),
+                    expected,
+                })
+            })
+            .transpose()
+    }
+
     /// Parsed value with a default.
     ///
     /// # Errors
     /// [`ArgError::BadValue`] if present but unparsable.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.into(),
-                value: v.into(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+        Ok(self.get_parsed(key, std::any::type_name::<T>())?.unwrap_or(default))
     }
 
     /// Required parsed value.
@@ -186,12 +200,8 @@ impl Args {
     /// [`ArgError::Required`] if absent, [`ArgError::BadValue`] if
     /// unparsable.
     pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, ArgError> {
-        let v = self.get(key).ok_or_else(|| ArgError::Required(key.into()))?;
-        v.parse().map_err(|_| ArgError::BadValue {
-            key: key.into(),
-            value: v.into(),
-            expected: std::any::type_name::<T>(),
-        })
+        self.get_parsed(key, std::any::type_name::<T>())?
+            .ok_or_else(|| ArgError::Required(key.into()))
     }
 }
 

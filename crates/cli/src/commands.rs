@@ -169,10 +169,11 @@ COMMON OPTIONS:
   --bc       open | periodic        (default periodic)
   --hopping  t                      (default 1.0)
   --disorder W [--dseed S]          (default none)
-  --format   csr | ell | stencil | auto   storage format (default auto:
-             a matrix-free stencil for nearest-neighbour chain, square and
-             cubic lattices of at least 23,831 sites, CSR otherwise; every
-             format gives the same bits)
+  --format   csr | stencil | auto   storage format (default auto: a
+             matrix-free stencil for nearest-neighbour chain, square and
+             cubic lattices of at least 23,831 sites, CSR otherwise;
+             `stencil` builds a honeycomb lattice as CSR; every format
+             gives the same bits)
   --moments  N                      (default 256)
   --resolution EPS     pick N for target energy resolution EPS from the
                        measured spectral half-width (overrides --moments)
@@ -253,20 +254,12 @@ fn workload(args: &Args) -> Result<Workload, CmdError> {
     let spec = LatticeSpec::parse(args.get("lattice").unwrap_or("cubic:10,10,10"))?;
     let bc = parse_boundary(args.get("bc").unwrap_or("periodic"))?;
     let t: f64 = args.get_or("hopping", 1.0)?;
-    let onsite = match args.get("disorder") {
+    let onsite = match args.get_parsed("disorder", "a number")? {
         None => OnSite::Uniform(0.0),
-        Some(w) => OnSite::Disorder {
-            width: w
-                .parse()
-                .map_err(|_| CmdError::Other(format!("--disorder {w}: expected a number")))?,
-            seed: args.get_or("dseed", 7u64)?,
-        },
+        Some(width) => OnSite::Disorder { width, seed: args.get_or("dseed", 7u64)? },
     };
-    let format: MatrixFormat = args
-        .get("format")
-        .unwrap_or("auto")
-        .parse()
-        .map_err(|e: String| CmdError::Other(format!("--format: {e}")))?;
+    let format: MatrixFormat =
+        args.get_parsed("format", "csr|stencil|auto")?.unwrap_or(MatrixFormat::Auto);
     let h = spec.build_format(t, onsite, bc, format);
 
     let kernel = match args.get("kernel").unwrap_or("jackson") {
@@ -278,7 +271,13 @@ fn workload(args: &Args) -> Result<Workload, CmdError> {
             alpha: args.get_or("alpha", 0.0)?,
             beta: args.get_or("beta", 0.0)?,
         },
-        other => return Err(CmdError::Other(format!("unknown kernel '{other}'"))),
+        other => {
+            return Err(CmdError::Args(ArgError::BadValue {
+                key: "kernel".into(),
+                value: other.into(),
+                expected: "jackson|lorentz|fejer|dirichlet|jacobi",
+            }))
+        }
     };
     let bounds: BoundsMethod = match args.get("bounds") {
         None => BoundsMethod::Gershgorin,
@@ -893,12 +892,7 @@ pub fn run_with_positionals(
 /// Validation happens before any mutation, so a bad value leaves the
 /// policy untouched.
 fn apply_exec_options(args: &Args) -> Result<(), CmdError> {
-    let policy = match args.get("exec") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<ExecPolicy>().map_err(|e: String| CmdError::Other(format!("--exec: {e}")))?,
-        ),
-    };
+    let policy: Option<ExecPolicy> = args.get_parsed("exec", "auto|rows|hybrid")?;
     let threads: usize = args.get_or("threads", 0)?;
     if let Some(p) = policy {
         set_exec_policy(p);
@@ -978,7 +972,7 @@ mod tests {
     #[test]
     fn dos_format_flag_selects_backend_without_changing_physics() {
         let base = ["--lattice", "cubic:4,4,4", "--moments", "64", "--sets", "1"];
-        let reports: Vec<String> = ["csr", "ell", "stencil", "auto"]
+        let reports: Vec<String> = ["csr", "stencil", "auto"]
             .iter()
             .map(|f| {
                 let mut words: Vec<&str> = base.to_vec();
@@ -987,18 +981,15 @@ mod tests {
             })
             .collect();
         assert!(reports[0].contains("csr format"), "{}", reports[0]);
-        assert!(reports[1].contains("ell format"), "{}", reports[1]);
-        assert!(reports[2].contains("stencil format"), "{}", reports[2]);
+        assert!(reports[1].contains("stencil format"), "{}", reports[1]);
         // 64 sites, below the stencil threshold: auto keeps CSR.
-        assert!(reports[3].contains("csr format"), "{}", reports[3]);
+        assert!(reports[2].contains("csr format"), "{}", reports[2]);
         assert_eq!(kpm_linalg::AUTO_STENCIL_MIN_DIM, 23_831, "the threshold USAGE quotes");
         assert!(USAGE.contains("at least 23,831 sites"));
         // Identical physics: reports differ only in the format label.
-        let strip = |r: &str| {
-            r.replace("csr format", "X").replace("ell format", "X").replace("stencil format", "X")
-        };
+        let strip = |r: &str| r.replace("csr format", "X").replace("stencil format", "X");
         assert_eq!(strip(&reports[0]), strip(&reports[1]));
-        assert_eq!(strip(&reports[0]), strip(&reports[2]));
+        assert_eq!(reports[0], reports[2]);
     }
 
     /// The tentpole CLI criterion: `--device sim[:n]` routes the run
@@ -1062,9 +1053,12 @@ mod tests {
 
     #[test]
     fn dos_rejects_unknown_format() {
-        let a = args(&["--lattice", "chain:8", "--format", "coo"]);
-        let err = dos(&a).unwrap_err();
-        assert!(err.to_string().contains("unknown matrix format"), "{err}");
+        for format in ["coo", "ell"] {
+            let a = args(&["--lattice", "chain:8", "--format", format]);
+            let err = dos(&a).unwrap_err();
+            assert!(matches!(err, CmdError::Args(ArgError::BadValue { .. })), "{err}");
+            assert!(err.to_string().contains("csr|stencil|auto"), "{err}");
+        }
     }
 
     #[test]

@@ -56,16 +56,6 @@ impl DeviceMatrix {
         }
     }
 
-    /// Coefficient slots a memory-traffic model should charge for.
-    ///
-    /// Mirrors `LinearOp::model_entries`: equal to [`Self::stored_entries`]
-    /// for the dense and CSR variants resident here, but kept distinct so
-    /// cost-model call sites charge padded slot counts if a padded format
-    /// is ever uploaded.
-    pub fn model_entries(&self) -> usize {
-        self.stored_entries()
-    }
-
     /// Whether storage is dense.
     pub fn is_dense(&self) -> bool {
         matches!(self, DeviceMatrix::Dense { .. })
@@ -324,7 +314,7 @@ impl StreamKpmEngine {
 
         let shape = MomentLaunchShape {
             dim: d,
-            stored_entries: dmat.model_entries(),
+            stored_entries: dmat.stored_entries(),
             dense: dmat.is_dense(),
             format: SparseFormat::Csr,
             num_moments: n_mom,

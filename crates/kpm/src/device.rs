@@ -63,7 +63,7 @@ use crate::rescale::{rescale, Boundable};
 /// storage the caller assembled.
 #[derive(Debug, Clone, Copy)]
 pub enum DeviceOp<'a> {
-    /// A sparse operator (CSR / ELL / matrix-free stencil).
+    /// A sparse operator (CSR or the matrix-free stencil).
     Sparse(&'a SparseMatrix),
     /// A dense operator.
     Dense(&'a DenseMatrix),
@@ -78,9 +78,10 @@ impl DeviceOp<'_> {
         }
     }
 
-    /// Coefficient slots the cost model must charge — for padded ELL this
-    /// is the padded slot count, not the true `nnz` (the accounting seam
-    /// shared with the host engines via [`LinearOp::model_entries`]).
+    /// Coefficient slots the cost model must charge — `0` for the
+    /// matrix-free stencil, whose true `nnz` streams no matrix bytes (the
+    /// accounting seam shared with the host engines via
+    /// [`LinearOp::model_entries`]).
     pub fn model_entries(&self) -> usize {
         match self {
             DeviceOp::Sparse(h) => h.model_entries(),
@@ -98,11 +99,8 @@ impl DeviceOp<'_> {
     pub fn sim_format(&self) -> SparseFormat {
         match self {
             DeviceOp::Dense(_) => SparseFormat::Csr,
-            DeviceOp::Sparse(h) => match h.format_name() {
-                "ell" => SparseFormat::Ell,
-                "stencil" => SparseFormat::Stencil,
-                _ => SparseFormat::Csr,
-            },
+            DeviceOp::Sparse(SparseMatrix::Stencil(_)) => SparseFormat::Stencil,
+            DeviceOp::Sparse(SparseMatrix::Csr(_)) => SparseFormat::Csr,
         }
     }
 }
@@ -308,8 +306,8 @@ impl SimDevice {
     }
 
     /// The launch shape a submission of `op` at `params` is priced at.
-    /// `stored_entries` is [`DeviceOp::model_entries`] — padded ELL slots
-    /// are charged here exactly as the host engines charge them.
+    /// `stored_entries` is [`DeviceOp::model_entries`], charged here exactly
+    /// as the host engines charge it.
     pub fn shape_for(&self, op: &DeviceOp<'_>, params: &KpmParams) -> MomentLaunchShape {
         MomentLaunchShape {
             dim: op.dim(),
@@ -435,7 +433,7 @@ impl FromStr for DeviceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpm_linalg::MatrixFormat;
+    use kpm_linalg::StencilOp;
     use kpm_streamsim::StageTimes;
 
     fn lattice(dim: usize) -> SparseMatrix {
@@ -533,34 +531,27 @@ mod tests {
     }
 
     #[test]
-    fn ell_padding_is_charged_by_the_event_pipeline() {
-        // The accounting seam: a ragged matrix stored ELL pads every row to
-        // the widest; `model_entries` carries that charge into the pipeline's
-        // DMA and compute sizing exactly as the host cost model charges it.
-        let dim = 64;
-        let mut coo = kpm_linalg::CooMatrix::new(dim, dim);
-        for i in 0..dim {
-            coo.push_symmetric(i, (i + 1) % dim, -1.0).unwrap();
-            // One dense-ish row drives the padded width up.
-            if i > 2 && i < dim - 1 {
-                coo.push_symmetric(0, i, 0.1).unwrap();
-            }
-        }
-        let csr = SparseMatrix::Csr(coo.to_csr());
-        let ell = SparseMatrix::from_csr(csr.to_csr(), MatrixFormat::Ell);
-        assert_eq!(ell.format_name(), "ell");
-        let nnz: usize = ell.nnz();
-        assert!(ell.model_entries() > nnz, "padding must inflate model_entries");
+    fn stencil_is_charged_no_matrix_by_the_event_pipeline() {
+        // The accounting seam: the matrix-free stencil regenerates its
+        // entries, so `model_entries` is 0 while `nnz` stays true, and the
+        // pipeline's DMA and compute sizing charge what the host cost model
+        // charges: nothing for the stencil's matrix, every entry of the CSR.
+        let csr = lattice(64);
+        let stencil =
+            SparseMatrix::Stencil(StencilOp::hypercubic_uniform(&[64], &[true], 1.0, 0.0, false));
+        assert_eq!(stencil.to_csr(), csr.to_csr());
+        assert_eq!(stencil.nnz(), csr.nnz());
+        assert_eq!(stencil.model_entries(), 0, "matrix-free");
 
         let p = params();
         let dev = SimDevice::tesla_c2050();
-        let shape_ell = dev.shape_for(&DeviceOp::Sparse(&ell), &p);
+        let shape_stencil = dev.shape_for(&DeviceOp::Sparse(&stencil), &p);
         let shape_csr = dev.shape_for(&DeviceOp::Sparse(&csr), &p);
-        assert_eq!(shape_ell.stored_entries, ell.model_entries());
-        assert_eq!(shape_ell.format, SparseFormat::Ell);
+        assert_eq!(shape_stencil.stored_entries, 0);
+        assert_eq!(shape_stencil.format, SparseFormat::Stencil);
+        assert_eq!(shape_stencil.matrix_bytes(), 0);
         assert_eq!(shape_csr.stored_entries, csr.model_entries());
-        // And the priced DMA traffic reflects the padded slots.
-        assert_eq!(shape_ell.matrix_bytes(), 12 * ell.model_entries() as u64);
+        assert_eq!(shape_csr.format, SparseFormat::Csr);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 use crate::error::KpmError;
 use kpm_linalg::csr::CsrMatrix;
 use kpm_linalg::dense::DenseMatrix;
-use kpm_linalg::ell::EllMatrix;
-use kpm_linalg::gershgorin::{gershgorin_csr, gershgorin_dense, gershgorin_ell, SpectralBounds};
+use kpm_linalg::gershgorin::{gershgorin_csr, gershgorin_dense, SpectralBounds};
 use kpm_linalg::op::{LinearOp, RescaledOp};
 use kpm_linalg::sparse::SparseMatrix;
 use kpm_linalg::stencil::StencilOp;
@@ -59,15 +58,6 @@ impl Boundable for CsrMatrix {
     fn spectral_bounds(&self, method: BoundsMethod) -> Result<SpectralBounds, KpmError> {
         match method {
             BoundsMethod::Gershgorin => Ok(gershgorin_csr(self)),
-            other => generic_bounds(self, other),
-        }
-    }
-}
-
-impl Boundable for EllMatrix {
-    fn spectral_bounds(&self, method: BoundsMethod) -> Result<SpectralBounds, KpmError> {
-        match method {
-            BoundsMethod::Gershgorin => Ok(gershgorin_ell(self)),
             other => generic_bounds(self, other),
         }
     }

@@ -63,14 +63,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The operator shape a profile is calibrated for.
 ///
-/// `entries` is [`kpm_linalg::op::LinearOp::model_entries`] — the padded
-/// (performance-model) entry count, so CSR and ELL encodings of the same
-/// lattice get distinct profiles when their streamed footprints differ.
+/// `entries` is [`kpm_linalg::op::LinearOp::model_entries`] — the
+/// performance-model entry count, so the CSR and stencil encodings of the
+/// same lattice (`nnz` against `0` streamed entries) get distinct profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeShape {
     /// Operator dimension `D`.
     pub dim: usize,
-    /// Modeled (padded) stored entries.
+    /// Modeled stored entries.
     pub entries: usize,
     /// Realization chunk count of the run being planned.
     pub chunks: usize,

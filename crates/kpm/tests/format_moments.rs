@@ -1,8 +1,8 @@
 //! End-to-end format invariance on the paper's flagship workload: the full
 //! KPM moment pipeline (bounds → rescale → blocked stochastic recursion)
 //! must produce *bitwise-identical* bounds and moment statistics whether the
-//! 10x10x10 cubic Hamiltonian is stored as CSR, padded ELL, a matrix-free
-//! stencil, or dense, under Gershgorin bounds and, on a disordered lattice,
+//! 10x10x10 cubic Hamiltonian is stored as CSR, a matrix-free stencil, or
+//! dense, under Gershgorin bounds and, on a disordered lattice,
 //! under the contained Lanczos probe. This is the acceptance gate for
 //! treating the storage format as a pure performance knob.
 
@@ -53,13 +53,13 @@ fn paper_lattice_moments_bitwise_identical_across_formats() {
     for (tb, method) in inputs {
         let csr_h = tb.build_csr();
         let ref_bits = bound_bits(&csr_h, method);
-        for format in [MatrixFormat::Ell, MatrixFormat::Stencil, MatrixFormat::Auto] {
+        for format in [MatrixFormat::Stencil, MatrixFormat::Auto] {
             assert_eq!(bound_bits(&tb.build_format(format), method), ref_bits, "{format} {method}");
         }
         for recursion in [Recursion::Plain, Recursion::Doubling] {
             let p = params(recursion).with_bounds(method);
             let reference = moments_for(&csr_h, &p);
-            for format in [MatrixFormat::Ell, MatrixFormat::Stencil, MatrixFormat::Auto] {
+            for format in [MatrixFormat::Stencil, MatrixFormat::Auto] {
                 let m = tb.build_format(format);
                 let stats = moments_for(&m, &p);
                 assert_eq!(stats.mean, reference.mean, "{format} mean ({recursion:?})");
@@ -110,7 +110,7 @@ fn full_dos_estimate_is_format_invariant() {
     let tb = paper_model();
     let p = params(Recursion::Plain);
     let reference = DosEstimator::new(p.clone()).compute(&tb.build_csr()).expect("csr dos");
-    for format in [MatrixFormat::Ell, MatrixFormat::Stencil] {
+    for format in [MatrixFormat::Auto, MatrixFormat::Stencil] {
         let dos =
             DosEstimator::new(p.clone()).compute(&tb.build_format(format)).expect("format dos");
         assert_eq!(dos.rho, reference.rho, "{format}");

@@ -7,7 +7,6 @@
 
 use crate::hypercubic::{Boundary, HypercubicLattice};
 use kpm_linalg::csr::{self, CsrMatrix};
-use kpm_linalg::ell::EllMatrix;
 use kpm_linalg::sparse::{MatrixFormat, SparseMatrix, AUTO_STENCIL_MIN_DIM};
 use kpm_linalg::stencil::{StencilGeometry, StencilOp};
 use rand::distributions::{Distribution, Uniform};
@@ -149,12 +148,6 @@ impl TightBinding {
             .expect("lattice assembly produced invalid CSR — internal bug")
     }
 
-    /// Assembles the Hamiltonian in padded ELL form (same entries as
-    /// [`Self::build_csr`], bitwise-identical application).
-    pub fn build_ell(&self) -> EllMatrix {
-        EllMatrix::from_csr(&self.build_csr())
-    }
-
     /// Assembles the Hamiltonian as a matrix-free stencil, or `None` when
     /// the model has terms the stencil cannot express (next-nearest
     /// hopping) or the lattice exceeds the stencil's dimension limit.
@@ -162,7 +155,7 @@ impl TightBinding {
         if self.next_nearest != 0.0 || self.lattice.ndim() > 8 {
             return None;
         }
-        let geometry = StencilGeometry::Hypercubic {
+        let geometry = StencilGeometry {
             dims: self.lattice.dims().to_vec(),
             periodic: self.lattice.boundaries().iter().map(|&b| b == Boundary::Periodic).collect(),
         };
@@ -184,7 +177,6 @@ impl TightBinding {
     pub fn build_format(&self, format: MatrixFormat) -> SparseMatrix {
         let stencil = match format {
             MatrixFormat::Csr => false,
-            MatrixFormat::Ell => return SparseMatrix::Ell(self.build_ell()),
             MatrixFormat::Stencil => true,
             MatrixFormat::Auto => self.lattice.num_sites() >= AUTO_STENCIL_MIN_DIM,
         };

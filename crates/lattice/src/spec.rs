@@ -5,7 +5,6 @@
 //! everywhere.
 
 use crate::{Boundary, HoneycombLattice, HypercubicLattice, OnSite, TightBinding};
-use kpm_linalg::stencil::{StencilGeometry, StencilOp};
 use kpm_linalg::{CsrMatrix, MatrixFormat, SparseMatrix};
 use std::fmt;
 
@@ -146,9 +145,9 @@ impl LatticeSpec {
 
     /// Builds the Hamiltonian in the requested storage format.
     ///
-    /// Unlike [`SparseMatrix::from_csr`], this knows the generating
-    /// geometry, so [`MatrixFormat::Stencil`] produces a genuine
-    /// matrix-free operator (for every family — honeycomb included). All
+    /// Chain, square and cubic lattices go through
+    /// [`TightBinding::build_format`]; a honeycomb lattice is CSR in every
+    /// format, since the stencil expresses hypercubic lattices only. All
     /// formats apply bitwise-identically to the CSR build.
     pub fn build_format(
         &self,
@@ -157,44 +156,13 @@ impl LatticeSpec {
         bc: Boundary,
         format: MatrixFormat,
     ) -> SparseMatrix {
-        match (self.clone(), format) {
-            (LatticeSpec::Chain(l), _) => {
-                TightBinding::new(HypercubicLattice::chain(l, bc), t, onsite).build_format(format)
-            }
-            (LatticeSpec::Square(a, b), _) => {
-                TightBinding::new(HypercubicLattice::square(a, b, bc), t, onsite)
-                    .build_format(format)
-            }
-            (LatticeSpec::Cubic(a, b, c), _) => {
-                TightBinding::new(HypercubicLattice::cubic(a, b, c, bc), t, onsite)
-                    .build_format(format)
-            }
-            (LatticeSpec::Honeycomb(a, b), MatrixFormat::Stencil) => {
-                SparseMatrix::Stencil(self.honeycomb_stencil(a, b, t, onsite, bc))
-            }
-            (LatticeSpec::Honeycomb(..), _) => {
-                SparseMatrix::from_csr(self.build(t, onsite, bc), format)
-            }
-        }
-    }
-
-    /// Honeycomb stencil mirroring [`Self::build`]'s CSR exactly: the
-    /// `add_diagonal` path stores every diagonal entry whenever the on-site
-    /// term is not identically zero, so the stencil does the same.
-    fn honeycomb_stencil(
-        &self,
-        lx: usize,
-        ly: usize,
-        t: f64,
-        onsite: OnSite,
-        bc: Boundary,
-    ) -> StencilOp {
-        let geometry = StencilGeometry::Honeycomb { lx, ly, periodic: bc == Boundary::Periodic };
-        let n = self.num_sites();
-        match onsite {
-            OnSite::Uniform(0.0) => StencilOp::new(geometry, t, vec![0.0; n], false),
-            _ => StencilOp::new(geometry, t, onsite_energies(n, onsite), true),
-        }
+        let lattice = match *self {
+            LatticeSpec::Chain(l) => HypercubicLattice::chain(l, bc),
+            LatticeSpec::Square(a, b) => HypercubicLattice::square(a, b, bc),
+            LatticeSpec::Cubic(a, b, c) => HypercubicLattice::cubic(a, b, c, bc),
+            LatticeSpec::Honeycomb(..) => return SparseMatrix::Csr(self.build(t, onsite, bc)),
+        };
+        TightBinding::new(lattice, t, onsite).build_format(format)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Cross-format equivalence properties: CSR, ELL, stencil, and dense
+//! Cross-format equivalence properties: CSR, stencil, and dense
 //! application of the same lattice Hamiltonian must agree *bitwise*, for
 //! single vectors and for column blocks of every width. This is the
 //! contract that lets the KPM pipeline select a storage format freely
@@ -32,9 +32,9 @@ fn test_block(dim: usize, k: usize) -> Vec<f64> {
     (0..dim * k).map(|i| ((i * 2654435761 + 12345) % 1000) as f64 / 500.0 - 1.0).collect()
 }
 
-/// Asserts each format's `apply_block` output is bitwise equal to the CSR
+/// Asserts `m`'s `apply_block` output is bitwise equal to the CSR
 /// reference for widths 1..=k_max, and `apply` matches column 0.
-fn assert_formats_agree(csr_h: &kpm_linalg::CsrMatrix, variants: &[SparseMatrix], k_max: usize) {
+fn assert_formats_agree(csr_h: &kpm_linalg::CsrMatrix, m: &SparseMatrix, k_max: usize) {
     let d = csr_h.dim();
     for k in 1..=k_max {
         let x = test_block(d, k);
@@ -53,11 +53,9 @@ fn assert_formats_agree(csr_h: &kpm_linalg::CsrMatrix, variants: &[SparseMatrix]
         for (a, b) in dense_y.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "dense mismatch: {a} vs {b}");
         }
-        for m in variants {
-            let mut y = vec![0.0; d * k];
-            m.apply_block(&x, &mut y, k);
-            assert_eq!(y, reference, "format {} k={k} differs from CSR", m.format_name());
-        }
+        let mut y = vec![0.0; d * k];
+        m.apply_block(&x, &mut y, k);
+        assert_eq!(y, reference, "format {} k={k} differs from CSR", m.format_name());
     }
 }
 
@@ -115,7 +113,7 @@ fn doubling_moments<A: TiledOp + Sync + Clone>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ELL and the stencil against the lattice CSR, on open and periodic
+    /// The stencil against the lattice CSR, on open and periodic
     /// lattices in 1-D to 4-D with extents 1, 2, 3 and more, with builder
     /// on-site energies or exact `0.0` and `-0.0` among nonzero ones, with
     /// and without stored zero diagonals: the stored-entry count, `to_csr`,
@@ -131,85 +129,64 @@ proptest! {
     ) {
         let ndim = dims.len().min(bcs.len());
         let lat = HypercubicLattice::with_boundaries(&dims[..ndim], &bcs[..ndim]);
-        let (csr_h, variants) = match onsite {
+        let (csr_h, m) = match onsite {
             Some(onsite) => {
                 let tb = TightBinding::new(lat, t, onsite).store_zero_diagonal(store_zero);
-                let variants =
-                    [tb.build_format(MatrixFormat::Ell), tb.build_format(MatrixFormat::Stencil)];
-                (tb.build_csr(), variants)
+                (tb.build_csr(), tb.build_format(MatrixFormat::Stencil))
             }
             // No builder draws exact zeros among nonzero energies.
             None => {
                 let energies = onsite_with_zeros(lat.num_sites());
                 let csr_h = reference_csr(&lat, t, &energies, store_zero);
                 let periodic = lat.boundaries().iter().map(|&b| b == Boundary::Periodic).collect();
-                let geometry = StencilGeometry::Hypercubic { dims: lat.dims().to_vec(), periodic };
+                let geometry = StencilGeometry { dims: lat.dims().to_vec(), periodic };
                 let stencil = StencilOp::new(geometry, t, energies, store_zero);
-                let ell = SparseMatrix::from_csr(csr_h.clone(), MatrixFormat::Ell);
-                (csr_h, [ell, SparseMatrix::Stencil(stencil)])
+                (csr_h, SparseMatrix::Stencil(stencil))
             }
         };
         // The stencil must actually be matrix-free here, not a fallback.
-        prop_assert_eq!(variants[1].format_name(), "stencil");
+        prop_assert_eq!(m.format_name(), "stencil");
         let d = csr_h.dim();
         let bounds = gershgorin_csr(&csr_h);
-        for m in &variants {
-            let name = m.format_name();
-            prop_assert_eq!(m.nnz(), csr_h.nnz(), "{}", name);
-            prop_assert_eq!(m.to_csr(), csr_h.clone(), "{}", name);
-            prop_assert_eq!(m.gershgorin_bounds(), bounds, "{}", name);
-            let x = test_block(d, 1);
-            prop_assert_eq!(bits(&m.apply_alloc(&x)), bits(&csr_h.apply_alloc(&x)), "{}", name);
-            let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
-            m.apply_rescaled(&x, &mut got, 0.3, 1.0 / 1.7);
-            csr_h.apply_rescaled(&x, &mut want, 0.3, 1.0 / 1.7);
-            prop_assert_eq!(bits(&got), bits(&want), "{} apply_rescaled", name);
-            for k in 1..=4 {
-                let x = test_block(d, k);
-                let (mut got, mut want) = (vec![0.0; d * k], vec![0.0; d * k]);
-                m.apply_block_rescaled(&x, &mut got, k, -0.2, 0.9);
-                csr_h.apply_block_rescaled(&x, &mut want, k, -0.2, 0.9);
-                prop_assert_eq!(bits(&got), bits(&want), "{} apply_block_rescaled, k = {}", name, k);
-            }
-            let b = (bounds.lower, bounds.upper);
-            for (k, threads, tile_rows) in [(1, 1, 128), (3, 1, 5), (8, 2, 7), (17, 1, 3)] {
-                prop_assert_eq!(
-                    doubling_moments(m, b, k, threads, tile_rows),
-                    doubling_moments(&csr_h, b, k, threads, tile_rows),
-                    "{} doubling moments, k = {}, {} threads, {}-row tiles",
-                    name, k, threads, tile_rows
-                );
-            }
+        prop_assert_eq!(m.nnz(), csr_h.nnz());
+        prop_assert_eq!(m.to_csr(), csr_h.clone());
+        prop_assert_eq!(m.gershgorin_bounds(), bounds);
+        let x = test_block(d, 1);
+        prop_assert_eq!(bits(&m.apply_alloc(&x)), bits(&csr_h.apply_alloc(&x)));
+        let (mut got, mut want) = (vec![0.0; d], vec![0.0; d]);
+        m.apply_rescaled(&x, &mut got, 0.3, 1.0 / 1.7);
+        csr_h.apply_rescaled(&x, &mut want, 0.3, 1.0 / 1.7);
+        prop_assert_eq!(bits(&got), bits(&want), "apply_rescaled");
+        for k in 1..=4 {
+            let x = test_block(d, k);
+            let (mut got, mut want) = (vec![0.0; d * k], vec![0.0; d * k]);
+            m.apply_block_rescaled(&x, &mut got, k, -0.2, 0.9);
+            csr_h.apply_block_rescaled(&x, &mut want, k, -0.2, 0.9);
+            prop_assert_eq!(bits(&got), bits(&want), "apply_block_rescaled, k = {}", k);
         }
-        assert_formats_agree(&csr_h, &variants, 4);
+        let b = (bounds.lower, bounds.upper);
+        for (k, threads, tile_rows) in [(1, 1, 128), (3, 1, 5), (8, 2, 7), (17, 1, 3)] {
+            prop_assert_eq!(
+                doubling_moments(&m, b, k, threads, tile_rows),
+                doubling_moments(&csr_h, b, k, threads, tile_rows),
+                "doubling moments, k = {}, {} threads, {}-row tiles",
+                k, threads, tile_rows
+            );
+        }
+        assert_formats_agree(&csr_h, &m, 4);
     }
 
+    /// Models the stencil cannot express, a next-nearest chain and a
+    /// honeycomb lattice, build as CSR under `MatrixFormat::Stencil`.
     #[test]
-    fn honeycomb_formats_apply_bitwise_identically(
+    fn next_nearest_model_falls_back_to_csr(
+        l in 4usize..8,
+        tp in 0.1..0.6f64,
         lx in 1usize..5,
         ly in 1usize..5,
         bc in prop_oneof![Just(Boundary::Open), Just(Boundary::Periodic)],
         onsite in onsite(),
         t in 0.2..2.5f64,
-    ) {
-        let spec = LatticeSpec::Honeycomb(lx, ly);
-        let csr_h = spec.build(t, onsite, bc);
-        let variants = [
-            spec.build_format(t, onsite, bc, MatrixFormat::Ell),
-            spec.build_format(t, onsite, bc, MatrixFormat::Stencil),
-        ];
-        prop_assert_eq!(variants[1].format_name(), "stencil");
-        for m in &variants {
-            prop_assert_eq!(m.nnz(), csr_h.nnz(), "{}", m.format_name());
-            prop_assert_eq!(m.to_csr(), csr_h.clone(), "{}", m.format_name());
-        }
-        assert_formats_agree(&csr_h, &variants, 4);
-    }
-
-    #[test]
-    fn next_nearest_model_falls_back_to_csr(
-        l in 4usize..8,
-        tp in 0.1..0.6f64,
     ) {
         let tb = TightBinding::new(
             HypercubicLattice::chain(l, Boundary::Periodic),
@@ -221,6 +198,10 @@ proptest! {
         let m = tb.build_format(MatrixFormat::Stencil);
         prop_assert_eq!(m.format_name(), "csr");
         prop_assert_eq!(m.to_csr(), tb.build_csr());
+        let honeycomb = LatticeSpec::Honeycomb(lx, ly);
+        let m = honeycomb.build_format(t, onsite, bc, MatrixFormat::Stencil);
+        prop_assert_eq!(m.format_name(), "csr");
+        prop_assert_eq!(m.to_csr(), honeycomb.build(t, onsite, bc));
     }
 }
 
@@ -238,9 +219,9 @@ fn paper_cubic_lattice_formats_agree() {
     let csr_h = tb.build_csr();
     assert_eq!(csr_h.nnz(), 7000);
     assert_eq!(spec.num_sites(), 1000);
-    let variants = [tb.build_format(MatrixFormat::Ell), tb.build_format(MatrixFormat::Stencil)];
-    assert_eq!(variants[1].format_name(), "stencil");
-    assert_formats_agree(&csr_h, &variants, 8);
+    let stencil = tb.build_format(MatrixFormat::Stencil);
+    assert_eq!(stencil.format_name(), "stencil");
+    assert_formats_agree(&csr_h, &stencil, 8);
 }
 
 #[test]

@@ -34,7 +34,7 @@ use crate::vecops;
 /// accumulator for element `(i, j)` of a `dim x k` column-major block to
 /// `(acc - a_plus * x[j * dim + i]) * inv_a_minus`.
 ///
-/// CSR, ELL and stencil all fuse the spectral shift-and-scale into their
+/// CSR and the stencil both fuse the spectral shift-and-scale into their
 /// store step with this exact expression; the tiled engine's row epilogue
 /// ([`crate::tiled::RowEpilogue`]) applies the same one to each row of a
 /// [`RescaledOp`] as the row kernel hands it over. Centralizing it pins the
@@ -54,7 +54,7 @@ pub fn rescaled_store(
 ///
 /// The provided default loops [`LinearOp::apply`] over the columns, so any
 /// `LinearOp` can opt in with an empty `impl BlockOp for T {}`. Formats with
-/// a genuine SpMM kernel (CSR, ELL, stencil) override [`BlockOp::apply_block`]
+/// a genuine SpMM kernel (CSR, stencil) override [`BlockOp::apply_block`]
 /// to stream the matrix once per sweep.
 pub trait BlockOp: LinearOp {
     /// Computes `Y = A X` where `x` and `y` each hold `k` columns of length

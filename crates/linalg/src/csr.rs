@@ -386,11 +386,6 @@ impl CsrMatrix {
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("prune produced invalid CSR — internal bug")
     }
-
-    /// Maximum number of stored entries in any row.
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.nrows).map(|i| self.row_range(i).len()).max().unwrap_or(0)
-    }
 }
 
 crate::isa::kernels! {
@@ -535,13 +530,6 @@ mod tests {
         let p = m.prune(1e-12);
         assert_eq!(p.nnz(), 1);
         assert_eq!(p.get(0, 1), 1.0);
-    }
-
-    #[test]
-    fn max_row_nnz() {
-        assert_eq!(sample().max_row_nnz(), 2);
-        let empty = CsrMatrix::from_raw(0, 0, vec![0], vec![], vec![]).unwrap();
-        assert_eq!(empty.max_row_nnz(), 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
-use crate::ell::EllMatrix;
 
 /// Lower and upper bounds on the spectrum of a symmetric matrix, plus the
 /// derived affine-rescaling coefficients of the paper's Eq. (9).
@@ -112,33 +111,6 @@ pub fn gershgorin_csr(m: &CsrMatrix) -> SpectralBounds {
     SpectralBounds::new(lower, upper)
 }
 
-/// Gershgorin bounds for an ELL matrix. Rows hold the same entries in the
-/// same order as the source CSR, so the result is bitwise identical to
-/// [`gershgorin_csr`] on that matrix.
-///
-/// # Panics
-/// Panics if the matrix is not square or is empty.
-pub fn gershgorin_ell(m: &EllMatrix) -> SpectralBounds {
-    assert_eq!(m.nrows(), m.ncols(), "gershgorin: matrix must be square");
-    assert!(m.nrows() > 0, "gershgorin: matrix must be nonempty");
-    let mut lower = f64::INFINITY;
-    let mut upper = f64::NEG_INFINITY;
-    for i in 0..m.nrows() {
-        let mut d = 0.0;
-        let mut radius = 0.0;
-        for (j, v) in m.row_entries(i) {
-            if j == i {
-                d = v;
-            } else {
-                radius += v.abs();
-            }
-        }
-        lower = lower.min(d - radius);
-        upper = upper.max(d + radius);
-    }
-    SpectralBounds::new(lower, upper)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +137,6 @@ mod tests {
         let csr = coo.to_csr();
         let d = csr.to_dense();
         assert_eq!(gershgorin_csr(&csr), gershgorin_dense(&d));
-        assert_eq!(gershgorin_ell(&EllMatrix::from_csr(&csr)), gershgorin_csr(&csr));
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! The workspace compiles for baseline x86-64, whose SSE2 registers hold
 //! two `f64` lanes. The kernels the benchmark workloads spend their moment
-//! stages and bounds probes in — the tiled engine's CSR and hypercubic
-//! stencil row kernels, which with their row epilogue are also the fused
-//! later step of the doubling recursion, the stencil's one-vector kernel,
-//! the per-tile dot kernel of step 0 (`start_dots`), and the
+//! stages and bounds probes in — the tiled engine's CSR and stencil row
+//! kernels, which with their row epilogue are also the fused later step of
+//! the doubling recursion, the stencil's one-vector kernel, the per-tile
+//! dot kernel of step 0 (`start_dots`), and the
 //! [`vecops`](crate::vecops) kernels `dot`, `axpy`, `scale`, `norm2` and
 //! `chebyshev_combine_dot` — are therefore each compiled twice by
 //! `kernels!`: a baseline copy, and a copy under
 //! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when
 //! the CPU has AVX2. Each call picks its copy; off x86-64 only the baseline
-//! copy exists. The ELL row kernel, the honeycomb stencil's per-row path,
-//! the step over a computed tile that dense, identity and diagonal
-//! operators run (`tile_step`), the tiled dot kernel of the plain
+//! copy exists. The step over a computed tile that dense, identity and
+//! diagonal operators run (`tile_step`), the tiled dot kernel of the plain
 //! recursion (`plain_step_dots`), `chebyshev_combine` and
 //! `chebyshev_combine_inplace` run in no benchmark workload and have one
 //! copy.
@@ -161,7 +160,7 @@ mod tests {
     /// A disordered periodic 5 x 4 x 3 lattice, D = 60, in CSR.
     fn lattice_csr() -> CsrMatrix {
         let onsite = lcg_values(7, 60).into_iter().map(|v| 0.2 * v).collect();
-        let geometry = StencilGeometry::Hypercubic { dims: vec![5, 4, 3], periodic: vec![true; 3] };
+        let geometry = StencilGeometry { dims: vec![5, 4, 3], periodic: vec![true; 3] };
         StencilOp::new(geometry, 0.125, onsite, false).to_csr()
     }
 
@@ -254,10 +253,7 @@ mod tests {
                 .map(|(i, v)| [0.0, -0.0, 0.2 * v][i % 3])
                 .collect();
             for store_zero in [false, true] {
-                let geometry = StencilGeometry::Hypercubic {
-                    dims: dims.to_vec(),
-                    periodic: periodic.to_vec(),
-                };
+                let geometry = StencilGeometry { dims: dims.to_vec(), periodic: periodic.to_vec() };
                 let name = format!("{dims:?} {periodic:?}, stored zeros {store_zero}");
                 ops.push((name, StencilOp::new(geometry, 0.125, onsite.clone(), store_zero)));
             }
@@ -278,7 +274,6 @@ mod tests {
         }
         let slot_rows: usize = 16;
         for (name, op) in stencils() {
-            let plan = op.plan.as_ref().expect("hypercubic plan");
             let d = op.dim();
             for k in 1..=17 {
                 let x = lcg_values(k as u64, d * k);
@@ -288,7 +283,6 @@ mod tests {
                         format!("stencil store, {what}"),
                         stencil::rows_interleaved(
                             &op,
-                            plan,
                             &x,
                             k,
                             rows.clone(),
@@ -303,7 +297,6 @@ mod tests {
                             format!("stencil step, {what}, map {affine:?}"),
                             stencil::rows_interleaved(
                                 &op,
-                                plan,
                                 &x,
                                 k,
                                 rows.clone(),
@@ -325,14 +318,13 @@ mod tests {
             return;
         }
         for (name, op) in stencils() {
-            let plan = op.plan.as_ref().expect("hypercubic plan");
             let d = op.dim();
             let x = lcg_values(d as u64 + 1, d);
             for rows in row_ranges(d) {
                 for affine in [None, Some((0.3, 1.0 / 1.7))] {
                     assert_copies_agree!(
                         format!("stencil apply, {name}, rows {rows:?}, map {affine:?}"),
-                        stencil::apply_rows(&op, plan, &x, &mut y, rows.clone(), affine),
+                        stencil::apply_rows(&op, &x, &mut y, rows.clone(), affine),
                         y = vec![f64::NAN; rows.len()]
                     );
                 }

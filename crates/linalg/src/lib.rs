@@ -28,7 +28,6 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod eigen;
-pub mod ell;
 pub mod error;
 pub mod gershgorin;
 pub mod isa;
@@ -42,7 +41,6 @@ pub use block::BlockOp;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use ell::EllMatrix;
 pub use error::LinalgError;
 pub use gershgorin::SpectralBounds;
 pub use op::LinearOp;

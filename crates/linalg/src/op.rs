@@ -28,10 +28,10 @@ pub trait LinearOp {
 
     /// Number of coefficient slots a memory-traffic model should charge for.
     ///
-    /// Identical to [`LinearOp::stored_entries`] for most formats, but padded
-    /// formats (ELL) stream their padding too: there `model_entries` reports
-    /// the padded slot count while `stored_entries` keeps the true `nnz` for
-    /// physics-facing callers. Matrix-free operators report `0`.
+    /// Identical to [`LinearOp::stored_entries`] for operators that stream
+    /// their coefficients from memory (dense, CSR). A matrix-free operator
+    /// (the stencil) regenerates its entries and reports `0`, while its
+    /// `stored_entries` keeps the true `nnz` for physics-facing callers.
     fn model_entries(&self) -> usize {
         self.stored_entries()
     }

@@ -1,17 +1,16 @@
 //! Format-polymorphic sparse Hamiltonian storage.
 //!
 //! [`SparseMatrix`] makes the storage format a first-class runtime choice:
-//! the same pipeline can run over CSR (the paper's CRS format), padded ELL,
-//! or the matrix-free stencil, and all three produce bitwise-identical
-//! results (each format preserves the per-row ascending-column accumulation
-//! order). [`MatrixFormat`] is the user-facing selector shared by the CLI's
+//! the same pipeline can run over CSR (the paper's CRS format) or the
+//! matrix-free stencil, and both produce bitwise-identical results (each
+//! format preserves the per-row ascending-column accumulation order).
+//! [`MatrixFormat`] is the user-facing selector shared by the CLI's
 //! `--format` flag, the lattice builders, and the serve job specs; its
 //! default, [`MatrixFormat::Auto`], picks the format per operator.
 
 use crate::block::BlockOp;
 use crate::csr::CsrMatrix;
-use crate::ell::EllMatrix;
-use crate::gershgorin::{gershgorin_csr, gershgorin_ell, SpectralBounds};
+use crate::gershgorin::{gershgorin_csr, SpectralBounds};
 use crate::op::LinearOp;
 use crate::stencil::StencilOp;
 
@@ -33,10 +32,9 @@ pub const AUTO_STENCIL_MIN_DIM: usize = (2 << 20) / 88;
 pub enum MatrixFormat {
     /// Compressed Sparse Row — the baseline, always available.
     Csr,
-    /// Padded slot-major ELLPACK.
-    Ell,
-    /// Matrix-free lattice stencil (falls back to CSR when the model has
-    /// terms the stencil cannot express, e.g. next-nearest hopping).
+    /// Matrix-free hypercubic lattice stencil (falls back to CSR for the
+    /// honeycomb lattice and for models with terms the stencil cannot
+    /// express, e.g. next-nearest hopping).
     Stencil,
     /// The stencil for nearest-neighbour hypercubic lattices of at least
     /// [`AUTO_STENCIL_MIN_DIM`] sites, CSR for every other operator.
@@ -49,7 +47,6 @@ impl MatrixFormat {
     pub fn as_str(&self) -> &'static str {
         match self {
             MatrixFormat::Csr => "csr",
-            MatrixFormat::Ell => "ell",
             MatrixFormat::Stencil => "stencil",
             MatrixFormat::Auto => "auto",
         }
@@ -68,10 +65,9 @@ impl std::str::FromStr for MatrixFormat {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "csr" => Ok(MatrixFormat::Csr),
-            "ell" => Ok(MatrixFormat::Ell),
             "stencil" => Ok(MatrixFormat::Stencil),
             "auto" => Ok(MatrixFormat::Auto),
-            other => Err(format!("unknown matrix format '{other}' (csr|ell|stencil|auto)")),
+            other => Err(format!("unknown matrix format '{other}' (csr|stencil|auto)")),
         }
     }
 }
@@ -84,33 +80,15 @@ impl std::str::FromStr for MatrixFormat {
 pub enum SparseMatrix {
     /// Compressed Sparse Row storage.
     Csr(CsrMatrix),
-    /// Padded slot-major ELLPACK storage.
-    Ell(EllMatrix),
     /// Matrix-free stencil (no index arrays at all).
     Stencil(StencilOp),
 }
 
 impl SparseMatrix {
-    /// Converts a CSR matrix into the requested format.
-    ///
-    /// [`MatrixFormat::Stencil`] cannot be recovered from bare CSR storage
-    /// (it needs the generating geometry), so it and
-    /// [`MatrixFormat::Auto`] keep CSR here; geometry-aware builders in the
-    /// lattice crate construct [`SparseMatrix::Stencil`] directly.
-    pub fn from_csr(csr: CsrMatrix, format: MatrixFormat) -> Self {
-        match format {
-            MatrixFormat::Csr | MatrixFormat::Stencil | MatrixFormat::Auto => {
-                SparseMatrix::Csr(csr)
-            }
-            MatrixFormat::Ell => SparseMatrix::Ell(EllMatrix::from_csr(&csr)),
-        }
-    }
-
     /// The stored format's canonical name.
     pub fn format_name(&self) -> &'static str {
         match self {
             SparseMatrix::Csr(_) => "csr",
-            SparseMatrix::Ell(_) => "ell",
             SparseMatrix::Stencil(_) => "stencil",
         }
     }
@@ -119,7 +97,6 @@ impl SparseMatrix {
     pub fn nrows(&self) -> usize {
         match self {
             SparseMatrix::Csr(m) => m.nrows(),
-            SparseMatrix::Ell(m) => m.nrows(),
             SparseMatrix::Stencil(s) => s.dim(),
         }
     }
@@ -128,13 +105,11 @@ impl SparseMatrix {
     pub fn ncols(&self) -> usize {
         match self {
             SparseMatrix::Csr(m) => m.ncols(),
-            SparseMatrix::Ell(m) => m.ncols(),
             SparseMatrix::Stencil(s) => s.dim(),
         }
     }
 
-    /// True number of stored entries (explicit zeros count, padding does
-    /// not).
+    /// True number of stored entries (explicit zeros count).
     pub fn nnz(&self) -> usize {
         self.stored_entries()
     }
@@ -145,7 +120,6 @@ impl SparseMatrix {
     pub fn to_csr(&self) -> CsrMatrix {
         match self {
             SparseMatrix::Csr(m) => m.clone(),
-            SparseMatrix::Ell(m) => m.to_csr(),
             SparseMatrix::Stencil(s) => s.to_csr(),
         }
     }
@@ -158,7 +132,6 @@ impl SparseMatrix {
     pub fn gershgorin_bounds(&self) -> SpectralBounds {
         match self {
             SparseMatrix::Csr(m) => gershgorin_csr(m),
-            SparseMatrix::Ell(m) => gershgorin_ell(m),
             SparseMatrix::Stencil(s) => s.gershgorin_bounds(),
         }
     }
@@ -168,7 +141,6 @@ impl LinearOp for SparseMatrix {
     fn dim(&self) -> usize {
         match self {
             SparseMatrix::Csr(m) => m.dim(),
-            SparseMatrix::Ell(m) => m.dim(),
             SparseMatrix::Stencil(s) => s.dim(),
         }
     }
@@ -176,7 +148,6 @@ impl LinearOp for SparseMatrix {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         match self {
             SparseMatrix::Csr(m) => m.apply(x, y),
-            SparseMatrix::Ell(m) => m.apply(x, y),
             SparseMatrix::Stencil(s) => s.apply(x, y),
         }
     }
@@ -184,7 +155,6 @@ impl LinearOp for SparseMatrix {
     fn apply_rescaled(&self, x: &[f64], y: &mut [f64], a_plus: f64, inv_a_minus: f64) {
         match self {
             SparseMatrix::Csr(m) => m.apply_rescaled(x, y, a_plus, inv_a_minus),
-            SparseMatrix::Ell(m) => m.apply_rescaled(x, y, a_plus, inv_a_minus),
             SparseMatrix::Stencil(s) => s.apply_rescaled(x, y, a_plus, inv_a_minus),
         }
     }
@@ -192,7 +162,6 @@ impl LinearOp for SparseMatrix {
     fn stored_entries(&self) -> usize {
         match self {
             SparseMatrix::Csr(m) => m.stored_entries(),
-            SparseMatrix::Ell(m) => m.stored_entries(),
             SparseMatrix::Stencil(s) => s.stored_entries(),
         }
     }
@@ -200,7 +169,6 @@ impl LinearOp for SparseMatrix {
     fn model_entries(&self) -> usize {
         match self {
             SparseMatrix::Csr(m) => m.model_entries(),
-            SparseMatrix::Ell(m) => m.model_entries(),
             SparseMatrix::Stencil(s) => s.model_entries(),
         }
     }
@@ -210,7 +178,6 @@ impl BlockOp for SparseMatrix {
     fn apply_block(&self, x: &[f64], y: &mut [f64], k: usize) {
         match self {
             SparseMatrix::Csr(m) => m.apply_block(x, y, k),
-            SparseMatrix::Ell(m) => m.apply_block(x, y, k),
             SparseMatrix::Stencil(s) => s.apply_block(x, y, k),
         }
     }
@@ -225,7 +192,6 @@ impl BlockOp for SparseMatrix {
     ) {
         match self {
             SparseMatrix::Csr(m) => m.apply_block_rescaled(x, y, k, a_plus, inv_a_minus),
-            SparseMatrix::Ell(m) => m.apply_block_rescaled(x, y, k, a_plus, inv_a_minus),
             SparseMatrix::Stencil(s) => s.apply_block_rescaled(x, y, k, a_plus, inv_a_minus),
         }
     }
@@ -246,29 +212,9 @@ mod tests {
         coo.to_csr()
     }
 
-    /// An arrow matrix: one dense row makes padding catastrophic.
-    fn arrow() -> CsrMatrix {
-        let mut coo = CooMatrix::new(8, 8);
-        for j in 1..8 {
-            coo.push(0, j, 1.0).unwrap();
-        }
-        for i in 1..8 {
-            coo.push(i, i, 2.0).unwrap();
-        }
-        coo.to_csr()
-    }
-
-    #[test]
-    fn from_csr_honors_explicit_formats() {
-        assert_eq!(SparseMatrix::from_csr(ring(), MatrixFormat::Csr).format_name(), "csr");
-        assert_eq!(SparseMatrix::from_csr(ring(), MatrixFormat::Ell).format_name(), "ell");
-        // Stencil cannot be derived from bare CSR: documented CSR fallback.
-        assert_eq!(SparseMatrix::from_csr(ring(), MatrixFormat::Stencil).format_name(), "csr");
-        // Auto never picks ELL, regular rows or ragged.
-        for m in [ring(), arrow()] {
-            assert_eq!(SparseMatrix::from_csr(m, MatrixFormat::Auto).format_name(), "csr");
-        }
-        assert_eq!(MatrixFormat::default(), MatrixFormat::Auto);
+    /// The ring of [`ring`] as a matrix-free stencil.
+    fn ring_stencil() -> StencilOp {
+        StencilOp::hypercubic_uniform(&[6], &[true], 1.0, 0.0, false)
     }
 
     #[test]
@@ -276,8 +222,8 @@ mod tests {
         let csr = ring();
         let x: Vec<f64> = (0..6).map(|i| i as f64 - 2.5).collect();
         let reference = csr.apply_alloc(&x);
-        for format in [MatrixFormat::Csr, MatrixFormat::Ell, MatrixFormat::Auto] {
-            let m = SparseMatrix::from_csr(csr.clone(), format);
+        for m in [SparseMatrix::Csr(csr.clone()), SparseMatrix::Stencil(ring_stencil())] {
+            let format = m.format_name();
             assert_eq!(m.apply_alloc(&x), reference, "{format}");
             assert_eq!(m.to_csr(), csr, "{format}");
             assert_eq!(m.nnz(), csr.nnz(), "{format}");
@@ -287,22 +233,23 @@ mod tests {
 
     #[test]
     fn format_parsing_roundtrips() {
-        for format in
-            [MatrixFormat::Csr, MatrixFormat::Ell, MatrixFormat::Stencil, MatrixFormat::Auto]
-        {
+        for format in [MatrixFormat::Csr, MatrixFormat::Stencil, MatrixFormat::Auto] {
             assert_eq!(format.as_str().parse::<MatrixFormat>().unwrap(), format);
         }
-        assert!("frobnicated".parse::<MatrixFormat>().is_err());
+        for bad in ["ell", "frobnicated"] {
+            let err = bad.parse::<MatrixFormat>().unwrap_err();
+            assert!(err.contains("(csr|stencil|auto)"), "{err}");
+        }
+        assert_eq!(MatrixFormat::default(), MatrixFormat::Auto);
     }
 
     #[test]
-    fn model_entries_reflect_padding_only_for_ell() {
-        let csr = arrow();
+    fn model_entries_charge_nothing_for_the_stencil() {
+        let csr = ring();
         let nnz = csr.nnz();
-        let csr_m = SparseMatrix::from_csr(csr.clone(), MatrixFormat::Csr);
-        assert_eq!(csr_m.model_entries(), nnz);
-        let ell_m = SparseMatrix::from_csr(csr, MatrixFormat::Ell);
-        assert_eq!(ell_m.stored_entries(), nnz);
-        assert_eq!(ell_m.model_entries(), 8 * 7, "padded to the dense arrow row");
+        assert_eq!(SparseMatrix::Csr(csr).model_entries(), nnz);
+        let stencil = SparseMatrix::Stencil(ring_stencil());
+        assert_eq!(stencil.stored_entries(), nnz);
+        assert_eq!(stencil.model_entries(), 0, "matrix-free");
     }
 }

@@ -91,7 +91,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::block::BlockOp;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
-use crate::ell::EllMatrix;
 use crate::op::{DiagonalOp, IdentityOp, LinearOp, RescaledOp};
 use crate::sparse::SparseMatrix;
 use crate::stencil::StencilOp;
@@ -135,7 +134,7 @@ pub trait TiledOp: BlockOp {
     /// values [`TiledOp::block_rows`] writes.
     ///
     /// The default computes the rows into a tile with `block_rows` and then
-    /// runs the epilogue over the tile. The CSR, ELL and stencil kernels
+    /// runs the epilogue over the tile. The CSR and stencil kernels
     /// call the epilogue from their row loops instead, so a later doubling
     /// step stores no product tile at all.
     ///
@@ -177,17 +176,6 @@ impl TiledOp for CsrMatrix {
     }
 }
 
-impl TiledOp for EllMatrix {
-    fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
-        self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
-    }
-
-    fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
-        check_rows(self.dim(), x, k, &rows, epi.tile_len());
-        self.rows_interleaved(x, k, rows, epi);
-    }
-}
-
 impl TiledOp for StencilOp {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         self.rows_into(x, k, rows, &mut RowEpilogue::store(out));
@@ -195,7 +183,7 @@ impl TiledOp for StencilOp {
 
     fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
         check_rows(self.dim(), x, k, &rows, epi.tile_len());
-        self.rows_into_epilogue(x, k, rows, epi);
+        crate::stencil::rows_interleaved(self, x, k, rows, epi);
     }
 }
 
@@ -241,7 +229,6 @@ impl TiledOp for SparseMatrix {
     fn block_rows(&self, x: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
         match self {
             SparseMatrix::Csr(m) => m.block_rows(x, k, rows, out),
-            SparseMatrix::Ell(m) => m.block_rows(x, k, rows, out),
             SparseMatrix::Stencil(s) => s.block_rows(x, k, rows, out),
         }
     }
@@ -249,7 +236,6 @@ impl TiledOp for SparseMatrix {
     fn rows_into(&self, x: &[f64], k: usize, rows: Range<usize>, epi: &mut RowEpilogue<'_>) {
         match self {
             SparseMatrix::Csr(m) => m.rows_into(x, k, rows, epi),
-            SparseMatrix::Ell(m) => m.rows_into(x, k, rows, epi),
             SparseMatrix::Stencil(s) => s.rows_into(x, k, rows, epi),
         }
     }
@@ -1343,12 +1329,9 @@ mod tests {
 
     #[test]
     fn streamed_values_match_apply_block_bitwise() {
-        let csr = ring(23);
+        let csr = SparseMatrix::Csr(ring(23));
         for k in WIDTHS {
-            for op in [SparseMatrix::Csr(csr.clone()), SparseMatrix::Ell(EllMatrix::from_csr(&csr))]
-            {
-                assert_rows_match_apply_block(&op, k, 7, op.format_name());
-            }
+            assert_rows_match_apply_block(&csr, k, 7, "csr");
             let dense = DenseMatrix::from_fn(11, 11, |i, j| ((3 * i + j) as f64).cos());
             assert_rows_match_apply_block(&dense, k, 4, "dense");
             assert_rows_match_apply_block(&IdentityOp::new(9), k, 4, "identity");
@@ -1478,7 +1461,9 @@ mod tests {
         let d = 97;
         let k = 2;
         let n = 14;
-        let op = SparseMatrix::Ell(EllMatrix::from_csr(&ring(d)));
+        // The ring of `ring(d)`, matrix-free.
+        let op =
+            SparseMatrix::Stencil(StencilOp::hypercubic_uniform(&[d], &[true], 0.4, 0.0, false));
         let r0 = start_block(d, k);
         let (reference_p, _) = fused_block_moments_plain(&op, &r0, k, n, 1, 16);
         let (reference_d, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, 16);
@@ -1807,12 +1792,10 @@ mod tests {
         // A disordered periodic 7^3 lattice: D = 343, three canonical
         // segments, the last ragged.
         let onsite = wave(5, 343).into_iter().map(|v| 0.2 * v).collect();
-        let geometry =
-            crate::StencilGeometry::Hypercubic { dims: vec![7; 3], periodic: vec![true; 3] };
+        let geometry = crate::StencilGeometry { dims: vec![7; 3], periodic: vec![true; 3] };
         let stencil = StencilOp::new(geometry, 0.125, onsite, true);
         let csr = stencil.to_csr();
         assert_fused_steps_match(&csr, "csr");
-        assert_fused_steps_match(&EllMatrix::from_csr(&csr), "ell");
         assert_fused_steps_match(&stencil, "stencil");
         assert_fused_steps_match(&csr.to_dense(), "dense");
         // Zeros on the diagonal make raw products of -0.0, which a bare

@@ -3,13 +3,13 @@
 //! Every front-door job starts from Rademacher vectors, whose entries are all
 //! `±1.0`; `tiled_bits.rs` starts from LCG values in `(-1, 1)` instead. This
 //! test hashes every moment's `to_bits()` for ±1 start blocks over the full
-//! configuration matrix — four formats, bare and rescaled, six block widths
+//! configuration matrix — three formats, bare and rescaled, six block widths
 //! (one column, and 17 = 16 + 1), on- and off-grid tile heights, one and
 //! three threads, and both recursions — against recorded constants.
 
 use kpm_linalg::op::RescaledOp;
 use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
-use kpm_linalg::{DenseMatrix, EllMatrix, SparseMatrix, StencilGeometry, StencilOp};
+use kpm_linalg::{DenseMatrix, SparseMatrix, StencilGeometry, StencilOp};
 
 const MOMENTS: usize = 7;
 const WIDTHS: [usize; 6] = [1, 2, 3, 8, 14, 17];
@@ -19,11 +19,9 @@ const TILE_ROWS: [usize; 3] = [128, 256, 200];
 const THREADS: [usize; 2] = [1, 3];
 
 /// `(format, recursion)` → FNV-1a-64 over every moment's bits.
-const EXPECTED: [(&str, &str, u64); 8] = [
+const EXPECTED: [(&str, &str, u64); 6] = [
     ("csr", "plain", 0xf7f3_9805_51c3_d7f5),
     ("csr", "doubling", 0xcdc9_2a5f_4167_bb85),
-    ("ell", "plain", 0xf7f3_9805_51c3_d7f5),
-    ("ell", "doubling", 0xcdc9_2a5f_4167_bb85),
     ("stencil", "plain", 0xf7f3_9805_51c3_d7f5),
     ("stencil", "doubling", 0xcdc9_2a5f_4167_bb85),
     ("dense", "plain", 0x088c_e430_32fa_2a69),
@@ -55,7 +53,7 @@ fn lattice(l: usize) -> StencilOp {
     let d = l * l * l;
     let onsite = lcg_values(7, d).into_iter().map(|v| 0.2 * v).collect();
     StencilOp::new(
-        StencilGeometry::Hypercubic { dims: vec![l; 3], periodic: vec![true; 3] },
+        StencilGeometry { dims: vec![l; 3], periodic: vec![true; 3] },
         0.125,
         onsite,
         true,
@@ -107,7 +105,6 @@ fn signed_start_moments_keep_their_bits() {
     // the 4-lane unroll.
     let stencil = lattice(9);
     let csr = stencil.to_csr();
-    let ell = SparseMatrix::Ell(EllMatrix::from_csr(&csr));
     // Dense on a smaller lattice keeps the debug-build run short:
     // D = 343 = 2 * 128 + 87, again ragged against the unroll.
     let dense: DenseMatrix = lattice(7).to_csr().to_dense();
@@ -115,7 +112,6 @@ fn signed_start_moments_keep_their_bits() {
     for (recursion, doubling) in [("plain", false), ("doubling", true)] {
         for (format, hash) in [
             ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
-            ("ell", hash_format(&ell, doubling)),
             ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
             ("dense", hash_format(&dense, doubling)),
         ] {

@@ -264,7 +264,7 @@ impl JobSpec {
     /// Keys: `lattice` (incl. `dense:D`), `bc`, `hopping`, `disorder`,
     /// `dseed`, `moments`, `random`, `sets`, `kernel`, `seed`, `backend`,
     /// `device` (`host | sim | sim:N`), `format`
-    /// (`csr | ell | stencil | auto`), `bounds`
+    /// (`csr | stencil | auto`), `bounds`
     /// (`gershgorin | lanczos[:k] | manual:a,b`), `priority`, `fault`
     /// (`panic | flaky:K | sleep:MS`), `out`. Unset keys take the CLI
     /// defaults.
@@ -430,8 +430,8 @@ impl JobSpec {
     /// `mu_0..mu_{N-1}` are a prefix of any longer run and are
     /// kernel-independent, so entries are shared across truncation orders
     /// and kernels; the storage format is excluded too because every format
-    /// applies bitwise-identically, so a moment vector computed via ELL
-    /// serves a CSR job verbatim. The device is excluded for the same
+    /// applies bitwise-identically, so a moment vector computed via the
+    /// stencil serves a CSR job verbatim. The device is excluded for the same
     /// reason: `SimDevice` runs the exact host functional pipeline and
     /// differs only in the clock it reports, so a sim-computed entry is a
     /// valid host answer. The backend *stays* in the key: the stream
@@ -602,11 +602,9 @@ mod tests {
     fn format_parses_and_shares_cache_but_not_content_hash() {
         let base = JobSpec::parse("lattice=cubic:4,4,4").unwrap();
         assert_eq!(base.format, MatrixFormat::Auto);
-        for (token, format) in [
-            ("format=csr", MatrixFormat::Csr),
-            ("format=ell", MatrixFormat::Ell),
-            ("format=stencil", MatrixFormat::Stencil),
-        ] {
+        for (token, format) in
+            [("format=csr", MatrixFormat::Csr), ("format=stencil", MatrixFormat::Stencil)]
+        {
             let job = JobSpec::parse(&format!("lattice=cubic:4,4,4 {token}")).unwrap();
             assert_eq!(job.format, format);
             // Distinct canonical identity (the spec says what to run)...
@@ -618,7 +616,13 @@ mod tests {
             let again = JobSpec::parse(&job.canonical()).unwrap();
             assert_eq!(again.format, format);
         }
-        assert!(matches!(JobSpec::parse("format=coo"), Err(JobParseError::BadValue { .. })));
+        // `ell` was retired with the padded ELL format.
+        for token in ["format=coo", "format=ell"] {
+            assert!(
+                matches!(JobSpec::parse(token), Err(JobParseError::BadValue { .. })),
+                "{token}"
+            );
+        }
     }
 
     #[test]
@@ -696,7 +700,7 @@ mod tests {
             "lattice=cubic:4,4,5 disorder=2@5",
             "lattice=cubic:4,4,4 disorder=2@6",
             "lattice=cubic:4,4,4 disorder=2@5 hopping=2",
-            "lattice=cubic:4,4,4 disorder=2@5 format=ell",
+            "lattice=cubic:4,4,4 disorder=2@5 format=stencil",
         ] {
             assert_ne!(base.op_key(), JobSpec::parse(differs).unwrap().op_key(), "{differs}");
         }

@@ -524,7 +524,7 @@ mod tests {
             "lattice=chain:32 moments=24 bc=open",
             "lattice=chain:32 moments=24 hopping=2",
             "lattice=chain:32 moments=24 disorder=0.5",
-            "lattice=chain:32 moments=24 format=ell",
+            "lattice=chain:32 moments=24 format=stencil",
         ] {
             assert_ne!(base.op_key(), dos_job(diff).op_key(), "{diff}");
         }
@@ -539,7 +539,7 @@ mod tests {
             "lattice=chain:32 moments=64 random=3 sets=2 seed=5",
             "lattice=chain:32 moments=24 random=3 sets=4 seed=5",
             "lattice=chain:32 moments=24 random=3 sets=2 seed=5 kernel=fejer",
-            "lattice=chain:32 moments=24 random=3 sets=2 seed=5 format=ell device=sim",
+            "lattice=chain:32 moments=24 random=3 sets=2 seed=5 format=stencil device=sim",
         ] {
             assert_eq!(base.row_key(), dos_job(same).row_key(), "{same}");
         }

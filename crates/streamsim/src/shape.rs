@@ -54,18 +54,14 @@ impl Precision {
 /// Sparse storage format of a priced launch.
 ///
 /// The formats process the same coefficients but stream different bytes:
-/// CSR pays a row-pointer traversal on top of the per-entry gather, ELL
-/// streams its (padded) slots contiguously with no row pointers, and the
+/// CSR pays a row-pointer traversal on top of the per-entry gather, and the
 /// stencil regenerates the pattern in registers so the matrix costs no
-/// DRAM traffic at all. Callers pricing an ELL launch must pass the
-/// *padded* slot count (`model_entries`), not the true `nnz`.
+/// DRAM traffic at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SparseFormat {
     /// Compressed sparse row — the paper's CRS format.
     #[default]
     Csr,
-    /// Padded slot-major ELLPACK.
-    Ell,
     /// Matrix-free lattice stencil.
     Stencil,
 }
@@ -77,7 +73,7 @@ pub struct MomentLaunchShape {
     /// Operator dimension `D` (`H_SIZE`).
     pub dim: usize,
     /// Coefficient slots the kernel processes per sweep (dense `D^2`,
-    /// paper's lattice `7 D`; for ELL this is the padded slot count).
+    /// paper's lattice `7 D`).
     pub stored_entries: usize,
     /// Whether the matrix is stored dense.
     pub dense: bool,
@@ -121,8 +117,6 @@ impl MomentLaunchShape {
     /// * dense — values only;
     /// * CSR — values + 4-byte column indices + 8-byte row pointers (the
     ///   pointer chase that makes CSR loads a gather);
-    /// * ELL — values + column indices for every *padded* slot, streamed
-    ///   contiguously with no row pointers;
     /// * stencil — zero: the pattern lives in registers, nothing is stored.
     pub fn matrix_bytes(&self) -> u64 {
         let e = self.stored_entries as u64;
@@ -132,7 +126,6 @@ impl MomentLaunchShape {
         } else {
             match self.format {
                 SparseFormat::Csr => (w + 4) * e + 8 * (self.dim as u64 + 1),
-                SparseFormat::Ell => (w + 4) * e,
                 SparseFormat::Stencil => 0,
             }
         }
@@ -294,33 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn format_traffic_orders_stencil_below_ell_below_csr() {
+    fn format_traffic_orders_stencil_below_csr() {
         let spec = GpuSpec::tesla_c2050();
-        // Paper lattice: 7 entries in every row, so ELL pads nothing and
-        // its only saving over CSR is the row-pointer stream.
         let csr = paper_fig5(512);
-        let ell = MomentLaunchShape { format: SparseFormat::Ell, ..csr };
         let stencil = MomentLaunchShape { format: SparseFormat::Stencil, ..csr };
         assert_eq!(csr.matrix_bytes(), 12 * 7000 + 8 * 1001);
-        assert_eq!(ell.matrix_bytes(), 12 * 7000);
         assert_eq!(stencil.matrix_bytes(), 0);
         let t = |s: &MomentLaunchShape| total(s, &spec, 0.2);
-        assert!(t(&stencil) < t(&ell), "stencil must beat ELL");
-        assert!(t(&ell) < t(&csr), "ELL must beat CSR");
+        assert!(t(&stencil) < t(&csr), "stencil must beat CSR");
         // Same arithmetic regardless of storage.
-        assert_eq!(csr.flops(), ell.flops());
         assert_eq!(csr.flops(), stencil.flops());
-    }
-
-    #[test]
-    fn ell_padding_charges_extra_slots() {
-        // A ragged matrix padded to width 12 at D = 1000 with true
-        // nnz = 7000: the ELL shape must be priced at the padded slots.
-        let csr = paper_fig5(512);
-        let padded =
-            MomentLaunchShape { format: SparseFormat::Ell, stored_entries: 12 * 1000, ..csr };
-        assert_eq!(padded.matrix_bytes(), 12 * 12_000);
-        assert!(padded.matrix_bytes() > csr.matrix_bytes());
     }
 
     #[test]
