@@ -1,12 +1,13 @@
 //! Format × block-width ablation on a paper-scale periodic cubic lattice.
 //!
-//! The baseline is the seed pipeline's inner loop: one vector at a time
-//! through CSR (`single_vector_moments`). Against it we run the tiled
-//! engine's blocked recursion (`tiled::fused_block_moments_plain`, one
-//! thread) over CSR and the matrix-free stencil at block widths
-//! R ∈ {1, 8, 14} (14 is the paper's `R` per set). The two formats
-//! compute bitwise-identical moments, and the one-vector baseline agrees
-//! with them to rounding; the sweep isolates pure storage/traversal cost.
+//! The baseline runs one vector at a time through CSR
+//! (`single_vector_moments`). Against it we run the tiled engine's blocked
+//! recursion (`tiled::fused_block_moments_doubling`, one thread) over CSR
+//! and the matrix-free stencil at block widths R ∈ {1, 8, 14} (14 is the
+//! paper's `R` per set). Both sides run moment doubling, so the sweep
+//! isolates storage and blocking: the two formats compute
+//! bitwise-identical moments, and the one-vector baseline agrees with them
+//! to rounding.
 //!
 //! The lattice is 48x48x48 (D = 110,592; the bitwise cross-format tests use
 //! the paper's 10x10x10). At this size the ~9.7 MB CSR arrays no longer fit
@@ -20,13 +21,13 @@
 //! the acceptance criterion refers to.
 
 use criterion::{BenchmarkId, Criterion};
-use kpm::moments::{single_vector_moments, Recursion};
+use kpm::moments::single_vector_moments;
 use kpm::prelude::*;
 use kpm::random::fill_random_vector;
 use kpm_lattice::OnSite;
 use kpm_lattice::{Boundary, HypercubicLattice, TightBinding};
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::fused_block_moments_plain;
+use kpm_linalg::tiled::fused_block_moments_doubling;
 use kpm_linalg::{MatrixFormat, SparseMatrix, DEFAULT_TILE_ROWS};
 use std::hint::black_box;
 use std::time::Instant;
@@ -58,19 +59,15 @@ fn start_block(dim: usize, r: usize) -> Vec<f64> {
     block
 }
 
-/// The seed path: R independent one-vector recursions over CSR.
+/// R independent one-vector recursions over CSR.
 fn one_vector_csr(op: &RescaledOp<SparseMatrix>, block: &[f64], r: usize) -> Vec<Vec<f64>> {
     let d = op.dim();
-    (0..r)
-        .map(|j| {
-            single_vector_moments(op, &block[j * d..(j + 1) * d], NUM_MOMENTS, Recursion::Plain)
-        })
-        .collect()
+    (0..r).map(|j| single_vector_moments(op, &block[j * d..(j + 1) * d], NUM_MOMENTS)).collect()
 }
 
 /// The tiled engine over one `D x r` block, on one thread.
 fn blocked(op: &RescaledOp<SparseMatrix>, block: &[f64], r: usize) -> Vec<Vec<f64>> {
-    fused_block_moments_plain(op, block, r, NUM_MOMENTS, 1, DEFAULT_TILE_ROWS).0
+    fused_block_moments_doubling(op, block, r, NUM_MOMENTS, 1, DEFAULT_TILE_ROWS).0
 }
 
 /// Min-of-3 wall time in seconds.

@@ -1,14 +1,15 @@
 //! Ablation benches for algorithmic choices inside the core library:
 //!
-//! * plain vs moment-doubling recursion (the doubling should approach 2×
-//!   on matvec-dominated workloads);
+//! * the paper's loop (`pair_vector_moments` with `l = r0`, one matvec
+//!   per moment) vs the moment-doubling recursion (`single_vector_moments`,
+//!   which should approach 2× on matvec-dominated workloads);
 //! * FFT-backed DCT-III reconstruction vs the naive `O(K N)` sum;
 //! * damping-kernel coefficient generation (all four kernels).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kpm::dct;
 use kpm::kernels::KernelType;
-use kpm::moments::{single_vector_moments, Recursion};
+use kpm::moments::{pair_vector_moments, single_vector_moments};
 use kpm::random::{fill_random_vector, Distribution};
 use kpm_lattice::paper_cubic_hamiltonian;
 use kpm_linalg::gershgorin::gershgorin_csr;
@@ -24,11 +25,12 @@ fn bench_recursion(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_recursion");
     group.sample_size(10);
-    for (name, rec) in [("plain", Recursion::Plain), ("doubling", Recursion::Doubling)] {
-        group.bench_function(BenchmarkId::new(name, 256), |bch| {
-            bch.iter(|| black_box(single_vector_moments(&op, &r0, 256, rec)));
-        });
-    }
+    group.bench_function(BenchmarkId::new("plain", 256), |bch| {
+        bch.iter(|| black_box(pair_vector_moments(&op, &r0, &r0, 256)));
+    });
+    group.bench_function(BenchmarkId::new("doubling", 256), |bch| {
+        bch.iter(|| black_box(single_vector_moments(&op, &r0, 256)));
+    });
     group.finish();
 }
 

@@ -1,9 +1,9 @@
 //! Pricing the paper's CPU baseline.
 //!
-//! The "CPU version" of the paper is the plain sequential KPM (the `kpm`
-//! crate's reference implementation); its run time at full parameter scale
-//! is modeled on the Core i7 930 with the cache-aware roofline in
-//! `kpm-streamsim::host`, fed by the operation counts in `kpm::workload`.
+//! The "CPU version" of the paper is the plain sequential KPM loop, one
+//! matvec per moment; its run time at full parameter scale is modeled on
+//! the Core i7 930 with the cache-aware roofline in `kpm-streamsim::host`,
+//! fed by the operation counts in `kpm::workload`.
 
 use kpm::workload::KpmWorkload;
 use kpm_streamsim::{CpuSpec, HostClock, MemTraffic, SimTime};
@@ -11,8 +11,9 @@ use kpm_streamsim::{CpuSpec, HostClock, MemTraffic, SimTime};
 /// Models the CPU time of one full KPM run.
 ///
 /// Phases per realization: RNG fill, `N - 1` matvecs, `N` fused
-/// combine+dot passes — the structure of
-/// [`kpm::moments::stochastic_moments`] with the plain recursion.
+/// combine+dot passes — the structure of the paper's loop
+/// ([`kpm::moments::pair_vector_moments`] with `l = r0`), not of
+/// [`kpm::moments::stochastic_moments`], which runs moment doubling.
 pub fn cpu_run_time(w: &KpmWorkload, spec: &CpuSpec) -> SimTime {
     let mut clock = HostClock::new();
     let to_traffic = |p: kpm::workload::PhaseProfile| MemTraffic {

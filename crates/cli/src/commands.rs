@@ -589,11 +589,11 @@ pub fn evolve(args: &Args) -> Result<String, CmdError> {
     let time: f64 = args.get_or("time", 10.0)?;
     let steps: usize = args.get_or("steps", 5)?;
     if steps == 0 {
-        return Err(CmdError::Other("--steps must be positive".into()));
+        return Err(KpmError::InvalidParameter("--steps must be positive".into()).into());
     }
     let site: usize = args.get_or("site", w.h.nrows() / 2)?;
     if site >= w.h.nrows() {
-        return Err(CmdError::Other(format!("--site {site} out of range")));
+        return Err(KpmError::InvalidParameter(format!("--site {site} out of range")).into());
     }
     let bounds = kpm::bounds::resolve(&w.h, w.params.bounds)?;
     let prop = Propagator::new(&w.h, bounds, 1e-10)?;
@@ -636,7 +636,7 @@ pub fn spectral(args: &Args) -> Result<String, CmdError> {
     let w = workload(args)?; // rebuilds the same chain with common options
     let k_count: usize = args.get_or("momenta", 8)?;
     if k_count == 0 || k_count > l {
-        return Err(CmdError::Other(format!("--momenta must be in 1..={l}")));
+        return Err(KpmError::InvalidParameter(format!("--momenta must be in 1..={l}")).into());
     }
     let ks: Vec<usize> = (0..k_count).map(|i| i * l / (2 * k_count)).collect();
     let spectra = kpm::spectral::chain_spectral_function(&w.h, l, &ks, &w.params)?;

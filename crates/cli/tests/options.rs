@@ -5,35 +5,40 @@ use std::process::Command;
 
 #[test]
 fn bad_options_exit_with_their_class_code() {
-    // `(option, value, exit code, text the message must carry)`. An option
-    // no command reads (a typo, a removed option, a near miss of
+    // `(command, option, value, exit code, text the message must carry)`.
+    // An option no command reads (a typo, a removed option, a near miss of
     // `--moments`) is an argument error (2), and so is a value no parser
     // accepts, whose message names the accepted values; `--bc` stays a
     // lattice-spec error (3), and `--bounds` and `--device` stay
-    // KPM-parameter errors (4).
-    for (key, value, code, names) in [
-        ("exce", "rows", 2, "unknown option --exce"),
-        ("precision", "mixed", 2, "unknown option --precision"),
-        ("moments-count", "64", 2, "unknown option --moments-count"),
-        ("format", "coo", 2, "csr|stencil|auto"),
-        ("format", "ell", 2, "csr|stencil|auto"),
-        ("exec", "bogus", 2, "auto|rows|hybrid"),
-        ("kernel", "nope", 2, "jackson|lorentz|fejer|dirichlet|jacobi"),
-        ("disorder", "x", 2, "a number"),
-        ("moments", "abc", 2, "--moments abc"),
-        ("threads", "x", 2, "--threads x"),
-        ("bc", "twisted", 3, "twisted"),
-        ("bounds", "tight", 4, "tight"),
-        ("device", "gpu", 4, "gpu"),
+    // KPM-parameter errors (4), as is a parsed value out of range for the
+    // lattice on every command that checks one.
+    for (cmd, key, value, code, names) in [
+        ("dos", "exce", "rows", 2, "unknown option --exce"),
+        ("dos", "precision", "mixed", 2, "unknown option --precision"),
+        ("dos", "moments-count", "64", 2, "unknown option --moments-count"),
+        ("dos", "format", "coo", 2, "csr|stencil|auto"),
+        ("dos", "format", "ell", 2, "csr|stencil|auto"),
+        ("dos", "exec", "bogus", 2, "auto|rows|hybrid"),
+        ("dos", "kernel", "nope", 2, "jackson|lorentz|fejer|dirichlet|jacobi"),
+        ("dos", "disorder", "x", 2, "a number"),
+        ("dos", "moments", "abc", 2, "--moments abc"),
+        ("dos", "threads", "x", 2, "--threads x"),
+        ("dos", "bc", "twisted", 3, "twisted"),
+        ("dos", "bounds", "tight", 4, "tight"),
+        ("dos", "device", "gpu", 4, "gpu"),
+        ("ldos", "site", "99", 4, "site 99 out of range"),
+        ("evolve", "site", "99", 4, "--site 99 out of range"),
+        ("evolve", "steps", "0", 4, "--steps must be positive"),
+        ("spectral", "momenta", "99", 4, "--momenta must be in 1..=16"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_kpm"))
-            .args(["dos", "--lattice", "chain:16", &format!("--{key}"), value])
+            .args([cmd, "--lattice", "chain:16", &format!("--{key}"), value])
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(code), "--{key} {value}: {stderr}");
-        assert!(stderr.contains(names), "--{key} {value}: {stderr}");
-        assert!(out.stdout.is_empty(), "--{key} {value}: nothing runs");
+        assert_eq!(out.status.code(), Some(code), "{cmd} --{key} {value}: {stderr}");
+        assert!(stderr.contains(names), "{cmd} --{key} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} --{key} {value}: nothing runs");
     }
 }
 

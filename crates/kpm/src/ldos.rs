@@ -58,7 +58,7 @@ impl Estimator for LdosEstimator {
         let _span = kpm_obs::span("kpm.moments");
         let mut e_i = vec![0.0; op.dim()];
         e_i[self.site] = 1.0;
-        let mu = single_vector_moments(op, &e_i, self.params.num_moments, self.params.recursion);
+        let mu = single_vector_moments(op, &e_i, self.params.num_moments);
         // <e_i|T_n|e_i> is already the LDoS moment: no 1/D, no averaging.
         Ok(MomentStats { std_err: vec![0.0; mu.len()], samples: 1, mean: mu })
     }
@@ -147,7 +147,7 @@ mod tests {
         for site in 0..12 {
             let mut e_i = vec![0.0; 12];
             e_i[site] = 1.0;
-            let mu = single_vector_moments(&rescaled, &e_i, 16, crate::moments::Recursion::Plain);
+            let mu = crate::moments::pair_vector_moments(&rescaled, &e_i, &e_i, 16);
             for (a, m) in avg.iter_mut().zip(&mu) {
                 *a += m / 12.0;
             }

@@ -9,9 +9,9 @@
 //!    estimate.
 //! 2. **Moments** ([`moments`]) — `mu_n = Tr[T_n(H~)]/D`, estimated
 //!    stochastically with `S * R` random vectors (Eq. 13–19) through the
-//!    three-term Chebyshev recursion; both the paper's plain recursion and
-//!    the moment-doubling optimization are provided, and doubling, two
-//!    moments per matrix sweep, is the default.
+//!    three-term Chebyshev recursion with the moment-doubling
+//!    optimization: two moments per matrix sweep, where the paper's loop
+//!    takes one.
 //! 3. **Kernel damping** ([`kernels`]) — Jackson (the paper's choice),
 //!    Lorentz, Fejér, and Dirichlet kernels `g_n` against Gibbs
 //!    oscillations.
@@ -81,7 +81,7 @@ pub use green::{GreenEstimator, GreensFunction};
 pub use kernels::KernelType;
 pub use kubo::{Conductivity, DoubleMoments, KuboEstimator};
 pub use ldos::LdosEstimator;
-pub use moments::{shard_plan, KpmParams, MomentStats, Recursion};
+pub use moments::{shard_plan, KpmParams, MomentStats};
 pub use random::Distribution;
 pub use rescale::BoundsMethod;
 pub use tune::{ensure_profile, ExecProfile, ProbeShape, ProfileStore};
@@ -114,7 +114,7 @@ pub mod prelude {
     pub use crate::ldos::LdosEstimator;
     pub use crate::moments::{
         per_realization_moments, realization_chunk_count, shard_plan, single_vector_moments,
-        stochastic_moments, KpmParams, MomentStats, Recursion,
+        stochastic_moments, KpmParams, MomentStats,
     };
     pub use crate::random::{realization_stream, Distribution};
     pub use crate::rescale::{rescale, Boundable, BoundsMethod};

@@ -8,16 +8,14 @@
 //! ```
 //!
 //! and accumulate `mu~_n = <r_0 | r_n>`; the estimate is the mean of
-//! `mu~_n / D` over realizations. Two recursion strategies are provided:
-//!
-//! * [`Recursion::Doubling`], the default — the product identity
-//!   `2 T_m T_n = T_{m+n} + T_{m-n}` yields
-//!   `mu_{2k} = 2 <r_k|r_k> - mu_0` and `mu_{2k+1} = 2 <r_{k+1}|r_k> - mu_1`,
-//!   halving the matvec count (Weiße et al. 2006, Sec. II.D): `N / 2`
-//!   sweeps for `N` moments. Every front door runs it.
-//! * [`Recursion::Plain`] — the paper's loop: one matvec and one dot per
-//!   moment (`N - 1` matvecs for `N` moments). The modeled device engines
-//!   price this loop.
+//! `mu~_n / D` over realizations. The moments come from moment doubling:
+//! the product identity `2 T_m T_n = T_{m+n} + T_{m-n}` yields
+//! `mu_{2k} = 2 <r_k|r_k> - mu_0` and `mu_{2k+1} = 2 <r_{k+1}|r_k> - mu_1`,
+//! halving the matvec count (Weiße et al. 2006, Sec. II.D): `N / 2` sweeps
+//! for `N` moments, where the paper's loop (one matvec and one dot per
+//! moment) takes `N - 1`. The modeled device engines price the paper's
+//! loop; on the host, [`pair_vector_moments`] with `l = r0` runs it for one
+//! vector.
 //!
 //! Stochastic estimation is a multiple-right-hand-side problem: every step
 //! applies the same `H~` to all `R` vectors of a realization set. The
@@ -39,15 +37,6 @@ use kpm_linalg::op::LinearOp;
 use kpm_linalg::tiled::{self, TiledOp};
 use kpm_linalg::vecops;
 
-/// Which Chebyshev recursion to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recursion {
-    /// One matvec per moment (the paper's Fig. 3 loop).
-    Plain,
-    /// Moment doubling: one matvec per *two* moments.
-    Doubling,
-}
-
 /// All knobs of a KPM run. Mirrors the paper's parameter set:
 /// `N` = `num_moments`, `R` = `num_random`, `S` = `num_realizations`,
 /// `H_SIZE` = the operator dimension.
@@ -63,8 +52,6 @@ pub struct KpmParams {
     pub seed: u64,
     /// Component distribution of the random vectors.
     pub distribution: Distribution,
-    /// Recursion strategy.
-    pub recursion: Recursion,
     /// Damping kernel for reconstruction.
     pub kernel: KernelType,
     /// How spectral bounds are obtained.
@@ -77,8 +64,8 @@ pub struct KpmParams {
 
 impl KpmParams {
     /// Defaults around `num_moments`: `R = 8`, `S = 2`, Rademacher vectors,
-    /// moment doubling, Jackson kernel, Gershgorin bounds, 1% padding, and
-    /// a `2 N` reconstruction grid (rounded up to a power of two).
+    /// Jackson kernel, Gershgorin bounds, 1% padding, and a `2 N`
+    /// reconstruction grid (rounded up to a power of two).
     pub fn new(num_moments: usize) -> Self {
         Self {
             num_moments,
@@ -86,7 +73,6 @@ impl KpmParams {
             num_realizations: 2,
             seed: 0x6b70_6d5f_7365,
             distribution: Distribution::Rademacher,
-            recursion: Recursion::Doubling,
             kernel: KernelType::Jackson,
             bounds: BoundsMethod::Gershgorin,
             padding: 0.01,
@@ -111,12 +97,6 @@ impl KpmParams {
     /// Sets the component distribution.
     pub fn with_distribution(mut self, d: Distribution) -> Self {
         self.distribution = d;
-        self
-    }
-
-    /// Sets the recursion strategy.
-    pub fn with_recursion(mut self, r: Recursion) -> Self {
-        self.recursion = r;
         self
     }
 
@@ -371,14 +351,8 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
         let k = rs.len();
         let mut block = vec![0.0; d * k];
         fill_random_rows(params.distribution, params.seed, *s, rs.clone(), &mut block);
-        let (mut per_column, stats) = match params.recursion {
-            Recursion::Plain => {
-                tiled::fused_interleaved_moments_plain(op, block, k, n, threads, tile_rows)
-            }
-            Recursion::Doubling => {
-                tiled::fused_interleaved_moments_doubling(op, block, k, n, threads, tile_rows)
-            }
-        };
+        let (mut per_column, stats) =
+            tiled::fused_interleaved_moments_doubling(op, block, k, n, threads, tile_rows);
         let inv_d = 1.0 / d as f64;
         for mu in per_column.iter_mut() {
             for m in mu.iter_mut() {
@@ -454,46 +428,13 @@ fn run_chunks_hybrid<C: Sync, T: Send, F: Fn(&C) -> T + Sync>(
 }
 
 /// Computes the moments `<r_0|T_n(H~)|r_0>` (not normalized by `D`) for one
-/// start vector, by the requested recursion.
+/// start vector by moment doubling: `n / 2` matvecs for `n` moments.
 ///
 /// # Panics
-/// Panics if `r0.len() != op.dim()` or `num_moments < 2`.
-pub fn single_vector_moments<A: LinearOp>(
-    op: &A,
-    r0: &[f64],
-    num_moments: usize,
-    recursion: Recursion,
-) -> Vec<f64> {
+/// Panics if `r0.len() != op.dim()` or `n < 2`.
+pub fn single_vector_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
     assert_eq!(r0.len(), op.dim(), "start vector length");
-    assert!(num_moments >= 2, "need at least two moments");
-    match recursion {
-        Recursion::Plain => plain_moments(op, r0, num_moments),
-        Recursion::Doubling => doubling_moments(op, r0, num_moments),
-    }
-}
-
-fn plain_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
-    let d = r0.len();
-    let mut mu = Vec::with_capacity(n);
-    let mut prev = r0.to_vec(); // r_0
-    let mut cur = vec![0.0; d]; // r_1
-    op.apply(&prev, &mut cur);
-    mu.push(vecops::dot(r0, &prev)); // mu~_0
-    mu.push(vecops::dot(r0, &cur)); // mu~_1
-    let mut scratch = vec![0.0; d];
-    for _ in 2..n {
-        // r_{n+2} = 2 H r_{n+1} - r_n, reusing `prev` as the output buffer —
-        // the same pointer-swap scheme the paper's GPU code uses. The
-        // combine and the moment dot run fused in one pass.
-        op.apply(&cur, &mut scratch);
-        let mu_n = vecops::chebyshev_combine_dot(&scratch, &mut prev, r0);
-        std::mem::swap(&mut prev, &mut cur);
-        mu.push(mu_n);
-    }
-    mu
-}
-
-fn doubling_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
+    assert!(n >= 2, "need at least two moments");
     let d = r0.len();
     let mut mu = vec![0.0; n];
     let mut prev = r0.to_vec(); // r_{k-1}, starts as r_0
@@ -502,9 +443,7 @@ fn doubling_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
     let mu0 = vecops::dot(r0, r0);
     let mu1 = vecops::dot(&cur, r0);
     mu[0] = mu0;
-    if n > 1 {
-        mu[1] = mu1;
-    }
+    mu[1] = mu1;
     let mut scratch = vec![0.0; d];
     let mut k = 1usize;
     while 2 * k < n {
@@ -528,8 +467,10 @@ fn doubling_moments<A: LinearOp>(op: &A, r0: &[f64], n: usize) -> Vec<f64> {
 
 /// Off-diagonal (pair) moments `<l | T_n(H~) | r0>` — the ingredients of
 /// matrix-element Green's functions `G_ij(omega)` (feed the result to
-/// [`crate::green::evaluate`]). Only the plain recursion applies:
-/// the doubling identities require `l == r0`.
+/// [`crate::green::evaluate`]). It runs the paper's loop, one matvec and
+/// one dot per moment, since the doubling identities require `l == r0`;
+/// with `l = r0` it is that loop for one start vector, which the modeled
+/// device engines price.
 ///
 /// # Panics
 /// Panics on dimension mismatch or `num_moments < 2`.
@@ -631,7 +572,6 @@ mod tests {
         let p = KpmParams::new(128)
             .with_random_vectors(14, 128)
             .with_seed(7)
-            .with_recursion(Recursion::Doubling)
             .with_padding(0.02)
             .with_grid_points(512);
         assert_eq!(p.total_realizations(), 1792);
@@ -684,9 +624,10 @@ mod tests {
         let a = 0.37;
         let op = DiagonalOp::new(vec![a, -0.5]);
         let r0 = vec![2.0, 0.0];
-        let mu = single_vector_moments(&op, &r0, 16, Recursion::Plain);
-        for (n, &m) in mu.iter().enumerate() {
-            assert!((m - 4.0 * chebyshev::t(n, a)).abs() < 1e-12, "n = {n}");
+        for mu in [single_vector_moments(&op, &r0, 16), pair_vector_moments(&op, &r0, &r0, 16)] {
+            for (n, &m) in mu.iter().enumerate() {
+                assert!((m - 4.0 * chebyshev::t(n, a)).abs() < 1e-12, "n = {n}");
+            }
         }
     }
 
@@ -697,8 +638,8 @@ mod tests {
         let mut r0 = vec![0.0; 24];
         fill_random_vector(Distribution::Gaussian, 5, 0, 0, &mut r0);
         for n in [2usize, 3, 7, 8, 33, 64] {
-            let plain = single_vector_moments(&op, &r0, n, Recursion::Plain);
-            let doubled = single_vector_moments(&op, &r0, n, Recursion::Doubling);
+            let plain = pair_vector_moments(&op, &r0, &r0, n);
+            let doubled = single_vector_moments(&op, &r0, n);
             for i in 0..n {
                 assert!(
                     (plain[i] - doubled[i]).abs() < 1e-9 * (1.0 + plain[i].abs()),
@@ -731,7 +672,7 @@ mod tests {
             let (s, r) = (idx / p.num_random, idx % p.num_random);
             let mut r0 = vec![0.0; d];
             fill_random_vector(p.distribution, p.seed, s, r, &mut r0);
-            let mut mu = single_vector_moments(&op, &r0, n, p.recursion);
+            let mut mu = single_vector_moments(&op, &r0, n);
             let inv_d = 1.0 / d as f64;
             for m in mu.iter_mut() {
                 *m *= inv_d;
@@ -950,20 +891,17 @@ mod tests {
         // The moment-cache contract: mu_0..mu_{n-1} of a longer run are
         // bitwise identical to a fresh run truncated at n.
         let op = DiagonalOp::new((0..48).map(|i| (i as f64 * 0.53).sin() * 0.85).collect());
-        for recursion in [Recursion::Plain, Recursion::Doubling] {
-            let base = KpmParams::new(40)
-                .with_random_vectors(5, 3)
-                .with_distribution(Distribution::Gaussian)
-                .with_recursion(recursion)
-                .with_seed(321);
-            let long = stochastic_moments(&op, &base);
-            for n in [2usize, 13, 24, 40] {
-                let short = stochastic_moments(&op, &KpmParams { num_moments: n, ..base.clone() });
-                let cut = long.truncated(n);
-                assert_eq!(cut.mean, short.mean, "{recursion:?} mean prefix, n = {n}");
-                assert_eq!(cut.std_err, short.std_err, "{recursion:?} std_err prefix, n = {n}");
-                assert_eq!(cut.samples, short.samples);
-            }
+        let base = KpmParams::new(40)
+            .with_random_vectors(5, 3)
+            .with_distribution(Distribution::Gaussian)
+            .with_seed(321);
+        let long = stochastic_moments(&op, &base);
+        for n in [2usize, 13, 24, 40] {
+            let short = stochastic_moments(&op, &KpmParams { num_moments: n, ..base.clone() });
+            let cut = long.truncated(n);
+            assert_eq!(cut.mean, short.mean, "mean prefix, n = {n}");
+            assert_eq!(cut.std_err, short.std_err, "std_err prefix, n = {n}");
+            assert_eq!(cut.samples, short.samples);
         }
     }
 
@@ -972,16 +910,6 @@ mod tests {
     fn truncated_rejects_extension() {
         let stats = MomentStats { mean: vec![1.0; 4], std_err: vec![0.0; 4], samples: 1 };
         let _ = stats.truncated(8);
-    }
-
-    #[test]
-    fn pair_moments_diagonal_case_matches_single_vector() {
-        let op = DiagonalOp::new((0..20).map(|i| (i as f64 * 0.31).sin() * 0.9).collect());
-        let mut r0 = vec![0.0; 20];
-        fill_random_vector(Distribution::Gaussian, 2, 0, 0, &mut r0);
-        let single = single_vector_moments(&op, &r0, 24, Recursion::Plain);
-        let pair = pair_vector_moments(&op, &r0, &r0, 24);
-        assert_eq!(single, pair, "l = r0 must reduce to the diagonal case");
     }
 
     #[test]

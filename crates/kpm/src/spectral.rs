@@ -15,7 +15,7 @@
 use crate::dos::{Dos, DosEstimator};
 use crate::error::KpmError;
 use crate::estimator::Estimator;
-use crate::moments::{single_vector_moments, KpmParams, MomentStats, Recursion};
+use crate::moments::{pair_vector_moments, KpmParams, MomentStats};
 use crate::rescale::{rescale, Boundable};
 
 /// The spectral function at one momentum.
@@ -94,8 +94,7 @@ pub fn chain_spectral_function<A: Boundable + Sync>(
             if !present {
                 continue;
             }
-            let m_part =
-                single_vector_moments(&rescaled, vec, params.num_moments, Recursion::Plain);
+            let m_part = pair_vector_moments(&rescaled, vec, vec, params.num_moments);
             // Both components carry weight 1/2 except at k = 0, pi where
             // the surviving one carries full weight; using equal weights
             // over the present components reproduces that automatically

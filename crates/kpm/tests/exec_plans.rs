@@ -8,12 +8,13 @@
 //! drop; the engine-level property test uses only explicit arguments and
 //! needs no lock.
 
+use kpm::moments::pair_vector_moments;
 use kpm::prelude::*;
 use kpm::random::fill_random_vector;
 use kpm_lattice::spec::LatticeSpec;
 use kpm_lattice::{Boundary, OnSite};
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain};
+use kpm_linalg::tiled::fused_block_moments_doubling;
 use kpm_linalg::{MatrixFormat, SparseMatrix};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -49,11 +50,11 @@ fn lattice(spec: &str, fmt: MatrixFormat) -> SparseMatrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tiled fused engine agrees with the untiled one-vector recursion,
-    /// column by column, to 1e-12 relative for random lattices, storage
-    /// formats, tile sizes, and worker counts — for both recursions. (The two
-    /// are *not* bitwise equal: the per-tile dot accumulation associates
-    /// differently from `vecops::dot`.)
+    /// The tiled fused engine agrees with the untiled one-vector recursions,
+    /// moment doubling and the paper's loop, column by column, to 1e-12
+    /// relative for random lattices, storage formats, tile sizes, and worker
+    /// counts. (They are *not* bitwise equal: the per-tile dot accumulation
+    /// associates differently from `vecops::dot`.)
     #[test]
     fn tiled_fused_agrees_with_untiled_serial(
         lx in 2usize..5,
@@ -62,7 +63,6 @@ proptest! {
         fmt_idx in 0usize..2,
         tile_rows in 1usize..70,
         threads in 1usize..5,
-        doubling in any::<bool>(),
         seed in 0u64..512,
     ) {
         let fmt = [MatrixFormat::Csr, MatrixFormat::Stencil][fmt_idx];
@@ -73,26 +73,19 @@ proptest! {
         let mut r0 = vec![0.0; d * k];
         fill_random_vector(Distribution::Rademacher, seed, 0, 0, &mut r0);
 
-        let recursion = if doubling { Recursion::Doubling } else { Recursion::Plain };
-        let reference: Vec<Vec<f64>> = r0
-            .chunks_exact(d)
-            .map(|col| single_vector_moments(&op, col, n, recursion))
-            .collect();
-        let (tiled, _stats) = if doubling {
-            fused_block_moments_doubling(&op, &r0, k, n, threads, tile_rows)
-        } else {
-            fused_block_moments_plain(&op, &r0, k, n, threads, tile_rows)
-        };
+        let (tiled, _stats) = fused_block_moments_doubling(&op, &r0, k, n, threads, tile_rows);
 
-        for (j, (t, r)) in tiled.iter().zip(&reference).enumerate() {
+        for (j, (t, col)) in tiled.iter().zip(r0.chunks_exact(d)).enumerate() {
             prop_assert_eq!(t.len(), n);
-            for m in 0..n {
-                let scale = r[m].abs().max(d as f64);
-                prop_assert!(
-                    (t[m] - r[m]).abs() <= 1e-12 * scale,
-                    "col {} moment {}: tiled {} vs reference {}",
-                    j, m, t[m], r[m]
-                );
+            for r in [single_vector_moments(&op, col, n), pair_vector_moments(&op, col, col, n)] {
+                for m in 0..n {
+                    let scale = r[m].abs().max(d as f64);
+                    prop_assert!(
+                        (t[m] - r[m]).abs() <= 1e-12 * scale,
+                        "col {} moment {}: tiled {} vs reference {}",
+                        j, m, t[m], r[m]
+                    );
+                }
             }
         }
     }
@@ -117,7 +110,7 @@ fn fig5_config_tiled_matches_untiled_and_is_thread_stable() {
             let (s, r) = (idx / params.num_random, idx % params.num_random);
             let mut r0 = vec![0.0; d];
             fill_random_vector(params.distribution, params.seed, s, r, &mut r0);
-            let mu = single_vector_moments(&op, &r0, params.num_moments, params.recursion);
+            let mu = single_vector_moments(&op, &r0, params.num_moments);
             mu.into_iter().map(|m| m / d as f64).collect()
         })
         .collect();

@@ -29,8 +29,8 @@ fn disordered_model() -> TightBinding {
     )
 }
 
-fn params(recursion: Recursion) -> KpmParams {
-    KpmParams::new(32).with_random_vectors(4, 2).with_seed(20110516).with_recursion(recursion)
+fn params() -> KpmParams {
+    KpmParams::new(32).with_random_vectors(4, 2).with_seed(20110516)
 }
 
 fn moments_for<A: Boundable + TiledOp + Sync>(op: &A, p: &KpmParams) -> MomentStats {
@@ -56,15 +56,12 @@ fn paper_lattice_moments_bitwise_identical_across_formats() {
         for format in [MatrixFormat::Stencil, MatrixFormat::Auto] {
             assert_eq!(bound_bits(&tb.build_format(format), method), ref_bits, "{format} {method}");
         }
-        for recursion in [Recursion::Plain, Recursion::Doubling] {
-            let p = params(recursion).with_bounds(method);
-            let reference = moments_for(&csr_h, &p);
-            for format in [MatrixFormat::Stencil, MatrixFormat::Auto] {
-                let m = tb.build_format(format);
-                let stats = moments_for(&m, &p);
-                assert_eq!(stats.mean, reference.mean, "{format} mean ({recursion:?})");
-                assert_eq!(stats.std_err, reference.std_err, "{format} std_err ({recursion:?})");
-            }
+        let p = params().with_bounds(method);
+        let reference = moments_for(&csr_h, &p);
+        for format in [MatrixFormat::Stencil, MatrixFormat::Auto] {
+            let stats = moments_for(&tb.build_format(format), &p);
+            assert_eq!(stats.mean, reference.mean, "{format} mean");
+            assert_eq!(stats.std_err, reference.std_err, "{format} std_err");
         }
     }
 }
@@ -97,7 +94,7 @@ fn paper_lattice_dense_moments_match_sparse_closely() {
     // Dense accumulates rows in a different FP order, so equality is to
     // tight tolerance rather than bitwise.
     let tb = paper_model();
-    let p = params(Recursion::Plain);
+    let p = params();
     let sparse = moments_for(&tb.build_csr(), &p);
     let dense = moments_for(&tb.build_csr().to_dense(), &p);
     for (a, b) in dense.mean.iter().zip(&sparse.mean) {
@@ -108,7 +105,7 @@ fn paper_lattice_dense_moments_match_sparse_closely() {
 #[test]
 fn full_dos_estimate_is_format_invariant() {
     let tb = paper_model();
-    let p = params(Recursion::Plain);
+    let p = params();
     let reference = DosEstimator::new(p.clone()).compute(&tb.build_csr()).expect("csr dos");
     for format in [MatrixFormat::Auto, MatrixFormat::Stencil] {
         let dos =

@@ -4,7 +4,7 @@ use kpm::chebyshev;
 use kpm::dct;
 use kpm::fft::{dft_naive, fft, Direction};
 use kpm::kernels::KernelType;
-use kpm::moments::{exact_moments, single_vector_moments, Recursion};
+use kpm::moments::{exact_moments, pair_vector_moments, single_vector_moments};
 use kpm::random::{fill_random_vector, Distribution};
 use kpm_linalg::op::DiagonalOp;
 use proptest::prelude::*;
@@ -126,8 +126,8 @@ proptest! {
         let op = DiagonalOp::new(diag);
         let mut r0 = vec![0.0; d];
         fill_random_vector(Distribution::Gaussian, seed, 0, 0, &mut r0);
-        let plain = single_vector_moments(&op, &r0, n, Recursion::Plain);
-        let doubled = single_vector_moments(&op, &r0, n, Recursion::Doubling);
+        let plain = pair_vector_moments(&op, &r0, &r0, n);
+        let doubled = single_vector_moments(&op, &r0, n);
         for i in 0..n {
             let scale = 1.0 + plain[i].abs();
             prop_assert!((plain[i] - doubled[i]).abs() < 1e-8 * scale,

@@ -1,32 +1,41 @@
-//! Accuracy of the default recursion against the paper's loop.
+//! Accuracy of the moment-doubling recursion against the paper's loop.
 //!
 //! Every front door runs moment doubling (`mu_{2m} = 2 <r_m|r_m> - mu_0`,
 //! `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`), which reaches each moment through
 //! other roundings than the paper's one-sweep-per-moment loop. On the
 //! paper's lattice and on a disordered lattice under the contained Lanczos
-//! bounds, the two normalized moment estimates must agree to 1e-13.
+//! bounds, the normalized moment estimate must agree to 1e-13 with the
+//! paper's loop run per realization (`pair_vector_moments` with `l = r0`)
+//! and merged by the estimator's own reduction.
 
+use kpm::moments::pair_vector_moments;
 use kpm::prelude::*;
+use kpm::random::fill_random_vector;
 use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
 
 /// Largest normalized moment difference the default recursion may show
-/// against `Recursion::Plain`.
+/// against the paper's loop.
 const TOLERANCE: f64 = 1e-13;
 
-/// Mean moments (already divided by `D`) of `params` on `tb`, through the
-/// same bounds, rescale and stochastic estimator as the jobs.
-fn moments(tb: &TightBinding, params: &KpmParams) -> Vec<f64> {
+/// Compares the default stochastic moments of `params` on `tb` with the
+/// paper's loop over the same start vectors, through the same bounds and
+/// rescale as the jobs.
+fn assert_default_matches_plain(tb: &TightBinding, params: KpmParams, what: &str) {
     let h = tb.build_csr();
     let bounds = h.spectral_bounds(params.bounds).expect("bounds");
     let rescaled = rescale(&h, bounds, params.padding).expect("rescale");
-    stochastic_moments(&rescaled, params).mean
-}
-
-/// Compares the default recursion with the paper's loop on `tb`.
-fn assert_default_matches_plain(tb: &TightBinding, params: KpmParams, what: &str) {
-    assert_eq!(params.recursion, Recursion::Doubling, "the default recursion");
-    let doubling = moments(tb, &params);
-    let plain = moments(tb, &params.with_recursion(Recursion::Plain));
+    let doubling = stochastic_moments(&rescaled, &params).mean;
+    let d = rescaled.dim();
+    let rows: Vec<Vec<f64>> = (0..params.total_realizations())
+        .map(|idx| {
+            let (s, r) = (idx / params.num_random, idx % params.num_random);
+            let mut r0 = vec![0.0; d];
+            fill_random_vector(params.distribution, params.seed, s, r, &mut r0);
+            let mu = pair_vector_moments(&rescaled, &r0, &r0, params.num_moments);
+            mu.into_iter().map(|m| m / d as f64).collect()
+        })
+        .collect();
+    let plain = MomentStats::merge_realizations(&rows).mean;
     assert_eq!(doubling.len(), plain.len());
     let (worst, at) = doubling
         .iter()

@@ -12,10 +12,8 @@
 //! `#[target_feature(enable = "avx2")]`, with four lanes, that runs when
 //! the CPU has AVX2. Each call picks its copy; off x86-64 only the baseline
 //! copy exists. The step over a computed tile that dense, identity and
-//! diagonal operators run (`tile_step`), the tiled dot kernel of the plain
-//! recursion (`plain_step_dots`), `chebyshev_combine` and
-//! `chebyshev_combine_inplace` run in no benchmark workload and have one
-//! copy.
+//! diagonal operators run (`tile_step`) and `chebyshev_combine_inplace` run
+//! in no benchmark workload and have one copy.
 //!
 //! Both copies return the same bits. Rust never contracts `a * b + c` into
 //! a fused multiply-add, every association is fixed in the source, and the
@@ -345,13 +343,11 @@ mod tests {
                 let what = format!("k = {k}, {len} rows");
                 let nsegs = len.div_ceil(slot_rows);
                 let [a, b] = [1, 2].map(|s| lcg_values(100 * k as u64 + s, len * k));
-                for nslots in [2, 3] {
-                    assert_copies_agree!(
-                        format!("start_dots, {nslots} slots, {what}"),
-                        tiled::start_dots(&a, &b, k, slot_rows, nslots, &mut slots),
-                        slots = vec![f64::NAN; nsegs * nslots * k]
-                    );
-                }
+                assert_copies_agree!(
+                    format!("start_dots, {what}"),
+                    tiled::start_dots(&a, &b, k, slot_rows, &mut slots),
+                    slots = vec![f64::NAN; nsegs * 3 * k]
+                );
             }
         }
     }

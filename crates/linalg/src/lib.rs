@@ -6,8 +6,8 @@
 //! * BLAS-1 style vector kernels ([`vecops`]) — the dot products and fused
 //!   Chebyshev update `r_{n+2} = 2 H r_{n+1} - r_n` are the hot loops of the
 //!   whole method. Most of them, and the tiled engine's CSR and stencil
-//!   row kernels and dot kernels, run a second copy, compiled for AVX2,
-//!   where the CPU has it, with the same bits ([`isa`]).
+//!   row kernels and its step-0 dot kernel, run a second copy, compiled
+//!   for AVX2, where the CPU has it, with the same bits ([`isa`]).
 //! * A row-major dense matrix ([`DenseMatrix`]) — the paper's Figs. 7 and 8
 //!   deliberately run the Hamiltonian *dense* ("the simple case when the CRS
 //!   format is not applied").

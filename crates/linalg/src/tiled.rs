@@ -23,15 +23,14 @@
 //! a tile's rows of a buffer are one contiguous slice, and every per-row
 //! loop over the vectors has a unit stride. The moment jobs draw their
 //! start block straight into this layout and hand it over by value
-//! ([`fused_interleaved_moments_plain`],
-//! [`fused_interleaved_moments_doubling`]), so it becomes the first
+//! ([`fused_interleaved_moments_doubling`]), so it becomes the first
 //! recursion buffer without a copy. Callers holding a column-major block
-//! (the [`BlockOp`] layout) call [`fused_block_moments_plain`] or
-//! [`fused_block_moments_doubling`], which interleave a copy of it.
+//! (the [`BlockOp`] layout) call [`fused_block_moments_doubling`], which
+//! interleaves a copy of it.
 //!
 //! The column count is a compile-time constant inside every row loop: the
-//! row kernels, the epilogue and the per-tile dot kernels are const-generic
-//! in their width `W`, dispatched on `k`, and blocks wider than
+//! row kernels, the epilogue and step 0's dot kernel are const-generic in
+//! their width `W`, dispatched on `k`, and blocks wider than
 //! `MAX_CHUNK_COLS` (16) run in const-width column chunks. The CSR and
 //! hypercubic stencil row kernels (with their epilogue) and step 0's dot
 //! kernel (`start_dots`) are compiled twice, for baseline x86-64 and for
@@ -70,20 +69,17 @@
 //! A fused step reads each matrix row once for all `k` columns: for CSR,
 //! 12 B per entry and a 4 B row pointer (32-bit indices); for the stencil,
 //! the row's 8 B on-site energy. Per column it
-//! reads `x` (8 B/row) and reads and writes `p` in place (16 B/row). The
-//! doubling recursion dots `p` against `x` and itself, so a step moves no
-//! other vector: `24 k` B/row plus the matrix row, for two moments. The
-//! plain recursion also reads an `f64` copy of the start block for its
-//! dot: `32 k` B/row plus the matrix row, for one moment. Step 0 reads
-//! `r0` from buffer `a`, which holds it until step 1 overwrites it, so the
-//! doubling recursion keeps no start block at all. A later doubling step
-//! stores no raw product; step 0 writes its product straight into the
-//! tile's rows of buffer `b`, and the plain recursion's later steps (and
-//! operators without a fused row kernel) land theirs in a tile-sized
-//! per-worker scratch that stays cache-resident. A split pipeline (SpMM
-//! into a `D x k` intermediate, then combine+dot) would move the raw
-//! product through memory an extra time: 48 B/row per column plus the
-//! matrix. See DESIGN.md §9 for the full accounting.
+//! reads `x` (8 B/row) and reads and writes `p` in place (16 B/row). A
+//! step dots `p` against `x` and itself, so it moves no other vector:
+//! `24 k` B/row plus the matrix row, for two moments. Step 0 reads `r0`
+//! from buffer `a`, which holds it until step 1 overwrites it, so the
+//! engine keeps no start block at all. A later step stores no raw
+//! product; step 0 writes its product straight into the tile's rows of
+//! buffer `b`, and operators without a fused row kernel land theirs in a
+//! tile-sized per-worker scratch that stays cache-resident. A split
+//! pipeline (SpMM into a `D x k` intermediate, then combine+dot) would
+//! move the raw product through memory an extra time: 48 B/row per column
+//! plus the matrix. See DESIGN.md §9 for the full accounting.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -433,7 +429,7 @@ impl Step<'_> {
                 let l = if lane < body { lane % LANES } else { LANES };
                 step_row(&h, xr, &mut self.p[r * k + j0..][..W], &mut cross[l], &mut norm[l]);
             }
-            let slot = &mut self.slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            let slot = &mut self.slots[s * SLOTS * k..][..SLOTS * k];
             slot[j0..][..W].copy_from_slice(&vecops::reduce_lanes(&cross));
             slot[k + j0..][..W].copy_from_slice(&vecops::reduce_lanes(&norm));
         }
@@ -843,32 +839,30 @@ pub fn tile_rows_is_value_safe(tile_rows: usize) -> bool {
 }
 
 /// `mu[j][0] = <r0_j|r0_j>` of a row-interleaved block, accumulated per
-/// canonical segment in ascending order — the degenerate `n == 1` case
-/// shared by both recursions.
+/// canonical segment in ascending order — the degenerate `n == 1` case.
 fn tile_ordered_norms(r0: &[f64], d: usize, k: usize, tile_rows: usize) -> Vec<Vec<f64>> {
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
     // Step 0's kernel over the whole block as one tile, so mu_0 has the
-    // same per-segment association whichever path computes it. Slot 1
-    // (`<r0|r0>` again) goes unused.
-    let mut slots = vec![0.0f64; nsegs * PLAIN_SLOTS * k];
-    start_dots(r0, r0, k, slot_rows, PLAIN_SLOTS, &mut slots);
+    // same per-segment association as in a longer run. Slots 1 and 2
+    // (`<r0|r0>` again) go unused.
+    let mut slots = vec![0.0f64; nsegs * SLOTS * k];
+    start_dots(r0, r0, k, slot_rows, &mut slots);
     (0..k)
         .map(|j| {
             let mut total = 0.0;
             for seg in 0..nsegs {
-                total += slots[seg * PLAIN_SLOTS * k + j];
+                total += slots[seg * SLOTS * k + j];
             }
             vec![total]
         })
         .collect()
 }
 
-/// Dot slots per canonical segment: `<r0|r0>` and `<r0|r_m>` for the plain
-/// recursion; the doubling recursion adds `<r1|r1>` in step 0 and uses two
-/// of its three slots afterwards.
-const PLAIN_SLOTS: usize = 2;
-const DOUBLING_SLOTS: usize = 3;
+/// Dot slots per canonical segment: `<r0|r0>`, `<r0|r1>` and `<r1|r1>` in
+/// step 0; a later step uses the first two for `<r_t|r_{t+1}>` and
+/// `<r_{t+1}|r_{t+1}>`.
+const SLOTS: usize = 3;
 
 /// Tile-relative row ranges of the dot slot segments in a `len`-row tile.
 fn segments(len: usize, slot_rows: usize) -> impl Iterator<Item = Range<usize>> {
@@ -901,103 +895,35 @@ fn column_dots<const W: usize>(
     )
 }
 
-/// `p = 2 h - p` over columns `j0..j0 + W` of rows `seg`, fused with
-/// `<r0|p>`: per column, `vecops::chebyshev_combine_dot`.
-#[inline(always)]
-fn combine_dots<const W: usize>(
-    h: &[f64],
-    p: &mut [f64],
-    r0: &[f64],
-    k: usize,
-    j0: usize,
-    seg: Range<usize>,
-) -> [f64; W] {
-    vecops::lane_dots::<W>(
-        seg.len(),
-        #[inline(always)]
-        |r| {
-            let o = (seg.start + r) * k + j0;
-            let mut terms = [0.0; W];
-            for (((t, p), &h), &r0) in
-                terms.iter_mut().zip(&mut p[o..o + W]).zip(&h[o..o + W]).zip(&r0[o..o + W])
-            {
-                *p = 2.0 * h - *p;
-                *t = r0 * *p;
-            }
-            terms
-        },
-    )
-}
-
-// The per-tile dot kernels below take whole tiles of row-interleaved
-// `k`-column blocks and the tile's slots (`nslots * k` per canonical
-// segment). They are generic in nothing, so each is compiled once (the
-// one in `kernels!` once per instruction set, `crate::isa`) however many
-// operator types instantiate the engine.
-//
-// A one-column block is laid out the same interleaved or not, so at `k = 1`
-// the plain step runs the contiguous `vecops` kernel on each segment: the
-// same association, and faster there than a one-wide const kernel, which
-// cannot vectorize across rows.
+// The per-tile dot kernel below takes whole tiles of row-interleaved
+// `k`-column blocks and the tile's slots (`SLOTS * k` per canonical
+// segment). It is generic in nothing, so it is compiled once per
+// instruction set (`crate::isa`) however many operator types instantiate
+// the engine.
 
 crate::isa::kernels! {
-    /// Step 0 of either recursion on one tile, once its rows of `r1 = A r0`
-    /// are in place: per segment and column, `<r0|r0>` and `<r0|r1>` into
-    /// slots 0 and 1, and with [`DOUBLING_SLOTS`] also `<r1|r1>` into slot 2.
-    fn start_dots(
-        r0: &[f64],
-        r1: &[f64],
-        k: usize,
-        slot_rows: usize,
-        nslots: usize,
-        slots: &mut [f64],
-    ) {
+    /// Step 0 on one tile, once its rows of `r1 = A r0` are in place: per
+    /// segment and column, `<r0|r0>`, `<r0|r1>` and `<r1|r1>` into slots
+    /// 0, 1 and 2.
+    fn start_dots(r0: &[f64], r1: &[f64], k: usize, slot_rows: usize, slots: &mut [f64]) {
         for (s, seg) in segments(r0.len() / k, slot_rows).enumerate() {
-            let slot = &mut slots[s * nslots * k..][..nslots * k];
+            let slot = &mut slots[s * SLOTS * k..][..SLOTS * k];
             for_each_chunk!(k, |j0, W| {
                 slot[j0..][..W].copy_from_slice(&column_dots::<W>(r0, r0, k, j0, seg.clone()));
                 slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(r0, r1, k, j0, seg.clone()));
-                if nslots == DOUBLING_SLOTS {
-                    let norm1 = column_dots::<W>(r1, r1, k, j0, seg.clone());
-                    slot[2 * k + j0..][..W].copy_from_slice(&norm1);
-                }
+                slot[2 * k + j0..][..W].copy_from_slice(&column_dots::<W>(r1, r1, k, j0, seg.clone()));
             });
         }
     }
 }
 
-/// A later plain step on one tile, once its rows of `A x` are in `h`:
-/// `p = 2 h - p` in place, fused with `<r0|p>` into slot 0 of each segment.
-///
-/// It serves only the plain recursion, which neither a front door nor the
-/// tune probe runs, so it has one copy.
-fn plain_step_dots(
-    h: &[f64],
-    p: &mut [f64],
-    r0: &[f64],
-    k: usize,
-    slot_rows: usize,
-    slots: &mut [f64],
-) {
-    for (s, seg) in segments(p.len() / k, slot_rows).enumerate() {
-        let slot = &mut slots[s * PLAIN_SLOTS * k..][..PLAIN_SLOTS * k];
-        if k == 1 {
-            let (h, p, r0) = (&h[seg.clone()], &mut p[seg.clone()], &r0[seg]);
-            slot[0] = vecops::chebyshev_combine_dot(h, p, r0);
-            continue;
-        }
-        for_each_chunk!(k, |j0, W| {
-            slot[j0..][..W].copy_from_slice(&combine_dots::<W>(h, p, r0, k, j0, seg.clone()));
-        });
-    }
-}
-
-/// [`fused_interleaved_moments_plain`] for a `D x k` block of start vectors
-/// in the column-major [`BlockOp`] layout, on a row-interleaved copy of it.
+/// [`fused_interleaved_moments_doubling`] for a `D x k` block of start
+/// vectors in the column-major [`BlockOp`] layout, on a row-interleaved copy
+/// of it.
 ///
 /// # Panics
 /// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
-pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
+pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
     op: &A,
     r0: &[f64],
     k: usize,
@@ -1006,26 +932,28 @@ pub fn fused_block_moments_plain<A: TiledOp + Sync + ?Sized>(
     tile_rows: usize,
 ) -> (Vec<Vec<f64>>, TiledStats) {
     assert_eq!(r0.len(), op.dim() * k, "fused moments: r0 length");
-    fused_interleaved_moments_plain(op, interleave(r0, op.dim(), k), k, n, threads, tile_rows)
+    fused_interleaved_moments_doubling(op, interleave(r0, op.dim(), k), k, n, threads, tile_rows)
 }
 
-/// Tiled fused plain-recursion moments for a `D x k` block of start vectors,
-/// handed over row-interleaved: element `(i, j)` at `r0[i * k + j]`.
+/// Tiled fused doubling-recursion moments for a `D x k` block of start
+/// vectors, handed over row-interleaved: element `(i, j)` at
+/// `r0[i * k + j]`.
 ///
 /// Returns the raw (unnormalized) moments `mu[j][m] = <r0_j | T_m(A) r0_j>`
 /// for `m < n` per column, plus the engine counters; callers divide by `D`.
 /// `A` must already be rescaled into `[-1, 1]`. The block becomes the
 /// engine's first recursion buffer, so the call keeps no copy of it.
 ///
-/// Every step streams the operator exactly once: the tile's rows of `A x`
-/// land in an L1-resident per-worker scratch, and the in-place Chebyshev
-/// combine fused with the `<r0|.>` dot runs on the tile immediately after,
-/// while its rows are still cache-resident. For a fixed `tile_rows` the
-/// result is bitwise independent of `threads` (see the module docs).
+/// The `2n`-moments-from-`n`-sweeps trick: every sweep streams the operator
+/// once, and `<r_m|r_m>` and `<r_{m+1}|r_m>` accumulate inside the fused
+/// step, giving `mu_{2m} = 2 <r_m|r_m> - mu_0` and
+/// `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`. The moments match the one-vector
+/// recursions to rounding. For a fixed `tile_rows` the result is bitwise
+/// independent of `threads` (see the module docs).
 ///
 /// # Panics
 /// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
-pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
+pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
     op: &A,
     r0: Vec<f64>,
     k: usize,
@@ -1050,148 +978,12 @@ pub fn fused_interleaved_moments_plain<A: TiledOp + Sync + ?Sized>(
     // order, so the reduction is bitwise independent of `tile_rows` there.
     let slot_rows = slot_rows_for(tile_rows);
     let nsegs = d.div_ceil(slot_rows);
-    // Buffer `a` starts as r0 (= T_0 x), `b` receives T_1 x in step 0; from
-    // then on the roles alternate by step parity and the previous vector is
-    // overwritten in place, so the later steps dot against a copy of r0.
-    // Every block is row-interleaved.
-    let mut a = r0;
-    let r0 = a.clone();
-    let mut b = vec![0.0f64; d * k];
-    const NSLOTS: usize = PLAIN_SLOTS;
-    let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
-    let mut scratch = vec![0.0f64; workers * tile_rows * k];
-    let buffers = EngineBuffers {
-        a: a.as_mut_ptr(),
-        b: b.as_mut_ptr(),
-        slots: slots.as_mut_ptr(),
-        scratch: scratch.as_mut_ptr(),
-    };
-    let nsteps = n - 1;
-    let process = move |step: usize, tile: usize, w: usize| {
-        let buffers = buffers; // capture the whole Sync struct, not raw-pointer fields
-        let rows = tile_range(tile, tile_rows, d);
-        let elems = rows.start * k..rows.end * k;
-        // Tiles on the canonical grid start on a segment boundary, so the
-        // tile covers whole segments (the last may be ragged against `d`).
-        let seg0 = rows.start / slot_rows;
-        let seg_end = seg0 + rows.len().div_ceil(slot_rows);
-        // SAFETY: the slots of this tile's own segments (in bounds: they are
-        // among the `nsegs`), which worker 0 reads only after the
-        // end-of-step barrier.
-        let slots = unsafe { buffer_mut(buffers.slots, seg0 * NSLOTS * k..seg_end * NSLOTS * k) };
-        if step == 0 {
-            // r1 = A r0, straight into this tile's rows of `b`; then
-            // <r0|r0> and <r0|r1> per canonical segment of the hot tile.
-            // SAFETY: step 0 writes only `b`, so all of `a` may be read
-            // concurrently.
-            let r0 = unsafe { std::slice::from_raw_parts(buffers.a.cast_const(), d * k) };
-            // SAFETY: this tile alone writes these rows of `b`, and nothing
-            // reads `b` before the end-of-step barrier.
-            let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
-            op.block_rows(r0, k, rows, r1);
-            start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
-        } else {
-            // (A x)[tile] into the worker's scratch, then
-            // r_{s+1} = 2 (A x) - r_{s-1} over r_{s-1} in place, fused with
-            // <r0|r_{s+1}> per canonical segment.
-            let (xp, pp) =
-                if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
-            // SAFETY: during this step every tile writes only the other
-            // buffer `pp`, so all of `xp` may be read concurrently.
-            let x = unsafe { std::slice::from_raw_parts(xp.cast_const(), d * k) };
-            // SAFETY: this tile alone reads and writes these rows of `pp`
-            // during this step.
-            let p = unsafe { buffer_mut(pp, elems.clone()) };
-            let stripe = w * tile_rows * k;
-            // SAFETY: stripe `w` belongs to worker `w`, which runs one tile
-            // at a time.
-            let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
-            op.block_rows(x, k, rows, h);
-            plain_step_dots(h, p, &r0[elems], k, slot_rows, slots);
-        }
-    };
-    let mut mu: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
-    let slot_sum = |seg_slot: usize, j: usize| -> f64 {
-        let mut total = 0.0;
-        for seg in 0..nsegs {
-            // SAFETY: worker 0 reads after the end-of-step barrier; no tile
-            // is writing.
-            total += unsafe { *buffers.slots.add(seg * NSLOTS * k + seg_slot * k + j) };
-        }
-        total
-    };
-    let reduce = |step: usize| {
-        for (j, col) in mu.iter_mut().enumerate() {
-            if step == 0 {
-                col.push(slot_sum(0, j));
-                col.push(slot_sum(1, j));
-            } else {
-                col.push(slot_sum(0, j));
-            }
-        }
-    };
-    let stats = run_parallel(workers, ntiles, nsteps, process, reduce);
-    (mu, stats)
-}
-
-/// [`fused_interleaved_moments_doubling`] for a `D x k` block of start
-/// vectors in the column-major [`BlockOp`] layout, on a row-interleaved copy
-/// of it.
-///
-/// # Panics
-/// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
-pub fn fused_block_moments_doubling<A: TiledOp + Sync + ?Sized>(
-    op: &A,
-    r0: &[f64],
-    k: usize,
-    n: usize,
-    threads: usize,
-    tile_rows: usize,
-) -> (Vec<Vec<f64>>, TiledStats) {
-    assert_eq!(r0.len(), op.dim() * k, "fused moments: r0 length");
-    fused_interleaved_moments_doubling(op, interleave(r0, op.dim(), k), k, n, threads, tile_rows)
-}
-
-/// Tiled fused doubling-recursion moments — the `2n`-moments-from-`n`-sweeps
-/// trick, with `<r_m|r_m>` and `<r_{m+1}|r_m>` accumulated inside the fused
-/// step.
-///
-/// Same contract (a row-interleaved block handed over by value) and
-/// determinism guarantees as [`fused_interleaved_moments_plain`]; uses the
-/// identities `mu_{2m} = 2 <r_m|r_m> - mu_0` and
-/// `mu_{2m+1} = 2 <r_{m+1}|r_m> - mu_1`, matching the one-vector doubling
-/// recursion to rounding.
-///
-/// # Panics
-/// Panics if `n == 0`, `tile_rows == 0`, or `r0.len() != dim * k`.
-pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
-    op: &A,
-    r0: Vec<f64>,
-    k: usize,
-    n: usize,
-    threads: usize,
-    tile_rows: usize,
-) -> (Vec<Vec<f64>>, TiledStats) {
-    let d = op.dim();
-    assert!(n >= 1, "fused moments: need at least one moment");
-    assert!(tile_rows >= 1, "fused moments: tile_rows must be positive");
-    assert_eq!(r0.len(), d * k, "fused moments: r0 length");
-    if d == 0 || k == 0 {
-        return (vec![vec![0.0; n]; k], TiledStats::default());
-    }
-    if n == 1 {
-        return (tile_ordered_norms(&r0, d, k, tile_rows), TiledStats::default());
-    }
-    let ntiles = d.div_ceil(tile_rows);
-    let workers = threads.clamp(1, ntiles);
-    // Canonical segment slots, as in the plain engine.
-    let slot_rows = slot_rows_for(tile_rows);
-    let nsegs = d.div_ceil(slot_rows);
-    // Only step 0 reads r0, from buffer `a`, which the later steps overwrite.
+    // Buffer `a` starts as r0, `b` receives r1 in step 0; from then on the
+    // roles alternate by step parity and the older vector is overwritten in
+    // place. Only step 0 reads r0. Every block is row-interleaved.
     let mut a = r0;
     let mut b = vec![0.0f64; d * k];
-    const NSLOTS: usize = DOUBLING_SLOTS;
-    let mut slots = vec![0.0f64; nsegs * NSLOTS * k];
+    let mut slots = vec![0.0f64; nsegs * SLOTS * k];
     let mut scratch = vec![0.0f64; workers * tile_rows * k];
     let buffers = EngineBuffers {
         a: a.as_mut_ptr(),
@@ -1207,32 +999,40 @@ pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
         let buffers = buffers; // capture the whole Sync struct, not raw-pointer fields
         let rows = tile_range(tile, tile_rows, d);
         let elems = rows.start * k..rows.end * k;
+        // Tiles on the canonical grid start on a segment boundary, so the
+        // tile covers whole segments (the last may be ragged against `d`).
         let seg0 = rows.start / slot_rows;
         let seg_end = seg0 + rows.len().div_ceil(slot_rows);
-        // SAFETY: as in the plain engine — this tile's own slot segments.
-        let slots = unsafe { buffer_mut(buffers.slots, seg0 * NSLOTS * k..seg_end * NSLOTS * k) };
+        // SAFETY: the slots of this tile's own segments (in bounds: they are
+        // among the `nsegs`), which worker 0 reads only after the
+        // end-of-step barrier.
+        let slots = unsafe { buffer_mut(buffers.slots, seg0 * SLOTS * k..seg_end * SLOTS * k) };
         if step == 0 {
-            // r1 = A r0 into this tile's rows of `b`; then <r0|r0>, <r0|r1>
-            // and <r1|r1> per canonical segment.
-            // SAFETY: as in the plain engine — `a` is read-only in step 0.
+            // r1 = A r0, straight into this tile's rows of `b`; then <r0|r0>,
+            // <r0|r1> and <r1|r1> per canonical segment of the hot tile.
+            // SAFETY: step 0 writes only `b`, so all of `a` may be read
+            // concurrently.
             let r0 = unsafe { std::slice::from_raw_parts(buffers.a.cast_const(), d * k) };
-            // SAFETY: as in the plain engine — this tile's own rows of `b`.
+            // SAFETY: this tile alone writes these rows of `b`, and nothing
+            // reads `b` before the end-of-step barrier.
             let r1 = unsafe { buffer_mut(buffers.b, elems.clone()) };
             op.block_rows(r0, k, rows, r1);
-            start_dots(&r0[elems], r1, k, slot_rows, NSLOTS, slots);
+            start_dots(&r0[elems], r1, k, slot_rows, slots);
         } else {
             // r_{t+1} = 2 A r_t - r_{t-1} over r_{t-1} in place, with
             // <r_t|r_{t+1}> and <r_{t+1}|r_{t+1}> per canonical segment, all
             // in the row kernel's epilogue.
             let (xp, pp) =
                 if step % 2 == 1 { (buffers.b, buffers.a) } else { (buffers.a, buffers.b) };
-            // SAFETY: as in the plain engine — `xp` is read-only this step.
+            // SAFETY: during this step every tile writes only the other
+            // buffer `pp`, so all of `xp` may be read concurrently.
             let x = unsafe { std::slice::from_raw_parts(xp.cast_const(), d * k) };
-            // SAFETY: as in the plain engine — this tile's own rows of `pp`.
+            // SAFETY: this tile alone reads and writes these rows of `pp`
+            // during this step.
             let p = unsafe { buffer_mut(pp, elems) };
             let stripe = w * tile_rows * k;
-            // SAFETY: as in the plain engine — worker `w`'s own stripe, which
-            // only operators without a fused row kernel use.
+            // SAFETY: stripe `w` belongs to worker `w`, which runs one tile
+            // at a time; only operators without a fused row kernel use it.
             let h = unsafe { buffer_mut(buffers.scratch, stripe..stripe + rows.len() * k) };
             op.rows_into(x, k, rows, &mut RowEpilogue::doubling(p, slots, slot_rows, h));
         }
@@ -1244,7 +1044,7 @@ pub fn fused_interleaved_moments_doubling<A: TiledOp + Sync + ?Sized>(
         let mut total = 0.0;
         for seg in 0..nsegs {
             // SAFETY: worker 0 reads after the end-of-step barrier.
-            total += unsafe { *buffers.slots.add(seg * NSLOTS * k + seg_slot * k + j) };
+            total += unsafe { *buffers.slots.add(seg * SLOTS * k + seg_slot * k + j) };
         }
         total
     };
@@ -1409,47 +1209,25 @@ mod tests {
     }
 
     #[test]
-    fn plain_engine_matches_reference_recursion() {
-        let d = 61;
-        let k = 2;
-        let n = 9;
-        let op = ring(d);
-        let r0 = start_block(d, k);
-        let (mu, stats) = fused_block_moments_plain(&op, &r0, k, n, 1, 16);
-        assert_eq!(stats.sweeps, (n - 1) as u64);
-        for j in 0..k {
-            let reference = reference_plain_moments(&op, &r0[j * d..(j + 1) * d], n);
-            assert_eq!(mu[j].len(), n);
-            for m in 0..n {
-                let scale = reference[m].abs().max(d as f64);
-                assert!(
-                    (mu[j][m] - reference[m]).abs() <= 1e-12 * scale,
-                    "col {j} mu_{m}: {} vs {}",
-                    mu[j][m],
-                    reference[m]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn doubling_engine_matches_plain_engine() {
+    fn doubling_engine_matches_reference_recursion() {
         let d = 47;
         let k = 3;
         let op = ring(d);
         let r0 = start_block(d, k);
-        for n in [1, 2, 3, 4, 5, 6, 7, 12, 13] {
-            let (plain, _) = fused_block_moments_plain(&op, &r0, k, n, 1, 8);
-            let (doubling, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, 8);
+        for n in [1, 2, 3, 4, 5, 6, 7, 9, 12, 13] {
+            let (mu, stats) = fused_block_moments_doubling(&op, &r0, k, n, 1, 8);
+            let sweeps = if n == 1 { 0 } else { n / 2 };
+            assert_eq!(stats.sweeps, sweeps as u64, "n = {n}");
             for j in 0..k {
-                assert_eq!(doubling[j].len(), n, "n = {n}");
+                let reference = reference_plain_moments(&op, &r0[j * d..(j + 1) * d], n);
+                assert_eq!(mu[j].len(), n, "n = {n}");
                 for m in 0..n {
-                    let scale = plain[j][m].abs().max(d as f64);
+                    let scale = reference[m].abs().max(d as f64);
                     assert!(
-                        (doubling[j][m] - plain[j][m]).abs() <= 1e-10 * scale,
+                        (mu[j][m] - reference[m]).abs() <= 1e-12 * scale,
                         "n = {n}, col {j}, mu_{m}: {} vs {}",
-                        doubling[j][m],
-                        plain[j][m]
+                        mu[j][m],
+                        reference[m]
                     );
                 }
             }
@@ -1465,13 +1243,10 @@ mod tests {
         let op =
             SparseMatrix::Stencil(StencilOp::hypercubic_uniform(&[d], &[true], 0.4, 0.0, false));
         let r0 = start_block(d, k);
-        let (reference_p, _) = fused_block_moments_plain(&op, &r0, k, n, 1, 16);
-        let (reference_d, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, 16);
+        let (reference, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, 16);
         for threads in [2, 3, 4, 7] {
-            let (mu_p, _) = fused_block_moments_plain(&op, &r0, k, n, threads, 16);
-            let (mu_d, _) = fused_block_moments_doubling(&op, &r0, k, n, threads, 16);
-            assert_eq!(mu_p, reference_p, "plain, {threads} threads");
-            assert_eq!(mu_d, reference_d, "doubling, {threads} threads");
+            let (mu, _) = fused_block_moments_doubling(&op, &r0, k, n, threads, 16);
+            assert_eq!(mu, reference, "{threads} threads");
         }
     }
 
@@ -1486,16 +1261,13 @@ mod tests {
         let n = 9;
         let op = ring(d);
         let r0 = start_block(d, k);
-        let (ref_p, _) = fused_block_moments_plain(&op, &r0, k, n, 1, DEFAULT_TILE_ROWS);
-        let (ref_d, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, DEFAULT_TILE_ROWS);
+        let (reference, _) = fused_block_moments_doubling(&op, &r0, k, n, 1, DEFAULT_TILE_ROWS);
         for mult in [2usize, 3, 4] {
             let tr = mult * DEFAULT_TILE_ROWS;
             assert!(tile_rows_is_value_safe(tr));
             for threads in [1usize, 3] {
-                let (mu_p, _) = fused_block_moments_plain(&op, &r0, k, n, threads, tr);
-                let (mu_d, _) = fused_block_moments_doubling(&op, &r0, k, n, threads, tr);
-                assert_eq!(mu_p, ref_p, "plain, tile_rows = {tr}, {threads} threads");
-                assert_eq!(mu_d, ref_d, "doubling, tile_rows = {tr}, {threads} threads");
+                let (mu, _) = fused_block_moments_doubling(&op, &r0, k, n, threads, tr);
+                assert_eq!(mu, reference, "tile_rows = {tr}, {threads} threads");
             }
         }
         // Off-grid heights keep the historical per-tile association and are
@@ -1524,17 +1296,18 @@ mod tests {
                     [1, 2, 9].into_iter().flat_map(|n| [(n, 1, 128), (n, 3, 128), (n, 3, 24)])
                 {
                     let what = format!("k = {k}, n = {n}, {threads} threads, {tile_rows} rows");
-                    let owned = || interleave(&r0, d, k);
-                    let (plain, _) =
-                        fused_interleaved_moments_plain(&op, owned(), k, n, threads, tile_rows);
-                    let (plain_cm, _) =
-                        fused_block_moments_plain(&op, &r0, k, n, threads, tile_rows);
-                    assert_eq!(bits(&plain), bits(&plain_cm), "plain, {what}");
-                    let (doubling, _) =
-                        fused_interleaved_moments_doubling(&op, owned(), k, n, threads, tile_rows);
-                    let (doubling_cm, _) =
+                    let interleaved = interleave(&r0, d, k);
+                    let (mu, _) = fused_interleaved_moments_doubling(
+                        &op,
+                        interleaved,
+                        k,
+                        n,
+                        threads,
+                        tile_rows,
+                    );
+                    let (mu_cm, _) =
                         fused_block_moments_doubling(&op, &r0, k, n, threads, tile_rows);
-                    assert_eq!(bits(&doubling), bits(&doubling_cm), "doubling, {what}");
+                    assert_eq!(bits(&mu), bits(&mu_cm), "{what}");
                     if n == 1 {
                         // Per column, `vecops::dot` per slot segment, summed
                         // in ascending order.
@@ -1549,8 +1322,7 @@ mod tests {
                                 vec![total]
                             })
                             .collect();
-                        assert_eq!(bits(&plain), bits(&norms), "plain norms, {what}");
-                        assert_eq!(bits(&doubling), bits(&norms), "doubling norms, {what}");
+                        assert_eq!(bits(&mu), bits(&norms), "norms, {what}");
                     }
                 }
             }
@@ -1562,7 +1334,7 @@ mod tests {
         let d = 40;
         let op = ring(d);
         let r0 = start_block(d, 1);
-        let (_, stats) = fused_block_moments_plain(&op, &r0, 1, 5, 2, 8);
+        let (_, stats) = fused_block_moments_doubling(&op, &r0, 1, 9, 2, 8);
         assert_eq!(stats.sweeps, 4);
         assert_eq!(stats.tiles, 4 * 5, "5 tiles of 8 rows, 4 sweeps");
     }
@@ -1572,7 +1344,7 @@ mod tests {
         let d = 19; // 3 tiles of 8: 8 + 8 + 3
         let op = ring(d);
         let r0 = start_block(d, 2);
-        let (mu_t, _) = fused_block_moments_plain(&op, &r0, 2, 6, 3, 8);
+        let (mu_t, _) = fused_block_moments_doubling(&op, &r0, 2, 6, 3, 8);
         for j in 0..2 {
             let reference = reference_plain_moments(&op, &r0[j * d..(j + 1) * d], 6);
             for m in 0..6 {
@@ -1639,7 +1411,7 @@ mod tests {
         }
         let xt = &x[rows.start * k..rows.end * k];
         for (s, seg) in segments(rows.len(), slot_rows).enumerate() {
-            let slot = &mut slots[s * DOUBLING_SLOTS * k..][..DOUBLING_SLOTS * k];
+            let slot = &mut slots[s * SLOTS * k..][..SLOTS * k];
             for_each_chunk!(k, |j0, W| {
                 slot[j0..][..W].copy_from_slice(&column_dots::<W>(xt, p, k, j0, seg.clone()));
                 slot[k + j0..][..W].copy_from_slice(&column_dots::<W>(p, p, k, j0, seg.clone()));
@@ -1667,23 +1439,23 @@ mod tests {
         let tile_slots = |rows: &Range<usize>| {
             let seg0 = rows.start / slot_rows;
             let seg_end = seg0 + rows.len().div_ceil(slot_rows);
-            seg0 * DOUBLING_SLOTS * k..seg_end * DOUBLING_SLOTS * k
+            seg0 * SLOTS * k..seg_end * SLOTS * k
         };
         let sum = |slots: &[f64], slot: usize, j: usize| {
             let mut total = 0.0;
             for seg in 0..nsegs {
-                total += slots[seg * DOUBLING_SLOTS * k + slot * k + j];
+                total += slots[seg * SLOTS * k + slot * k + j];
             }
             total
         };
-        let mut slots = vec![0.0; nsegs * DOUBLING_SLOTS * k];
+        let mut slots = vec![0.0; nsegs * SLOTS * k];
         let mut a = r0.to_vec();
         let mut b = vec![0.0; d * k];
         for rows in &tiles {
             let elems = rows.start * k..rows.end * k;
             b[elems.clone()].copy_from_slice(&unfused_rows(op, affine, &a, k, rows.clone()));
             let tile = &mut slots[tile_slots(rows)];
-            start_dots(&a[elems.clone()], &b[elems], k, slot_rows, DOUBLING_SLOTS, tile);
+            start_dots(&a[elems.clone()], &b[elems], k, slot_rows, tile);
         }
         let mut mu: Vec<Vec<f64>> = (0..k)
             .map(|j| {
@@ -1758,7 +1530,7 @@ mod tests {
             let (rows, slot_rows) = (5..45, 16);
             let x = wave_with_zeros(2 * k, d * k);
             let p0 = wave_with_zeros(3 * k + 1, rows.len() * k);
-            let nslots = rows.len().div_ceil(slot_rows) * DOUBLING_SLOTS * k;
+            let nslots = rows.len().div_ceil(slot_rows) * SLOTS * k;
             let (mut p, mut slots) = (p0.clone(), vec![f64::NAN; nslots]);
             let mut scratch = vec![f64::NAN; rows.len() * k];
             let mut epi = RowEpilogue::doubling(&mut p, &mut slots, slot_rows, &mut scratch);
@@ -1804,7 +1576,7 @@ mod tests {
         assert_fused_steps_match(&diagonal, "diagonal");
         let x = vec![-1.0; 343];
         let mut p = vec![0.0; 343];
-        let mut slots = vec![0.0; 343usize.div_ceil(16) * DOUBLING_SLOTS];
+        let mut slots = vec![0.0; 343usize.div_ceil(16) * SLOTS];
         let mut scratch = vec![0.0; 343];
         diagonal.rows_into(
             &x,

@@ -140,15 +140,6 @@ crate::isa::kernels! {
     }
 }
 
-/// `x += alpha` (element-wise shift; used by the spectral rescaling
-/// `H~ = (H - a_+ I)/a_-` applied to a vector as `(H x - a_+ x)/a_-`).
-#[inline]
-pub fn shift(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi += alpha;
-    }
-}
-
 crate::isa::kernels! {
     /// Euclidean norm `||x||_2`, computed with scaling to avoid overflow for
     /// extreme magnitudes.
@@ -163,27 +154,12 @@ crate::isa::kernels! {
     }
 }
 
-/// Fused Chebyshev step: `out[i] = 2.0 * hx[i] - prev[i]`.
-///
-/// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
-/// `hx = H~ r_{n+1}` already formed. Fusing the scale and subtract halves the
-/// memory traffic relative to two separate BLAS-1 passes.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn chebyshev_combine(hx: &[f64], prev: &[f64], out: &mut [f64]) {
-    assert_eq!(hx.len(), prev.len(), "chebyshev_combine: length mismatch");
-    assert_eq!(hx.len(), out.len(), "chebyshev_combine: length mismatch");
-    for ((o, &h), &p) in out.iter_mut().zip(hx).zip(prev) {
-        *o = 2.0 * h - p;
-    }
-}
-
 /// In-place fused Chebyshev step: `prev[i] = 2.0 * hx[i] - prev[i]`.
 ///
-/// Lets the caller recycle the `r_n` buffer as the `r_{n+2}` buffer, which is
-/// exactly the pointer-swap scheme the paper uses on the GPU (Sec. III-B-1).
+/// This is Eq. (18) of the paper, `|r_{n+2}> = 2 H~ |r_{n+1}> - |r_n>`, with
+/// `hx = H~ r_{n+1}` already formed. It lets the caller recycle the `r_n`
+/// buffer as the `r_{n+2}` buffer, which is exactly the pointer-swap scheme
+/// the paper uses on the GPU (Sec. III-B-1).
 #[inline]
 pub fn chebyshev_combine_inplace(hx: &[f64], prev: &mut [f64]) {
     assert_eq!(hx.len(), prev.len(), "chebyshev_combine_inplace: length mismatch");
@@ -372,12 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_shift() {
+    fn scale_multiplies_in_place() {
         let mut x = [1.0, -2.0, 4.0];
         scale(0.5, &mut x);
         assert_eq!(x, [0.5, -1.0, 2.0]);
-        shift(1.0, &mut x);
-        assert_eq!(x, [1.5, 0.0, 3.0]);
     }
 
     #[test]
@@ -398,14 +372,9 @@ mod tests {
     #[test]
     fn chebyshev_combine_matches_formula() {
         let hx = [1.0, 2.0, 3.0];
-        let prev = [0.5, 0.5, 0.5];
-        let mut out = [0.0; 3];
-        chebyshev_combine(&hx, &prev, &mut out);
-        assert_eq!(out, [1.5, 3.5, 5.5]);
-
-        let mut prev2 = prev;
-        chebyshev_combine_inplace(&hx, &mut prev2);
-        assert_eq!(prev2, out);
+        let mut prev = [0.5, 0.5, 0.5];
+        chebyshev_combine_inplace(&hx, &mut prev);
+        assert_eq!(prev, [1.5, 3.5, 5.5]);
     }
 
     #[test]

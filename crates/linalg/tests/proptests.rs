@@ -152,8 +152,7 @@ proptest! {
         hx in proptest::collection::vec(-5.0..5.0f64, 1..40),
     ) {
         let prev: Vec<f64> = hx.iter().map(|v| v * 0.3 - 1.0).collect();
-        let mut out = vec![0.0; hx.len()];
-        vecops::chebyshev_combine(&hx, &prev, &mut out);
+        let out: Vec<f64> = hx.iter().zip(&prev).map(|(&h, &p)| 2.0 * h - p).collect();
         let mut inplace = prev.clone();
         vecops::chebyshev_combine_inplace(&hx, &mut inplace);
         prop_assert_eq!(out, inplace);

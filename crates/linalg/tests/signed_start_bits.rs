@@ -4,11 +4,11 @@
 //! `±1.0`; `tiled_bits.rs` starts from LCG values in `(-1, 1)` instead. This
 //! test hashes every moment's `to_bits()` for ±1 start blocks over the full
 //! configuration matrix — three formats, bare and rescaled, six block widths
-//! (one column, and 17 = 16 + 1), on- and off-grid tile heights, one and
-//! three threads, and both recursions — against recorded constants.
+//! (one column, and 17 = 16 + 1), on- and off-grid tile heights, and one and
+//! three threads — against recorded constants.
 
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
+use kpm_linalg::tiled::{fused_block_moments_doubling, TiledOp};
 use kpm_linalg::{DenseMatrix, SparseMatrix, StencilGeometry, StencilOp};
 
 const MOMENTS: usize = 7;
@@ -19,12 +19,9 @@ const TILE_ROWS: [usize; 3] = [128, 256, 200];
 const THREADS: [usize; 2] = [1, 3];
 
 /// `(format, recursion)` → FNV-1a-64 over every moment's bits.
-const EXPECTED: [(&str, &str, u64); 6] = [
-    ("csr", "plain", 0xf7f3_9805_51c3_d7f5),
+const EXPECTED: [(&str, &str, u64); 3] = [
     ("csr", "doubling", 0xcdc9_2a5f_4167_bb85),
-    ("stencil", "plain", 0xf7f3_9805_51c3_d7f5),
     ("stencil", "doubling", 0xcdc9_2a5f_4167_bb85),
-    ("dense", "plain", 0x088c_e430_32fa_2a69),
     ("dense", "doubling", 0x2f11_bf0c_729f_6f5d),
 ];
 
@@ -68,17 +65,13 @@ fn fnv1a(hash: &mut u64, bits: u64) {
 }
 
 /// Folds every moment of every configuration of `op` into `hash`.
-fn hash_runs<A: TiledOp + Sync>(op: &A, doubling: bool, hash: &mut u64) {
+fn hash_runs<A: TiledOp + Sync>(op: &A, hash: &mut u64) {
     let d = op.dim();
     for k in WIDTHS {
         let r0 = lcg_signs(k as u64, d * k);
         for tile_rows in TILE_ROWS {
             for threads in THREADS {
-                let (mu, _) = if doubling {
-                    fused_block_moments_doubling(op, &r0, k, MOMENTS, threads, tile_rows)
-                } else {
-                    fused_block_moments_plain(op, &r0, k, MOMENTS, threads, tile_rows)
-                };
+                let (mu, _) = fused_block_moments_doubling(op, &r0, k, MOMENTS, threads, tile_rows);
                 assert_eq!(mu.len(), k);
                 for col in &mu {
                     assert_eq!(col.len(), MOMENTS);
@@ -92,10 +85,10 @@ fn hash_runs<A: TiledOp + Sync>(op: &A, doubling: bool, hash: &mut u64) {
 }
 
 /// The bare operator, then the same operator behind a non-trivial rescale.
-fn hash_format<A: TiledOp + Sync + Clone>(op: &A, doubling: bool) -> u64 {
+fn hash_format<A: TiledOp + Sync + Clone>(op: &A) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    hash_runs(op, doubling, &mut hash);
-    hash_runs(&RescaledOp::new(op.clone(), 0.03, 1.1), doubling, &mut hash);
+    hash_runs(op, &mut hash);
+    hash_runs(&RescaledOp::new(op.clone(), 0.03, 1.1), &mut hash);
     hash
 }
 
@@ -108,16 +101,11 @@ fn signed_start_moments_keep_their_bits() {
     // Dense on a smaller lattice keeps the debug-build run short:
     // D = 343 = 2 * 128 + 87, again ragged against the unroll.
     let dense: DenseMatrix = lattice(7).to_csr().to_dense();
-    let mut got = Vec::new();
-    for (recursion, doubling) in [("plain", false), ("doubling", true)] {
-        for (format, hash) in [
-            ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
-            ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
-            ("dense", hash_format(&dense, doubling)),
-        ] {
-            got.push((format, recursion, hash));
-        }
-    }
+    let got = [
+        ("csr", "doubling", hash_format(&SparseMatrix::Csr(csr))),
+        ("stencil", "doubling", hash_format(&SparseMatrix::Stencil(stencil))),
+        ("dense", "doubling", hash_format(&dense)),
+    ];
     let mut mismatches = Vec::new();
     for &(format, recursion, want) in &EXPECTED {
         let (.., hash) = got

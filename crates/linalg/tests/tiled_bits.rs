@@ -6,12 +6,12 @@
 //! layout or loop order that moves a last bit everywhere at once. This test
 //! hashes every moment's `to_bits()` over the full configuration matrix —
 //! three formats, bare and rescaled, five block widths, on- and off-grid tile
-//! heights, one and three threads, and both recursions — and compares
-//! against constants recorded from the original column-major engine. Any
-//! rewrite of the engine must reproduce them unchanged.
+//! heights, and one and three threads — and compares against constants
+//! recorded from the original column-major engine. Any rewrite of the engine
+//! must reproduce them unchanged.
 
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::{fused_block_moments_doubling, fused_block_moments_plain, TiledOp};
+use kpm_linalg::tiled::{fused_block_moments_doubling, TiledOp};
 use kpm_linalg::{DenseMatrix, SparseMatrix, StencilGeometry, StencilOp};
 
 const MOMENTS: usize = 7;
@@ -22,12 +22,9 @@ const TILE_ROWS: [usize; 3] = [128, 256, 200];
 const THREADS: [usize; 2] = [1, 3];
 
 /// `(format, recursion)` → FNV-1a-64 over every moment's bits.
-const EXPECTED: [(&str, &str, u64); 6] = [
-    ("csr", "plain", 0xc921_863a_737f_547d),
+const EXPECTED: [(&str, &str, u64); 3] = [
     ("csr", "doubling", 0x4a10_7169_616b_1711),
-    ("stencil", "plain", 0xc921_863a_737f_547d),
     ("stencil", "doubling", 0x4a10_7169_616b_1711),
-    ("dense", "plain", 0x2d92_4a9b_4eed_3931),
     ("dense", "doubling", 0x1be4_8d87_d834_cff5),
 ];
 
@@ -63,17 +60,13 @@ fn fnv1a(hash: &mut u64, bits: u64) {
 }
 
 /// Folds every moment of every configuration of `op` into `hash`.
-fn hash_runs<A: TiledOp + Sync>(op: &A, doubling: bool, hash: &mut u64) {
+fn hash_runs<A: TiledOp + Sync>(op: &A, hash: &mut u64) {
     let d = op.dim();
     for k in WIDTHS {
         let r0 = lcg_values(k as u64, d * k);
         for tile_rows in TILE_ROWS {
             for threads in THREADS {
-                let (mu, _) = if doubling {
-                    fused_block_moments_doubling(op, &r0, k, MOMENTS, threads, tile_rows)
-                } else {
-                    fused_block_moments_plain(op, &r0, k, MOMENTS, threads, tile_rows)
-                };
+                let (mu, _) = fused_block_moments_doubling(op, &r0, k, MOMENTS, threads, tile_rows);
                 assert_eq!(mu.len(), k);
                 for col in &mu {
                     assert_eq!(col.len(), MOMENTS);
@@ -87,10 +80,10 @@ fn hash_runs<A: TiledOp + Sync>(op: &A, doubling: bool, hash: &mut u64) {
 }
 
 /// The bare operator, then the same operator behind a non-trivial rescale.
-fn hash_format<A: TiledOp + Sync + Clone>(op: &A, doubling: bool) -> u64 {
+fn hash_format<A: TiledOp + Sync + Clone>(op: &A) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    hash_runs(op, doubling, &mut hash);
-    hash_runs(&RescaledOp::new(op.clone(), 0.03, 1.1), doubling, &mut hash);
+    hash_runs(op, &mut hash);
+    hash_runs(&RescaledOp::new(op.clone(), 0.03, 1.1), &mut hash);
     hash
 }
 
@@ -103,16 +96,11 @@ fn tiled_moments_keep_their_bits() {
     // Dense on a smaller lattice keeps the debug-build run short:
     // D = 343 = 2 * 128 + 87, again ragged against the unroll.
     let dense: DenseMatrix = lattice(7).to_csr().to_dense();
-    let mut got = Vec::new();
-    for (recursion, doubling) in [("plain", false), ("doubling", true)] {
-        for (format, hash) in [
-            ("csr", hash_format(&SparseMatrix::Csr(csr.clone()), doubling)),
-            ("stencil", hash_format(&SparseMatrix::Stencil(stencil.clone()), doubling)),
-            ("dense", hash_format(&dense, doubling)),
-        ] {
-            got.push((format, recursion, hash));
-        }
-    }
+    let got = [
+        ("csr", "doubling", hash_format(&SparseMatrix::Csr(csr))),
+        ("stencil", "doubling", hash_format(&SparseMatrix::Stencil(stencil))),
+        ("dense", "doubling", hash_format(&dense)),
+    ];
     let mut mismatches = Vec::new();
     for &(format, recursion, want) in &EXPECTED {
         let (.., hash) = got

@@ -372,7 +372,7 @@ fn ldos_partial<A: Boundable + TiledOp + Sync>(
     let rescaled = rescale(h, bounds, params.padding).map_err(job_err)?;
     let mut e_i = vec![0.0; rescaled.dim()];
     e_i[site] = 1.0;
-    Ok(vec![single_vector_moments(&rescaled, &e_i, params.num_moments, params.recursion)])
+    Ok(vec![single_vector_moments(&rescaled, &e_i, params.num_moments)])
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //! KPM pipeline, validating the reproduction against ground truth across
 //! crate boundaries.
 
-use kpm_suite::kpm::moments::{exact_moments, stochastic_moments, KpmParams, Recursion};
+use kpm_suite::kpm::moments::{
+    exact_moments, pair_vector_moments, stochastic_moments, KpmParams, MomentStats,
+};
 use kpm_suite::kpm::prelude::*;
+use kpm_suite::kpm::random::fill_random_vector;
 use kpm_suite::kpm::rescale::{rescale, Boundable};
 use kpm_suite::lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
 use kpm_suite::linalg::eigen::jacobi_eigenvalues;
@@ -69,15 +72,30 @@ fn dos_cumulative_matches_exact_counts() {
     }
 }
 
-/// Doubling recursion gives the same DoS as the plain recursion through
-/// the full pipeline.
+/// The pipeline's moment-doubling DoS equals the DoS reconstructed from
+/// the paper's loop (one matvec per moment) run on the same start vectors.
 #[test]
 fn recursion_strategies_agree_end_to_end() {
     let h = kpm_suite::lattice::dense_random_symmetric(64, 1.0, 15);
-    let base = KpmParams::new(64).with_random_vectors(8, 2).with_seed(31);
-    let plain =
-        DosEstimator::new(base.clone().with_recursion(Recursion::Plain)).compute(&h).unwrap();
-    let doubled = DosEstimator::new(base.with_recursion(Recursion::Doubling)).compute(&h).unwrap();
+    let params = KpmParams::new(64).with_random_vectors(8, 2).with_seed(31);
+    let estimator = DosEstimator::new(params.clone());
+    let doubled = estimator.compute(&h).unwrap();
+
+    let bounds = h.spectral_bounds(params.bounds).unwrap();
+    let rescaled = rescale(&h, bounds, params.padding).unwrap();
+    let d = rescaled.dim();
+    let rows: Vec<Vec<f64>> = (0..params.total_realizations())
+        .map(|idx| {
+            let (s, r) = (idx / params.num_random, idx % params.num_random);
+            let mut r0 = vec![0.0; d];
+            fill_random_vector(params.distribution, params.seed, s, r, &mut r0);
+            let mu = pair_vector_moments(&rescaled, &r0, &r0, params.num_moments);
+            mu.into_iter().map(|m| m / d as f64).collect()
+        })
+        .collect();
+    let moments = MomentStats::merge_realizations(&rows);
+    let plain = estimator.reconstruct(moments, rescaled.a_plus(), rescaled.a_minus()).unwrap();
+    assert_eq!(plain.energies, doubled.energies);
     for (a, b) in plain.rho.iter().zip(&doubled.rho) {
         assert!((a - b).abs() < 1e-8, "{a} vs {b}");
     }
